@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from . import finite_n as fn
 from . import laxpair, montecarlo, painleve, scaling
-from .numerics import Grid
 
 
 def _open_out(path):
@@ -48,64 +47,62 @@ def _default_threads(args) -> int:
     return int(env) if env else (os.cpu_count() or 1)
 
 
-def _table(args, wide: bool = False) -> painleve.PainleveTable:
-    if wide:
-        return painleve.default_table(-12.0, 20.0, 6401)
-    return painleve.default_table()
+def _provenance(table: painleve.PainleveTable) -> list[str]:
+    """Header lines saying how the table and psi functions were computed."""
+    g = table.grid
+    return [f"table: Hastings-McLeod on [{g.x_min:g}, {g.x_max:g}], "
+            f"n_points = {g.n_points}, h = {g.h:g}, "
+            f"bvp_nodes = {table.bvp_nodes}, bvp_tol = {table.bvp_tol:g}",
+            f"psi: {laxpair.PSI_SCHEME}"]
 
 
 def cmd_tabulate_painleve(args) -> int:
-    t = painleve.solve_hastings_mcleod(tol=args.tol)
+    t = painleve.default_table()
     g = t.grid.nodes()
-    _write_csv(args.out, ["columns: x, q, q_prime, R, F2"],
+    _write_csv(args.out, _provenance(t) + ["columns: x, q, q_prime, R, F2"],
                [g, t.q.values, t.q_prime.values, t.R.values, t.f2.values],
                ["x", "q", "q_prime", "R", "F2"])
     return 0
 
 
 def cmd_tabulate_psi(args) -> int:
-    wide = args.r_tilde > t_default_margin()
-    t = _table(args, wide=wide)
+    t = painleve.default_table()
     psi = laxpair.solve_psi(args.r_tilde, t)
     g = t.grid.nodes()
     _write_csv(args.out,
-               [f"r_tilde = {args.r_tilde}", "columns: x, f, g"],
+               _provenance(t) + [f"r_tilde = {args.r_tilde}",
+                                 "columns: x, f, g"],
                [g, psi.f.values, psi.g.values], ["x", "f", "g"])
     return 0
 
 
-def t_default_margin() -> float:
-    return painleve.DEFAULT_DOMAIN.x_max - laxpair.DOS_MARGIN
+def _write_edge_curve(args, t, curve, large) -> int:
+    r = curve.r_values
+    small = 0.5 * r**2 + scaling.a4_integral(t) * r**4
+    _write_csv(args.out,
+               _provenance(t) + [
+                   f"rmax = {args.rmax}, step = {args.step}",
+                   "columns: r_tilde, value, asymptotic_small, "
+                   "asymptotic_large"],
+               [r, curve.values, small, large],
+               ["r_tilde", "value", "asymptotic_small", "asymptotic_large"])
+    return 0
 
 
 def cmd_dos_edge(args) -> int:
-    wide = args.rmax > t_default_margin()
-    t = _table(args, wide=wide)
-    r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
-    vals = np.array([scaling.rho_edge_scaling(ri, t) for ri in r])
-    small = 0.5 * r**2 + scaling.a4_integral(t) * r**4
+    t = painleve.default_table()
+    curve = scaling.tabulate_curve("dos_edge", t, args.rmax, args.step)
+    r = curve.r_values
     large = np.where(r > 0, np.sqrt(np.maximum(r, 1e-300)) / math.pi, 0.0)
-    _write_csv(args.out,
-               [f"rmax = {args.rmax}, step = {args.step}",
-                "columns: r_tilde, value, asymptotic_small, asymptotic_large"],
-               [r, vals, small, large],
-               ["r_tilde", "value", "asymptotic_small", "asymptotic_large"])
-    return 0
+    return _write_edge_curve(args, t, curve, large)
 
 
 def cmd_gap_pdf(args) -> int:
-    t = _table(args)
-    r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
-    vals = np.array([scaling.p_typ(ri, t) for ri in r])
-    small = 0.5 * r**2 + scaling.a4_integral(t) * r**4
+    t = painleve.default_table()
+    curve = scaling.tabulate_curve("gap_typ", t, args.rmax, args.step)
     large = np.array([scaling.gap_tail_asymptotic(ri) if ri > 0 else 0.0
-                      for ri in r])
-    _write_csv(args.out,
-               [f"rmax = {args.rmax}, step = {args.step}",
-                "columns: r_tilde, value, asymptotic_small, asymptotic_large"],
-               [r, vals, small, large],
-               ["r_tilde", "value", "asymptotic_small", "asymptotic_large"])
-    return 0
+                      for ri in curve.r_values])
+    return _write_edge_curve(args, t, curve, large)
 
 
 def cmd_dos_bulk(args) -> int:
@@ -140,7 +137,10 @@ def cmd_finite_n(args) -> int:
 def cmd_sample(args) -> int:
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
-    top_k = min(args.n, 64) if args.n > 64 else None
+    # the top 64 eigenvalues cover the gap and the edge-scaled DOS; the bulk
+    # DOS needs all n - 1 distances
+    top_k = 64 if args.n > 64 and (args.quantity == "gap"
+                                   or args.scaling == "edge") else None
     samples = montecarlo.sample_spectrum(sampler, args.samples,
                                          threads=threads, top_k=top_k)
     header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}"]
@@ -162,15 +162,16 @@ def cmd_sample(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    t = _table(args)
+    t = painleve.default_table()
     r = np.arange(max(args.step, 0.5), args.rmax + 0.5 * args.step, args.step)
     gap_tail = np.array([scaling.gap_tail_asymptotic(ri) for ri in r])
     dos_tail = np.sqrt(r) / math.pi
     f2_tail = np.array([painleve.tracy_widom_f2_asymptote(-ri) for ri in r])
     _write_csv(args.out,
-               ["columns: r_tilde, gap_tail, dos_tail, f2_left_tail",
-                f"a4 = {scaling.a4_integral(t):.12g}",
-                f"gap_amplitude_A = {scaling.GAP_TAIL_AMPLITUDE:.12g}"],
+               _provenance(t) + [
+                   "columns: r_tilde, gap_tail, dos_tail, f2_left_tail",
+                   f"a4 = {scaling.a4_integral(t):.12g}",
+                   f"gap_amplitude_A = {scaling.GAP_TAIL_AMPLITUDE:.12g}"],
                [r, gap_tail, dos_tail, f2_tail],
                ["r_tilde", "gap_tail", "dos_tail", "f2_left_tail"])
     return 0
@@ -186,7 +187,9 @@ def cmd_check(args) -> int:
         if not ok:
             failures.append(name)
 
-    t = _table(args)
+    t = painleve.default_table()
+    for line in _provenance(t):
+        print(f"# {line}")
     g = t.grid.nodes()
     h = t.grid.h
     q = t.q.values
@@ -253,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, rmax=12.0, step=0.05):
         sp.add_argument("--out", default=None, help="output CSV (default stdout)")
-        sp.add_argument("--tol", type=float, default=1e-11)
         sp.add_argument("--threads", type=int, default=None)
         if rmax is not None:
             sp.add_argument("--rmax", type=float, default=rmax)

@@ -11,14 +11,15 @@ everywhere).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import airy as _airy
-from .numerics import (AiryProductTail, Grid, GridFunction, integrate_ode,
-                       cumulative_tail_integral)
+from .numerics import AiryProductTail, GridFunction, integral_from_right
+# not called here: perfbench/tracing.py looks up `laxpair.integrate_ode` by
+# name at start-up, so the name stays importable from this module
+from .numerics import integrate_ode  # noqa: F401
 from .painleve import PainleveTable
 
 #: amplitude of the Airy seed, 2^(-1/6) sqrt(pi)
@@ -29,6 +30,10 @@ GAP_R_MAX = 30.0
 
 #: minimal Airy-decay margin x_max - r for the oscillatory branch
 DOS_MARGIN = 4.0
+
+#: how f is computed, recorded in the CSV headers
+PSI_SCHEME = ("Numerov downward from x_max on h and h/2, "
+              "Richardson-extrapolated (16 f_h/2 - f_h)/15")
 
 # nodes where q has decayed below this are excluded from ratio-type
 # residual diagnostics (q'/q, R/q^2 are roundoff-dominated there)
@@ -51,44 +56,79 @@ class PsiPair:
     qf_integral: GridFunction
 
 
-def solve_psi(r_tilde: float, table: PainleveTable,
-              rel_tol: float = 1e-11) -> PsiPair:
-    """Integrate the f equation downward from x_max and build g from the
-    integral relation.
+def _numerov_down(x: np.ndarray, q2: np.ndarray,
+                  r: np.ndarray) -> np.ndarray:
+    """f'' = (x + 2q^2 - r) f on the uniform nodes x, one column per r,
+    marched downward from the Airy seed at the top two nodes.
 
-    Downward integration is the stable direction: the Bi-type admixture of
-    the Airy seed decays relative to the Ai-type branch as x decreases.
+    With A = 1 - h^2 V / 12 and u = A f, Numerov's recurrence reads
+    u[i-1] = (12 / A[i] - 10) u[i] - u[i+1].
     """
+    h = x[1] - x[0]
+    a = 1.0 - h * h / 12.0 * ((x + 2.0 * q2)[:, None] - r)
+    c = 12.0 / a - 10.0
+    u = np.empty_like(a)
+    u[-2:] = SEED_AMPLITUDE * _airy.ai_values(x[-2:, None] - r) * a[-2:]
+    for i in range(x.size - 2, 0, -1):
+        np.multiply(c[i], u[i], out=u[i - 1])
+        u[i - 1] -= u[i + 1]
+    u /= a
+    return u
+
+
+def solve_psi_batch(r_values, table: PainleveTable):
+    """f, f' and I(x) = int_x^inf q f on the table grid at every spectral
+    parameter in ``r_values``; each is an (n_points, len(r_values)) array
+    with one column per r.
+
+    f is marched downward from x_max, the stable direction: the Bi-type
+    admixture of the Airy seed decays relative to the Ai-type branch as x
+    decreases.  The seed 2^(-1/6) sqrt(pi) Ai(x - r) is exact at the top
+    nodes to 2q(x_max)^2 (~1e-52 on the canonical table).  Numerov is run on
+    the table grid (step h) and on its halving, whose q comes from the
+    table's spline, and the two are Richardson-combined: plain Numerov at
+    h = 0.005 misses f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the
+    combination by ~4e-9.  f' is the right-anchored integral
+    f'(x_max) - int_x^{x_max} (u + 2q^2 - r) f du.
+    """
+    r = np.atleast_1d(np.asarray(r_values, dtype=float))
     grid = table.grid
-    x_min, x_max = grid.x_min, grid.x_max
-    if r_tilde > x_max - DOS_MARGIN:
+    x_max = grid.x_max
+    if np.any(r > x_max - DOS_MARGIN):
         raise ValueError(
-            f"r_tilde={r_tilde} leaves less than {DOS_MARGIN} of Airy decay "
-            f"below x_max={x_max}; use a wider table")
-    if r_tilde < -GAP_R_MAX:
+            f"r_tilde={r.max()} leaves less than {DOS_MARGIN} of Airy decay "
+            f"below x_max={x_max}")
+    if np.any(r < -GAP_R_MAX):
         raise ValueError(
             f"gap branch limited to r_tilde >= -{GAP_R_MAX}: f underflows "
             "double precision; use the asymptotic formulas instead")
 
-    qs = table.q.spline()
+    x = grid.nodes()
+    q = table.q.values
+    x_half = np.linspace(grid.x_min, x_max, 2 * grid.n_points - 1)
+    q_half = table.q.spline()(x_half)
+    f_h = _numerov_down(x, q * q, r)
+    f = _numerov_down(x_half, q_half * q_half, r)[::2]
+    f *= 16.0 / 15.0
+    f -= f_h / 15.0
 
-    def rhs(x, y):
-        return [y[1], (x + 2.0 * qs(x) ** 2 - r_tilde) * y[0]]
+    potential = (x + 2.0 * q * q)[:, None] - r
+    fp_top = SEED_AMPLITUDE * _airy.ai_prime_values(x_max - r)
+    f_prime = fp_top - integral_from_right(x, potential * f)
 
-    av = _airy.airy(x_max - r_tilde)
-    seed = [SEED_AMPLITUDE * av.ai, SEED_AMPLITUDE * av.ai_prime]
+    qf = q[:, None] * f
+    remainder = [AiryProductTail(0.0, ri).remainder(x_max, v)
+                 for ri, v in zip(r, qf[-1])]
+    qf_integral = integral_from_right(x, qf) + np.array(remainder)
+    return f, f_prime, qf_integral
 
-    g_nodes = grid.nodes()
-    _, y = integrate_ode(rhs, x_max, x_min, seed, rel_tol=rel_tol,
-                         abs_tol=1e-300, t_eval=g_nodes[::-1])
-    f = y[0][::-1].copy()
-    fp = y[1][::-1].copy()
 
-    qf = GridFunction(grid, table.q.values * f,
-                      tail=AiryProductTail(0.0, r_tilde))
-    I = cumulative_tail_integral(qf)
-
-    g_vals = -r_tilde * I.values / table.q.values
+def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
+    """The pair (f, g) at one spectral parameter: f from
+    :func:`solve_psi_batch`, g from the integral relation."""
+    f, fp, qf_integral = (v[:, 0] for v in solve_psi_batch([r_tilde], table))
+    grid = table.grid
+    g_vals = -r_tilde * qf_integral / table.q.values
     # zero-tail convention: g vanishes at the right end of the table
     g_vals[-1] = 0.0
 
@@ -97,7 +137,7 @@ def solve_psi(r_tilde: float, table: PainleveTable,
                    g=GridFunction(grid, g_vals),
                    table=table,
                    f_prime=GridFunction(grid, fp),
-                   qf_integral=I)
+                   qf_integral=GridFunction(grid, qf_integral))
 
 
 def _diagnostic_window(table: PainleveTable) -> np.ndarray:

@@ -135,8 +135,10 @@ class AirySquaredTail:
 class AiryProductTail:
     """f(x) ~ c * Ai(x - shift_a) * Ai(x - shift_b), c matched at x_max.
 
-    Remainder by quadrature of the Airy-product model over a window long
-    enough for the super-exponential decay to be exhausted.
+    The remainder uses the closed form the Airy Wronskian gives: with
+    a = x_max - shift_a and d = shift_b - shift_a,
+    int_a^inf Ai(u) Ai(u - d) du = (Ai(a) Ai'(a - d) - Ai'(a) Ai(a - d)) / d,
+    which is Ai'(a)^2 - a Ai(a)^2 at d = 0.
     """
 
     shift_a: float = 0.0
@@ -153,12 +155,19 @@ class AiryProductTail:
         return float(self._model(x, x_max, v_max))
 
     def remainder(self, x_max: float, v_max: float) -> float:
+        from scipy.special import airy as _airy
+
         if v_max == 0.0:
             return 0.0
-        val, _ = quad(lambda u: self._model(u, x_max, v_max),
-                      x_max, x_max + 30.0, epsabs=1e-300, epsrel=1e-10,
-                      limit=200)
-        return val
+        a = x_max - self.shift_a
+        d = self.shift_b - self.shift_a
+        ai_a, aip_a, _, _ = _airy(a)
+        ai_b, aip_b, _, _ = _airy(a - d)
+        if d == 0.0:
+            integral = aip_a**2 - a * ai_a**2
+        else:
+            integral = (ai_a * aip_b - aip_a * ai_b) / d
+        return float(v_max * integral / (ai_a * ai_b))
 
 
 class GridFunction:
@@ -212,11 +221,22 @@ class GridFunction:
 
 def segment_integrals(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Integral of the cubic spline through (x, values) over each interval,
-    computed from local spline coefficients (no global antiderivative)."""
+    computed from local spline coefficients (no global antiderivative).
+    ``values`` may carry trailing axes, one spline per column."""
     cs = CubicSpline(x, values)
-    h = np.diff(x)
-    c = cs.c  # shape (4, n-1), highest power first, local variable t = x - x_i
+    h = np.diff(x).reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    c = cs.c  # shape (4, n-1, ...), highest power first, local t = x - x_i
     return h * (c[3] + h * (c[2] / 2 + h * (c[1] / 3 + h * c[0] / 4)))
+
+
+def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """int_x^{x_max} of the cubic spline through (x, values) at every node,
+    summed from x_max downward so that it keeps relative accuracy where it
+    is small.  ``values`` may carry trailing axes, one spline per column."""
+    seg = segment_integrals(x, values)
+    cum = np.zeros(np.shape(values))
+    cum[:-1] = np.cumsum(seg[::-1], axis=0)[::-1]
+    return cum
 
 
 def cumulative_tail_integral(gf: GridFunction, tail=None) -> GridFunction:
@@ -225,10 +245,7 @@ def cumulative_tail_integral(gf: GridFunction, tail=None) -> GridFunction:
     The cumulative sum runs from x_max downward so that G keeps relative
     accuracy where it is small, independent of how large gf gets near x_min.
     """
-    x = gf.grid.nodes()
-    seg = segment_integrals(x, gf.values)
-    cum = np.zeros(gf.grid.n_points)
-    cum[:-1] = np.cumsum(seg[::-1])[::-1]
+    cum = integral_from_right(gf.grid.nodes(), gf.values)
     tail = tail if tail is not None else gf.tail
     if tail is None:
         scale = np.max(np.abs(gf.values)) if gf.values.size else 0.0

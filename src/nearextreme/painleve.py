@@ -21,7 +21,11 @@ from .numerics import (AirySquaredTail, ExponentialTail, Grid, GridFunction,
 # Left tail amplitude of F2: tau2 = 2^(1/24) exp(zeta'(-1))
 TAU_2 = 2.0 ** (1.0 / 24.0) * math.exp(ZETA_PRIME_MINUS_ONE)
 
-DEFAULT_DOMAIN = Grid(-12.0, 10.0, 4401)
+#: the one table domain: x_max = 20 leaves DOS_MARGIN of Airy decay above
+#: every r_tilde <= 16 of the density-of-states branch, and on it the BVP
+#: converges at tol = 1e-10 with a ~60k-node mesh (on [-12, 10] it needs
+#: ~424k nodes)
+DEFAULT_DOMAIN = Grid(-12.0, 20.0, 6401)
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,10 @@ class PainleveTable:
 
     Invariants: q > 0; q'' = 2q^3 + x q; R = q'^2 - q^4 - x q^2;
     f2 non-decreasing with f2(x_max) = 1; R = f2'/f2.
+
+    ``bvp_nodes`` is the size of the converged collocation mesh and
+    ``bvp_tol`` the tolerance it converged at, which may be looser than the
+    one requested (see :func:`solve_hastings_mcleod`).
     """
 
     grid: Grid
@@ -37,6 +45,8 @@ class PainleveTable:
     q_prime: GridFunction
     R: GridFunction
     f2: GridFunction
+    bvp_nodes: int
+    bvp_tol: float
 
 
 def _left_asymptote(x):
@@ -76,8 +86,8 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN,
     # mesh refinement at very tight tolerances can stall on roundoff while
     # the solution itself is converged; relax in decades before giving up
     sol = None
-    for attempt_tol in (tol, 10.0 * tol, 100.0 * tol):
-        sol = solve_bvp(rhs, bc, x0, y_guess, tol=attempt_tol,
+    for bvp_tol in (tol, 10.0 * tol, 100.0 * tol):
+        sol = solve_bvp(rhs, bc, x0, y_guess, tol=bvp_tol,
                         max_nodes=500000)
         if sol.status == 0:
             break
@@ -105,15 +115,16 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN,
                          q=q_gf,
                          q_prime=GridFunction(domain, qp),
                          R=R,
-                         f2=GridFunction(domain, f2))
+                         f2=GridFunction(domain, f2),
+                         bvp_nodes=int(sol.x.size),
+                         bvp_tol=bvp_tol)
 
 
-@functools.lru_cache(maxsize=4)
-def default_table(x_min: float = DEFAULT_DOMAIN.x_min,
-                  x_max: float = DEFAULT_DOMAIN.x_max,
-                  n_points: int = DEFAULT_DOMAIN.n_points) -> PainleveTable:
-    """Cached Hastings-McLeod table (the solve takes ~1 s)."""
-    return solve_hastings_mcleod(Grid(x_min, x_max, n_points))
+@functools.cache
+def default_table() -> PainleveTable:
+    """The canonical table on DEFAULT_DOMAIN, solved once per process
+    (~1 s)."""
+    return solve_hastings_mcleod(DEFAULT_DOMAIN)
 
 
 def tracy_widom_f2_asymptote(x: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .numerics import (ExponentialTail, GridFunction, ZETA_PRIME_MINUS_ONE,
                        cumulative_tail_integral, segment_integrals)
-from .laxpair import PsiPair, solve_psi
+from .laxpair import solve_psi, solve_psi_batch
 from .painleve import PainleveTable
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -41,29 +41,56 @@ class ScalingCurve:
             raise ValueError(f"kind must be one of {CURVE_KINDS}")
 
 
-def edge_integral(psi: PsiPair) -> float:
-    """(2^(1/3)/pi) int (f^2 - I^2) F2 dx over the table grid, where
-    I(x) = int_x^inf q f."""
-    table = psi.table
-    g = table.grid.nodes()
-    integrand = (psi.f.values**2 - psi.qf_integral.values**2) * table.f2.values
-    return _CBRT2 / math.pi * float(np.sum(segment_integrals(g, integrand)))
+#: an edge integral below -NEGATIVE_TOL is a numerical failure, not roundoff
+NEGATIVE_TOL = 1e-12
+
+
+def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
+    """(2^(1/3)/pi) int (f^2 - I^2) F2 dx over the table grid at every
+    signed spectral parameter in ``r_signed``, where I(x) = int_x^inf q f."""
+    f, _, qf_integral = solve_psi_batch(r_signed, table)
+    integrand = (f**2 - qf_integral**2) * table.f2.values[:, None]
+    seg = segment_integrals(table.grid.nodes(), integrand)
+    return _CBRT2 / math.pi * np.sum(seg, axis=0)
+
+
+def _nonnegative_curve(r_values, sign: float,
+                       table: PainleveTable) -> np.ndarray:
+    r = np.atleast_1d(np.asarray(r_values, dtype=float))
+    if np.any(r < 0):
+        raise ValueError("r_tilde must be >= 0")
+    values = edge_integral(sign * r, table)
+    bad = np.flatnonzero(values < -NEGATIVE_TOL)
+    if bad.size:
+        i = bad[0]
+        raise RuntimeError(
+            f"edge integral at r_tilde = {r[i]:g} is {values[i]:.3e}, below "
+            f"-{NEGATIVE_TOL:g}: a density cannot be negative")
+    return values
+
+
+def rho_edge_curve(r_values, table: PainleveTable) -> np.ndarray:
+    """:func:`rho_edge_scaling` at every r in ``r_values``, in one batched
+    psi solve."""
+    return _nonnegative_curve(r_values, 1.0, table)
+
+
+def p_typ_curve(r_values, table: PainleveTable) -> np.ndarray:
+    """:func:`p_typ` at every r in ``r_values``, in one batched psi
+    solve."""
+    return _nonnegative_curve(r_values, -1.0, table)
 
 
 def rho_edge_scaling(r_tilde: float, table: PainleveTable) -> float:
     """Scaled mean density of eigenvalues at distance r_tilde below the
     maximum (density-of-states branch)."""
-    if r_tilde < 0:
-        raise ValueError("r_tilde must be >= 0")
-    return max(edge_integral(solve_psi(r_tilde, table)), 0.0)
+    return float(rho_edge_curve(r_tilde, table)[0])
 
 
 def p_typ(r_tilde: float, table: PainleveTable) -> float:
     """Scaled PDF of the first gap (gap branch, negative spectral
     parameter)."""
-    if r_tilde < 0:
-        raise ValueError("r_tilde must be >= 0")
-    return max(edge_integral(solve_psi(-r_tilde, table)), 0.0)
+    return float(p_typ_curve(r_tilde, table)[0])
 
 
 def p_typ_g_form(r_tilde: float, table: PainleveTable) -> float:
@@ -156,8 +183,7 @@ def gap_normalization(table: PainleveTable, r_switch: float = 10.0,
     from scipy.integrate import quad
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     r = 0.5 * r_switch * (x + 1.0)
-    vals = np.array([p_typ(ri, table) for ri in r])
-    main = 0.5 * r_switch * float(np.dot(w, vals))
+    main = 0.5 * r_switch * float(np.dot(w, p_typ_curve(r, table)))
     tail, _ = quad(gap_tail_asymptotic, r_switch, 60.0,
                    epsabs=1e-300, epsrel=1e-10, limit=200)
     return main + tail
@@ -168,9 +194,9 @@ def tabulate_curve(kind: str, table: PainleveTable, r_max: float = 12.0,
     """Tabulate one scaling curve on a uniform r grid."""
     r = np.arange(0.0, r_max + 0.5 * step, step)
     if kind == "dos_edge":
-        v = np.array([rho_edge_scaling(ri, table) for ri in r])
+        v = rho_edge_curve(r, table)
     elif kind == "gap_typ":
-        v = np.array([p_typ(ri, table) for ri in r])
+        v = p_typ_curve(r, table)
     elif kind == "dos_bulk":
         v = np.array([rho_bulk_shifted(ri) for ri in r])
     else:

@@ -1,19 +1,12 @@
-"""Shared fixtures: the Painleve tables are expensive (~5 s each), so they
-are built once per session."""
+"""Shared fixture: the canonical Painleve table (~1 s to solve) is built
+once per session."""
 
 import pytest
 
 from nearextreme import painleve
-from nearextreme.numerics import Grid
 
 
 @pytest.fixture(scope="session")
 def table():
-    """Default Hastings-McLeod table on [-12, 10]."""
+    """Canonical Hastings-McLeod table on [-12, 20]."""
     return painleve.default_table()
-
-
-@pytest.fixture(scope="session")
-def table_wide():
-    """Wider table for oscillatory-branch work at large r_tilde."""
-    return painleve.default_table(-12.0, 20.0, 6401)

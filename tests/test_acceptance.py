@@ -118,12 +118,12 @@ def large_r_ratio_law(r):
             - (TW2_VARIANCE + TW2_MEAN**2) / (8.0 * r * r))
 
 
-def test_criterion_06_large_r_dos(table_wide):
+def test_criterion_06_large_r_dos(table):
     ratios = {}
     devs = {}
     prods = {}
     for r in (12.0, 14.0, 16.0):
-        rho = scaling.rho_edge_scaling(r, table_wide)
+        rho = scaling.rho_edge_scaling(r, table)
         ratios[r] = rho * math.pi / math.sqrt(r)
         devs[r] = ratios[r] - large_r_ratio_law(r)
         prods[r] = (rho - math.sqrt(r) / math.pi) * math.sqrt(r)
@@ -214,7 +214,7 @@ def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
     samples = mc.sample_spectrum(sampler, count, threads=threads, top_k=24)
 
     r_grid = np.arange(0.0, 6.5 + 1e-9, 0.05)
-    p_curve = np.array([scaling.p_typ(r, table) for r in r_grid])
+    p_curve = scaling.p_typ_curve(r_grid, table)
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (p_curve[1:] + p_curve[:-1]) * np.diff(r_grid))])
     cdf = CubicSpline(r_grid, cum)
@@ -227,8 +227,7 @@ def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
 
     edges = np.linspace(0.2, 6.0, dos_bins + 1)
     hist = mc.empirical_dos(samples, "edge", n, bin_edges=edges)
-    rho = np.array([scaling.rho_edge_scaling(r, table)
-                    for r in hist.centers()])
+    rho = scaling.rho_edge_curve(hist.centers(), table)
     z = (hist.density() * n - rho) / (hist.stderr() * n)
     max_z = float(np.max(np.abs(z)))
     return ks, max_z

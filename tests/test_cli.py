@@ -32,6 +32,7 @@ def read_csv(path):
 def test_unknown_command_exits_2():
     assert run(["frobnicate"]) == 2
     assert run(["dos-edge", "--badflag", "1"]) == 2
+    assert run(["tabulate-painleve", "--tol", "1e-10"]) == 2
 
 
 def test_numerical_failure_exits_1(tmp_path):
@@ -77,6 +78,18 @@ def test_sample_csv_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sample_bulk_dos_full_mass(tmp_path):
+    # above n = 64 the bulk DOS still needs all n - 1 distances, not the
+    # top-64 truncation that the gap and the edge DOS use
+    out = tmp_path / "bulk.csv"
+    assert run(["sample", "--n", "80", "--samples", "200", "--seed", "3",
+                "--quantity", "dos", "--scaling", "bulk", "--threads", "1",
+                "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    width = rows[1, 0] - rows[0, 0]
+    assert float(np.sum(rows[:, 1]) * width) == pytest.approx(1.0, abs=1e-2)
+
+
 def test_gap_pdf_small_range(tmp_path):
     out = tmp_path / "gap.csv"
     assert run(["gap-pdf", "--rmax", "0.4", "--step", "0.2",
@@ -102,8 +115,38 @@ def test_tabulate_psi(tmp_path):
     header, names, rows = read_csv(out)
     assert names == ["x", "f", "g"]
     assert any("r_tilde = 2.0" in line for line in header)
+    # provenance: table domain, grid, BVP mesh and tolerance, psi scheme
+    assert header[1] == ("# table: Hastings-McLeod on [-12, 20], "
+                         "n_points = 6401, h = 0.005, bvp_nodes = 60395, "
+                         "bvp_tol = 1e-10")
+    assert header[2].startswith("# psi: Numerov")
+    assert "Richardson" in header[2]
+    assert rows.shape == (6401, 3)
     # g at the right end is pinned to zero by convention
     assert rows[-1, 2] == 0.0
+
+
+def test_tabulate_painleve_tw2_moments(tmp_path):
+    # Simpson on the written x, R and F2 columns reproduces the Tracy-Widom
+    # GUE mean and variance (Bornemann, Math. Comp. 79 (2010) 871-915)
+    out = tmp_path / "pii.csv"
+    assert run(["tabulate-painleve", "--out", str(out)]) == 0
+    header, names, rows = read_csv(out)
+    assert any("bvp_tol" in line for line in header)
+    cols = dict(zip(names, rows.T))
+    x = cols["x"]
+    assert (x.size - 1) % 2 == 0
+
+    def simpson(y):
+        h = x[1] - x[0]
+        return h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2])
+                          + 2.0 * np.sum(y[2:-1:2]))
+
+    density = cols["R"] * cols["F2"]
+    mean = simpson(x * density)
+    variance = simpson(x * x * density) - mean**2
+    assert mean == pytest.approx(-1.7710868074, abs=1e-8)
+    assert variance == pytest.approx(0.8131947928, abs=1e-8)
 
 
 def test_asymptotics(tmp_path):

@@ -6,8 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from nearextreme import laxpair
+from nearextreme import airy, laxpair, painleve, scaling
 from nearextreme.laxpair import SEED_AMPLITUDE
+from nearextreme.numerics import (AiryProductTail, Grid, GridFunction,
+                                  cumulative_tail_integral, integrate_ode,
+                                  segment_integrals)
+
+
+@pytest.fixture(scope="module")
+def table_short():
+    """A second domain, [-12, 12] at the same h = 0.005: its BVP converges
+    at the first tolerance (on [-12, 14] it does not converge at all)."""
+    return painleve.solve_hastings_mcleod(Grid(-12.0, 12.0, 4801))
 
 
 RESIDUAL_PARAMS = (0.5, 2.0, 5.0, -0.5, -2.0, -5.0)
@@ -30,12 +40,12 @@ def test_r_zero_reduces_to_q(table):
     assert np.max(np.abs(psi.g.values)) < 1e-10
 
 
-def test_oscillatory_envelope_large_r(table_wide):
+def test_oscillatory_envelope_large_r(table):
     # for r well inside the oscillatory window the amplitude at x = 0 is
     # 2^(-1/6) r^(-1/4); sample a quarter period around x = 0 to catch a
     # crest regardless of phase
     r = 16.0
-    psi = laxpair.solve_psi(r, table_wide)
+    psi = laxpair.solve_psi(r, table)
     period = 2.0 * math.pi / math.sqrt(r)
     x = np.linspace(-period / 4.0, period / 4.0, 101)
     peak = float(np.max(np.abs(psi.f(x))))
@@ -52,18 +62,65 @@ def test_gap_branch_decay_value(table):
 
 def test_admissible_window(table):
     with pytest.raises(ValueError):
-        laxpair.solve_psi(8.0, table)  # x_max - r < 4
+        laxpair.solve_psi(17.0, table)  # x_max - r < 4
     with pytest.raises(ValueError):
         laxpair.solve_psi(-40.0, table)  # underflow regime
 
 
-def test_backward_integration_stability(table, table_wide):
-    # doubling the decay runway above x = 0 must leave f(0) unchanged: the
-    # Ai branch dominates in the decreasing-x direction
+def test_backward_integration_stability(table, table_short):
+    # stretching the decay runway above x = 0 from 12 to 20 must leave f(0)
+    # unchanged: the Ai branch dominates in the decreasing-x direction
     for r in (2.0, -3.0):
-        f_a = laxpair.solve_psi(r, table).f(0.0)
-        f_b = laxpair.solve_psi(r, table_wide).f(0.0)
+        f_a = laxpair.solve_psi(r, table_short).f(0.0)
+        f_b = laxpair.solve_psi(r, table).f(0.0)
         assert abs(f_a - f_b) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched Numerov solver against an independent RK45 reference
+# ---------------------------------------------------------------------------
+
+
+REFERENCE_PARAMS = (-5.0, -2.0, 0.5, 2.0, 5.0, 16.0)
+
+
+def rk45_reference(r, table):
+    """f by adaptive RK45 through the q spline from the Airy seed at
+    x_max, the edge integral from it by cumulative spline integrals."""
+    qs = table.q.spline()
+    x = table.grid.nodes()
+    seed = airy.airy(table.grid.x_max - r)
+    _, y = integrate_ode(lambda u, v: [v[1], (u + 2.0 * qs(u) ** 2 - r) * v[0]],
+                         table.grid.x_max, table.grid.x_min,
+                         [SEED_AMPLITUDE * seed.ai,
+                          SEED_AMPLITUDE * seed.ai_prime],
+                         rel_tol=1e-12, abs_tol=1e-300, t_eval=x[::-1])
+    f = y[0][::-1]
+    qf = GridFunction(table.grid, table.q.values * f,
+                      tail=AiryProductTail(0.0, r))
+    big_i = cumulative_tail_integral(qf).values
+    integral = np.sum(segment_integrals(x, (f**2 - big_i**2)
+                                        * table.f2.values))
+    return f, 2.0 ** (1.0 / 3.0) / math.pi * float(integral)
+
+
+def test_batched_solver_matches_rk45(table):
+    f, _, _ = laxpair.solve_psi_batch(REFERENCE_PARAMS, table)
+    edge = scaling.edge_integral(REFERENCE_PARAMS, table)
+    for k, r in enumerate(REFERENCE_PARAMS):
+        f_ref, edge_ref = rk45_reference(r, table)
+        assert np.max(np.abs(f[:, k] - f_ref)) < 1e-8 * np.max(np.abs(f_ref))
+        assert edge[k] == pytest.approx(edge_ref, rel=1e-7)
+
+
+def test_error_budget_grid_halving(table):
+    # the same BVP sampled at h/2 moves both curves by far less than 1e-7
+    fine = painleve.solve_hastings_mcleod(Grid(-12.0, 20.0, 12801))
+    for curve, r_max in ((scaling.rho_edge_curve, 12.0),
+                         (scaling.p_typ_curve, 8.0)):
+        r = np.linspace(0.0, r_max, 49)[1:]
+        a, b = curve(r, table), curve(r, fine)
+        assert np.max(np.abs(a - b) / b) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +180,9 @@ def test_lax_residuals_detect_corruption(table):
     assert res["b_residual"] > 0.1
 
 
-def test_lax_residuals_table_mismatch(table, table_wide):
+def test_lax_residuals_table_mismatch(table, table_short):
     psi = laxpair.solve_psi(2.0, table)
-    other = laxpair.solve_psi(2.0 + 1e-4, table_wide)
+    other = laxpair.solve_psi(2.0 + 1e-4, table_short)
     with pytest.raises(ValueError):
         laxpair.lax_residuals(psi, other)
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nearextreme.numerics import (AccuracyError, AirySquaredTail,
+from nearextreme.numerics import (AccuracyError, AiryProductTail,
+                                  AirySquaredTail,
                                   DivergedSolutionError, ExponentialTail,
                                   Grid, GridFunction, PowerTail,
                                   TruncationError, ZETA_PRIME_MINUS_ONE,
@@ -110,6 +111,21 @@ def test_cumulative_tail_airy_squared():
         v = airy.airy(a)
         exact = v.ai_prime**2 - a * v.ai**2
         assert G(a) == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("r", (-8.0, -1.0, 0.0, 1.0, 8.0))
+def test_airy_product_tail_closed_form(r):
+    # Wronskian closed form against adaptive quadrature of the model
+    from scipy.integrate import quad
+    from scipy.special import airy as sp_airy
+
+    x_max, v_max = 10.0, 0.3
+    m0 = sp_airy(x_max)[0] * sp_airy(x_max - r)[0]
+    ref, _ = quad(lambda u: v_max * sp_airy(u)[0] * sp_airy(u - r)[0] / m0,
+                  x_max, x_max + 30.0, epsabs=1e-300, epsrel=1e-13,
+                  limit=200)
+    got = AiryProductTail(0.0, r).remainder(x_max, v_max)
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_cumulative_tail_requires_tail_model():

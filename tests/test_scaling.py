@@ -34,25 +34,40 @@ def test_rho_edge_small_r(table, a4):
                                                               rel=0.02)
 
 
-def test_rho_edge_large_r_ratio(table_wide):
+def test_rho_edge_large_r_ratio(table):
     # rho_edge(r) ~ E[sqrt(r - chi)]/pi with chi ~ TW2, so the ratio to
     # sqrt(r)/pi is 1 - <chi>/(2r) - E[chi^2]/(8r^2) up to about -0.12/r^3
     r = 16.0
     law = (1.0 - TW2_MEAN / (2.0 * r)
            - (TW2_VARIANCE + TW2_MEAN**2) / (8.0 * r * r))
-    val = scaling.rho_edge_scaling(r, table_wide)
+    val = scaling.rho_edge_scaling(r, table)
     assert val * math.pi / math.sqrt(r) == pytest.approx(law, abs=1e-3)
 
 
-def test_rho_edge_tail_difference_bounded(table_wide):
+def test_rho_edge_tail_difference_bounded(table):
     # (rho - sqrt(r)/pi) sqrt(r) stays bounded and roughly constant
     prods = []
     for r in (9.0, 12.0, 14.0, 16.0):
-        rho = scaling.rho_edge_scaling(r, table_wide)
+        rho = scaling.rho_edge_scaling(r, table)
         prods.append((rho - math.sqrt(r) / math.pi) * math.sqrt(r))
     prods = np.array(prods)
     assert np.all(np.abs(prods) < 1.0)
     assert np.max(prods) - np.min(prods) < 0.05 * np.max(np.abs(prods)) + 0.02
+
+
+def test_negative_density_raises(table):
+    # a corrupted table (F2 negated) makes the edge integrals negative; that
+    # must be reported, not clamped to 0
+    from dataclasses import replace
+    from nearextreme.numerics import GridFunction
+
+    bad = replace(table, f2=GridFunction(table.grid, -table.f2.values))
+    for single, curve in ((scaling.rho_edge_scaling, scaling.rho_edge_curve),
+                          (scaling.p_typ, scaling.p_typ_curve)):
+        with pytest.raises(RuntimeError, match="r_tilde = 2"):
+            single(2.0, bad)
+        with pytest.raises(RuntimeError, match="r_tilde = 1"):
+            curve([0.0, 1.0, 2.0], bad)
 
 
 def test_rho_edge_rejects_negative(table):
@@ -121,7 +136,7 @@ def test_bulk_normalization():
     assert v == pytest.approx(1.0, abs=1e-8)
 
 
-def test_bulk_edge_matching(table_wide):
+def test_bulk_edge_matching(table):
     # the edge curve is measured from lambda_max, which sits on average
     # <chi>/s from the spectral edge, so the semicircle is evaluated at
     # distance dist - <chi>/s from the edge
@@ -129,7 +144,7 @@ def test_bulk_edge_matching(table_wide):
     s = math.sqrt(2.0) * n ** (1.0 / 6.0)
     for dist in np.linspace(5.0 * n ** (-1.0 / 6.0), 1.1, 8):
         edge_form = (math.sqrt(2.0) * n ** (-5.0 / 6.0)
-                     * scaling.rho_edge_scaling(s * dist, table_wide))
+                     * scaling.rho_edge_scaling(s * dist, table))
         bulk_form = (scaling.rho_bulk_shifted(
             (dist - TW2_MEAN / s) / math.sqrt(n)) / math.sqrt(n))
         assert edge_form == pytest.approx(bulk_form, rel=0.03)
