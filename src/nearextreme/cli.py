@@ -137,10 +137,15 @@ def cmd_finite_n(args) -> int:
 def cmd_sample(args) -> int:
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
-    # the top 64 eigenvalues cover the gap and the edge-scaled DOS; the bulk
-    # DOS needs all n - 1 distances
-    top_k = 64 if args.n > 64 and (args.quantity == "gap"
-                                   or args.scaling == "edge") else None
+    # the gap needs the top 2 eigenvalues and the edge-scaled DOS, whose
+    # histogram stops at r = 8, the top 64; the bulk DOS needs all n - 1
+    # distances
+    if args.quantity == "gap":
+        top_k = 2
+    elif args.scaling == "edge":
+        top_k = 64
+    else:
+        top_k = None
     samples = montecarlo.sample_spectrum(sampler, args.samples,
                                          threads=threads, top_k=top_k)
     header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}"]

@@ -21,6 +21,9 @@ from scipy.linalg import eigvalsh_tridiagonal
 # fixed logical chunk count: the sample stream is identical for any
 # worker count because chunk c always uses spawned stream c
 _N_CHUNKS = 64
+# largest n solved as one batch of dense matrices; per-row tridiagonal
+# solves overtake the batch between n = 32 and n = 40
+_DENSE_MAX_N = 32
 
 
 @dataclass(frozen=True)
@@ -35,15 +38,6 @@ class TridiagonalSpectrumSampler:
     def _rng(self, chunk: int):
         children = np.random.SeedSequence(self.seed).spawn(_N_CHUNKS)
         return np.random.Generator(np.random.Philox(children[chunk]))
-
-    def draw_matrix(self, rng) -> tuple[np.ndarray, np.ndarray]:
-        """One tridiagonal instance: (diagonal, sub-diagonal)."""
-        d = rng.normal(0.0, math.sqrt(0.5), self.n)
-        if self.n == 1:
-            return d, np.empty(0)
-        shape = np.arange(self.n - 1, 0, -1, dtype=float)
-        e = np.sqrt(rng.gamma(shape) / 2.0)
-        return d, e
 
 
 @dataclass(frozen=True)
@@ -81,91 +75,46 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
                     ) -> np.ndarray:
     """Draw `count` spectra, each sorted descending.
 
-    With `top_k` set, only the k largest eigenvalues per draw are computed
-    (Sturm bisection); the result has shape (count, k) instead of
-    (count, n).  The stream is deterministic in (n, seed, count) and
-    independent of the thread count.
+    With `top_k` set, only the k largest eigenvalues per draw are kept; the
+    result has shape (count, k) instead of (count, n).  Each chunk draws
+    all its diagonals, then all its sub-diagonals, so the draws are
+    deterministic in (n, seed, count) and depend neither on the thread
+    count nor on `top_k`.  Up to n = 32 a chunk is solved as one batch of
+    dense matrices; above, row by row with the tridiagonal solver, which
+    then computes only the k largest eigenvalues.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     n = sampler.n
     k = n if top_k is None else min(top_k, n)
-
-    def run_chunk_batched(args) -> np.ndarray:
-        # small matrices: draw the whole chunk at once and use the batched
-        # dense eigensolver (much faster than per-sample LAPACK calls)
-        chunk, size = args
-        rng = sampler._rng(chunk)
-        d = rng.normal(0.0, math.sqrt(0.5), (size, n))
-        m = np.zeros((size, n, n))
-        idx = np.arange(n)
-        m[:, idx, idx] = d
-        if n > 1:
-            shape = np.arange(n - 1, 0, -1, dtype=float)
-            e = np.sqrt(rng.gamma(shape, size=(size, n - 1)) / 2.0)
-            m[:, idx[:-1], idx[1:]] = e
-            m[:, idx[1:], idx[:-1]] = e
-        ev = np.linalg.eigvalsh(m)
-        return ev[:, ::-1]
+    shape = np.arange(n - 1, 0, -1, dtype=float)
 
     def run_chunk(args) -> np.ndarray:
         chunk, size = args
         rng = sampler._rng(chunk)
+        d = rng.normal(0.0, math.sqrt(0.5), (size, n))
+        e = np.sqrt(rng.gamma(shape, size=(size, n - 1)) / 2.0)
+        if n <= _DENSE_MAX_N:
+            m = np.zeros((size, n, n))
+            idx = np.arange(n)
+            m[:, idx, idx] = d
+            m[:, idx[:-1], idx[1:]] = e
+            m[:, idx[1:], idx[:-1]] = e
+            return np.linalg.eigvalsh(m)[:, ::-1][:, :k]
+        select = "a" if k == n else "i"
         out = np.empty((size, k))
         for i in range(size):
-            d, e = sampler.draw_matrix(rng)
-            if n == 1:
-                out[i] = d
-                continue
-            if top_k is None or k == n:
-                ev = eigvalsh_tridiagonal(d, e)
-            else:
-                ev = eigvalsh_tridiagonal(
-                    d, e, select="i", select_range=(n - k, n - 1))
-            out[i] = ev[::-1]
+            out[i] = eigvalsh_tridiagonal(
+                d[i], e[i], select=select, select_range=(n - k, n - 1))[::-1]
         return out
 
-    worker = run_chunk_batched if (top_k is None and n <= 32) else run_chunk
     jobs = [(c, s) for c, s in enumerate(_chunk_sizes(count)) if s > 0]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(worker, jobs))
+            parts = list(ex.map(run_chunk, jobs))
     else:
-        parts = [worker(j) for j in jobs]
+        parts = [run_chunk(j) for j in jobs]
     return np.vstack(parts)
-
-
-def top_k_eigenvalues(diagonal: np.ndarray, sub_diagonal: np.ndarray,
-                      k: int) -> np.ndarray:
-    """k largest eigenvalues of a symmetric tridiagonal matrix, descending,
-    via Sturm-sequence bisection."""
-    n = len(diagonal)
-    if not 1 <= k <= n:
-        raise ValueError("k must be in [1, n]")
-    if n == 1:
-        return np.asarray(diagonal, dtype=float)
-    ev = eigvalsh_tridiagonal(np.asarray(diagonal, float),
-                              np.asarray(sub_diagonal, float),
-                              select="i", select_range=(n - k, n - 1))
-    return ev[::-1]
-
-
-def sturm_count(diagonal: np.ndarray, sub_diagonal: np.ndarray,
-                sigma: float) -> int:
-    """Number of eigenvalues below sigma (Sturm sequence sign count)."""
-    d = np.asarray(diagonal, float)
-    e = np.asarray(sub_diagonal, float)
-    count = 0
-    t = d[0] - sigma
-    if t < 0:
-        count += 1
-    for i in range(1, len(d)):
-        if t == 0.0:
-            t = 1e-300
-        t = d[i] - sigma - e[i - 1] ** 2 / t
-        if t < 0:
-            count += 1
-    return count
 
 
 def sample_dense_gue(n: int, count: int, seed: int) -> np.ndarray:

@@ -12,11 +12,11 @@ difference would lose them to cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 # Riemann zeta'(-1), cross-checked once against the Glaisher-Kinkelin
@@ -30,15 +30,6 @@ class DivergedSolutionError(RuntimeError):
     def __init__(self, message: str, last_x: float):
         super().__init__(message)
         self.last_x = last_x
-
-
-class AccuracyError(RuntimeError):
-    """Quadrature failed to meet the requested tolerance."""
-
-    def __init__(self, message: str, estimate: float, achieved: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.achieved = achieved
 
 
 class TruncationError(ValueError):
@@ -84,21 +75,6 @@ class ExponentialTail:
 
     def remainder(self, x_max: float, v_max: float) -> float:
         return v_max / self.rate
-
-
-@dataclass(frozen=True)
-class PowerTail:
-    """f(x) ~ f(x_max) * (x / x_max)^(-exponent), exponent > 1."""
-
-    exponent: float
-
-    def value(self, x: float, x_max: float, v_max: float) -> float:
-        return v_max * (x / x_max) ** (-self.exponent)
-
-    def remainder(self, x_max: float, v_max: float) -> float:
-        if self.exponent <= 1.0:
-            raise TruncationError("power tail needs exponent > 1 to integrate")
-        return v_max * x_max / (self.exponent - 1.0)
 
 
 @dataclass(frozen=True)
@@ -278,21 +254,3 @@ def integrate_ode(rhs: Callable, x_start: float, x_end: float,
         raise DivergedSolutionError(
             f"ODE integration failed: {sol.message}", last_x=float(last))
     return sol.t, sol.y
-
-
-def quad_adaptive(f: Callable[[float], float], a: float, b: float,
-                  tol: float = 1e-10) -> float:
-    """Adaptive quadrature with |error| <= tol * (1 + |result|)."""
-    if not a < b:
-        raise ValueError("quad_adaptive requires a < b")
-    result, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=300)
-    if err > 10.0 * tol * (1.0 + abs(result)):
-        raise AccuracyError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance",
-            estimate=result, achieved=err)
-    return result
-
-
-def erf(x: float) -> float:
-    """Standard error function."""
-    return math.erf(x)

@@ -90,6 +90,24 @@ def test_sample_bulk_dos_full_mass(tmp_path):
     assert float(np.sum(rows[:, 1]) * width) == pytest.approx(1.0, abs=1e-2)
 
 
+def test_sample_gap_top_two_matches_full_spectrum(tmp_path):
+    # the gap command solves only the top 2 eigenvalues of each draw; the
+    # histogram must be the one the full spectra of the same draws give
+    from nearextreme import montecarlo as mc
+
+    out = tmp_path / "gap.csv"
+    assert run(["sample", "--n", "80", "--samples", "500", "--seed", "9",
+                "--quantity", "gap", "--threads", "1",
+                "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    full = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=80, seed=9),
+                              500)
+    hist = mc.empirical_gap(full, 80)
+    assert rows[:, 0] == pytest.approx(hist.centers(), rel=1e-11)
+    assert rows[:, 1] == pytest.approx(hist.density(), rel=1e-11)
+    assert rows[:, 2] == pytest.approx(hist.stderr(), rel=1e-11)
+
+
 def test_gap_pdf_small_range(tmp_path):
     out = tmp_path / "gap.csv"
     assert run(["gap-pdf", "--rmax", "0.4", "--step", "0.2",

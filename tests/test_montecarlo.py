@@ -1,8 +1,8 @@
-"""Tridiagonal GUE sampler, top-k eigensolvers, empirical estimators."""
+"""Tridiagonal GUE sampler, its two eigensolve branches, empirical
+estimators."""
 
 import math
 import os
-import time
 
 import numpy as np
 import pytest
@@ -20,12 +20,14 @@ def test_sampler_validation():
 
 
 def test_determinism_and_thread_invariance():
-    sampler = mc.TridiagonalSpectrumSampler(n=20, seed=123)
-    a = mc.sample_spectrum(sampler, 300)
-    b = mc.sample_spectrum(sampler, 300)
-    c = mc.sample_spectrum(sampler, 300, threads=4)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
+    # n = 20 takes the batched dense eigensolve, n = 40 the per-row one
+    for n in (20, 40):
+        sampler = mc.TridiagonalSpectrumSampler(n=n, seed=123)
+        a = mc.sample_spectrum(sampler, 300)
+        b = mc.sample_spectrum(sampler, 300)
+        c = mc.sample_spectrum(sampler, 300, threads=4)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
 
 
 def test_spectra_sorted_descending():
@@ -54,56 +56,18 @@ def test_n2_gap_distribution():
 
 
 # ---------------------------------------------------------------------------
-# top-k path and Sturm counts
+# top-k
 # ---------------------------------------------------------------------------
 
 
-def test_top_k_diagonal_matrix():
-    out = mc.top_k_eigenvalues(np.array([1.0, 2.0, 3.0]), np.zeros(2), 2)
-    assert out == pytest.approx([3.0, 2.0])
-
-
-def test_top_k_matches_full_solve():
-    rng = np.random.default_rng(7)
-    sampler = mc.TridiagonalSpectrumSampler(n=50, seed=7)
-    d, e = sampler.draw_matrix(rng)
-    full = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    top = mc.top_k_eigenvalues(d, e, 5)
-    assert np.max(np.abs(top - full[::-1][:5])) < 1e-10
-
-
-def test_top_k_bounds():
-    with pytest.raises(ValueError):
-        mc.top_k_eigenvalues(np.zeros(3), np.zeros(2), 4)
-
-
 def test_sample_spectrum_top_k_consistency():
-    sampler = mc.TridiagonalSpectrumSampler(n=40, seed=11)
-    full = mc.sample_spectrum(sampler, 64)
-    top = mc.sample_spectrum(sampler, 64, top_k=3)
-    assert np.max(np.abs(full[:, :3] - top)) < 1e-10
-
-
-def test_sturm_count_exhaustive():
-    rng = np.random.default_rng(23)
-    for n in (10, 37, 100):
-        sampler = mc.TridiagonalSpectrumSampler(n=n, seed=int(n))
-        d, e = sampler.draw_matrix(rng)
-        ev = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        for sigma in np.linspace(ev[0] - 1.0, ev[-1] + 1.0, 17):
-            assert mc.sturm_count(d, e, sigma) == int(np.sum(ev < sigma))
-
-
-def test_top_k_benchmark_logged():
-    # non-blocking performance log: top-2 vs full at n = 1000
-    sampler = mc.TridiagonalSpectrumSampler(n=1000, seed=2)
-    t0 = time.time()
-    mc.sample_spectrum(sampler, 8, top_k=2)
-    t_top = time.time() - t0
-    t0 = time.time()
-    mc.sample_spectrum(sampler, 8)
-    t_full = time.time() - t0
-    print(f"top-2 vs full at n=1000: {t_full / max(t_top, 1e-9):.1f}x")
+    # both eigensolve branches keep the k largest of the same draws
+    for n in (20, 40):
+        sampler = mc.TridiagonalSpectrumSampler(n=n, seed=11)
+        full = mc.sample_spectrum(sampler, 64)
+        top = mc.sample_spectrum(sampler, 64, top_k=3)
+        assert top.shape == (64, 3)
+        assert np.max(np.abs(full[:, :3] - top)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +76,12 @@ def test_top_k_benchmark_logged():
 
 
 def test_dense_vs_tridiagonal_lambda_max():
-    n = 8
-    dense = mc.sample_dense_gue(n, 20000, seed=31)[:, 0]
-    tri = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=n, seed=32),
-                             20000)[:, 0]
-    assert ks_2samp(dense, tri).pvalue > 1e-3
+    # n = 8 checks the batched dense eigensolve, n = 40 the per-row one
+    for n, count in ((8, 20000), (40, 4000)):
+        dense = mc.sample_dense_gue(n, count, seed=31)[:, 0]
+        tri = mc.sample_spectrum(
+            mc.TridiagonalSpectrumSampler(n=n, seed=32), count)[:, 0]
+        assert ks_2samp(dense, tri).pvalue > 1e-3
 
 
 def test_dense_gue_moments():

@@ -1,18 +1,16 @@
-"""Infrastructure tests: grids, tail-aware integration, ODE driver,
-quadrature, and the zeta'(-1) constant."""
+"""Infrastructure tests: grids, tail-aware integration, ODE driver and the
+zeta'(-1) constant."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nearextreme.numerics import (AccuracyError, AiryProductTail,
-                                  AirySquaredTail,
+from nearextreme.numerics import (AiryProductTail, AirySquaredTail,
                                   DivergedSolutionError, ExponentialTail,
-                                  Grid, GridFunction, PowerTail,
-                                  TruncationError, ZETA_PRIME_MINUS_ONE,
-                                  cumulative_tail_integral, erf,
-                                  integrate_ode, quad_adaptive,
+                                  Grid, GridFunction, TruncationError,
+                                  ZETA_PRIME_MINUS_ONE,
+                                  cumulative_tail_integral, integrate_ode,
                                   segment_integrals)
 
 
@@ -135,15 +133,6 @@ def test_cumulative_tail_requires_tail_model():
         cumulative_tail_integral(f)
 
 
-def test_power_tail_remainder():
-    g = Grid(1.0, 50.0, 4901)
-    f = GridFunction(g, g.nodes() ** -3.0, tail=PowerTail(exponent=3.0))
-    G = cumulative_tail_integral(f)
-    assert G(1.0) == pytest.approx(0.5, rel=1e-8)
-    with pytest.raises(TruncationError):
-        PowerTail(exponent=0.5).remainder(1.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # ODE driver
 # ---------------------------------------------------------------------------
@@ -179,29 +168,3 @@ def test_integrate_ode_divergence_reports_position():
     with pytest.raises((DivergedSolutionError, OverflowError)):
         _, y = integrate_ode(lambda x, v: [v[0] ** 2], 0.0, 2.0, [1.0])
         assert not np.all(np.isfinite(y))
-
-
-# ---------------------------------------------------------------------------
-# quadrature / erf
-# ---------------------------------------------------------------------------
-
-
-def test_quad_adaptive_gaussian():
-    v = quad_adaptive(lambda x: math.exp(-x * x), 0.0, 8.0, tol=1e-12)
-    assert v == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
-
-
-def test_quad_adaptive_bad_interval():
-    with pytest.raises(ValueError):
-        quad_adaptive(lambda x: x, 1.0, 0.0)
-
-
-def test_erf_against_maclaurin():
-    # erf(x) = (2/sqrt(pi)) sum (-1)^k x^(2k+1) / (k! (2k+1))
-    for x in (0.0, 0.3, 1.0, 1.7):
-        s = sum((-1) ** k * x ** (2 * k + 1)
-                / (math.factorial(k) * (2 * k + 1)) for k in range(40))
-        assert erf(x) == pytest.approx(2.0 / math.sqrt(math.pi) * s,
-                                       abs=1e-14)
-    assert erf(-1.0) == -erf(1.0)
-    assert 1.0 - erf(6.0) < 1e-15
