@@ -116,36 +116,31 @@ def cmd_dos_bulk(args) -> int:
 
 def cmd_finite_n(args) -> int:
     n = args.n
-    r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
+    x = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
+    header = [f"n = {n}, rmax = {args.rmax}, step = {args.step}"]
     if args.quantity == "gap":
-        vals = np.array([fn.gap_pdf_exact(ri, n) for ri in r])
+        vals = fn.gap_pdf_exact(x, n)
+        header.append(fn.rule_header(n, -x))
         names = ["r", "gap_pdf"]
     elif args.quantity == "dos":
-        vals = np.array([fn.dos_exact(ri, n) for ri in r])
+        vals = fn.dos_exact(x, n)
+        header.append(fn.rule_header(n, x))
         names = ["r", "dos"]
     else:  # cdf
-        y = np.arange(-4.0, 6.0 + 0.5 * args.step, args.step)
-        vals = np.array([fn.cdf_lambda_max(yi, n) for yi in y])
-        _write_csv(args.out, [f"n = {n}", "columns: y, cdf_lambda_max"],
-                   [y, vals], ["y", "F_N"])
-        return 0
-    _write_csv(args.out, [f"n = {n}, rmax = {args.rmax}, step = {args.step}"],
-               [r, vals], names)
+        x = np.arange(-4.0, 6.0 + 0.5 * args.step, args.step)
+        vals = fn.cdf_lambda_max(x, n)
+        header = [f"n = {n}", fn.rule_header(n), "columns: y, cdf_lambda_max"]
+        names = ["y", "F_N"]
+    _write_csv(args.out, header, [x, vals], names)
     return 0
 
 
 def cmd_sample(args) -> int:
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
-    # the gap needs the top 2 eigenvalues and the edge-scaled DOS, whose
-    # histogram stops at r = 8, the top 64; the bulk DOS needs all n - 1
-    # distances
-    if args.quantity == "gap":
-        top_k = 2
-    elif args.scaling == "edge":
-        top_k = 64
-    else:
-        top_k = None
+    # the gap needs the top 2 eigenvalues; the DOS takes the full spectrum,
+    # which at large n costs less than bisecting for the top few dozen
+    top_k = 2 if args.quantity == "gap" else None
     samples = montecarlo.sample_spectrum(sampler, args.samples,
                                          threads=threads, top_k=top_k)
     header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}"]

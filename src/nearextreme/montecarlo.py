@@ -141,8 +141,8 @@ def empirical_dos(samples: np.ndarray, scaling: str, n: int,
     The bulk-scaled density estimates the shifted semicircle directly;
     the edge-scaled density estimates rho_edge_scaling / N (multiply by N
     to compare with the scaling curve)."""
-    if samples.size == 0:
-        raise ValueError("empty sample stream")
+    if samples.shape[0] == 0 or samples.shape[1] < 2:
+        raise ValueError("need spectra with at least 2 eigenvalues")
     dist = samples[:, :1] - samples[:, 1:]
     if scaling == "bulk":
         x = dist / math.sqrt(n)
@@ -171,8 +171,8 @@ def empirical_gap(samples: np.ndarray, n: int,
                   scaled: bool = True) -> Histogram:
     """Histogram of the first gap lambda_1 - lambda_2, by default in the
     edge variable sqrt 2 N^(1/6) (lambda_1 - lambda_2)."""
-    if samples.size == 0:
-        raise ValueError("empty sample stream")
+    if samples.shape[0] == 0 or samples.shape[1] < 2:
+        raise ValueError("need spectra with at least 2 eigenvalues")
     g = samples[:, 0] - samples[:, 1]
     if scaled:
         g = math.sqrt(2.0) * n ** (1.0 / 6.0) * g

@@ -55,19 +55,37 @@ def test_finite_n_gap_roundtrip(tmp_path):
     out = tmp_path / "gap2.csv"
     assert run(["finite-n", "--n", "2", "--quantity", "gap",
                 "--rmax", "3", "--step", "0.5", "--out", str(out)]) == 0
-    _, names, rows = read_csv(out)
+    header, names, rows = read_csv(out)
     for r, v in rows:
         expect = math.sqrt(2.0 / math.pi) * r * r * math.exp(-r * r / 2.0)
         assert v == pytest.approx(expect, abs=1e-6)
+    # provenance: the Gauss rule, its node count and the node-set window.
+    # F_2 reaches 1e-13 and 1 - 1e-13 at -3.289 and 5.583; gap distances
+    # up to 3 widen the lower end by ceil(3 + 1) = 4
+    assert header[2] == ("# rule: Gauss-Legendre, 160 nodes, inner products "
+                         "on [min(-13, y - 2), y]; y integral on "
+                         "[-7.28904, 5.58333]")
+
+
+def test_sample_n1_exits_1(capsys):
+    # one eigenvalue has neither a gap nor a distance below the maximum
+    for quantity in ("gap", "dos"):
+        assert run(["sample", "--n", "1", "--samples", "10", "--threads",
+                    "1", "--quantity", quantity]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "at least 2 eigenvalues" in err
 
 
 def test_finite_n_cdf_roundtrip(tmp_path):
     out = tmp_path / "cdf.csv"
     assert run(["finite-n", "--n", "1", "--quantity", "cdf",
                 "--step", "1.0", "--out", str(out)]) == 0
-    _, names, rows = read_csv(out)
+    header, names, rows = read_csv(out)
     for y, v in rows:
         assert v == pytest.approx((1.0 + math.erf(y)) / 2.0, abs=1e-10)
+    assert header[2] == ("# rule: Gauss-Legendre, 160 nodes, inner products "
+                         "on [min(-13, y - 2), y]")
 
 
 def test_sample_csv_determinism(tmp_path):
@@ -79,8 +97,8 @@ def test_sample_csv_determinism(tmp_path):
 
 
 def test_sample_bulk_dos_full_mass(tmp_path):
-    # above n = 64 the bulk DOS still needs all n - 1 distances, not the
-    # top-64 truncation that the gap and the edge DOS use
+    # the bulk DOS needs all n - 1 distances, not the top-2 truncation that
+    # the gap uses
     out = tmp_path / "bulk.csv"
     assert run(["sample", "--n", "80", "--samples", "200", "--seed", "3",
                 "--quantity", "dos", "--scaling", "bulk", "--threads", "1",

@@ -100,11 +100,67 @@ def test_hermite_limit():
         assert sys.h[k] == pytest.approx(expect, rel=1e-6)
 
 
+def stieltjes_reference(y, n):
+    """Stieltjes procedure with every inner product an adaptive quad over
+    [min(-13, y - 2), y]: h, S, R of the first n monic polynomials."""
+    lo = min(-13.0, y - 2.0)
+    h, s, r = np.zeros(n), np.zeros(n), np.zeros(n)
+    ref = fn.OrthoSystem(y=y, n=n, h=h, s_coef=s, r_coef=r)
+
+    def inner(f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return quad(lambda lam: f(lam) * math.exp(-lam * lam), lo, y,
+                        epsabs=1e-14, epsrel=1e-13, limit=300)[0]
+
+    for k in range(n):
+        h[k] = inner(lambda lam: monic(ref, k, lam) ** 2)
+        s[k] = inner(lambda lam: lam * monic(ref, k, lam) ** 2) / h[k]
+        if k > 0:
+            r[k] = h[k] / h[k - 1]
+    return h, s, r
+
+
+@pytest.mark.parametrize("y", (-3.0, 0.0, 2.0, 5.0, 8.0))
+def test_builder_matches_adaptive_reference(y):
+    # beyond n = 4 no closed form exists; adaptive quadrature is the oracle
+    n = fn.MAX_POLYNOMIALS
+    h, s, r = stieltjes_reference(y, n)
+    sys = fn.build_ortho_system(y, n)
+    assert np.max(np.abs(sys.h / h - 1.0)) < 1e-11
+    assert np.max(np.abs(sys.s_coef - s)) < 1e-11
+    assert np.max(np.abs(sys.r_coef - r)) < 1e-11
+
+
+def test_array_call_equals_stacked_scalar_calls():
+    ys = np.array([-3.0, -0.4, 0.0, 2.5, 8.0])
+    batch = fn.build_ortho_system(ys, 9)
+    assert batch.h.shape == (5, 9)
+    for i, y in enumerate(ys):
+        one = fn.build_ortho_system(y, 9)
+        assert np.array_equal(batch.h[i], one.h)
+        assert np.array_equal(batch.s_coef[i], one.s_coef)
+        assert np.array_equal(batch.r_coef[i], one.r_coef)
+    cdf = fn.cdf_lambda_max(ys, 5)
+    assert np.array_equal(cdf, [fn.cdf_lambda_max(y, 5) for y in ys])
+    # every r >= 0, and every s in (0, 1], shares one node set, so the
+    # scalar calls sum the same terms in the same order
+    r = np.array([0.0, 0.3, 1.7, 4.0])
+    assert isinstance(fn.dos_exact(0.3, 5), float)
+    assert np.array_equal(fn.dos_exact(r, 5),
+                          [fn.dos_exact(ri, 5) for ri in r])
+    s = np.array([0.4, 0.7, 1.0])
+    assert np.array_equal(fn.gap_pdf_exact(s, 5),
+                          [fn.gap_pdf_exact(si, 5) for si in s])
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         fn.build_ortho_system(0.0, fn.MAX_POLYNOMIALS + 1)
     with pytest.raises(ValueError):
         fn.build_ortho_system(math.inf, 3)
+    with pytest.raises(ValueError):
+        fn.build_ortho_system(np.array([0.0, math.nan]), 3)
 
 
 # ---------------------------------------------------------------------------
