@@ -138,12 +138,18 @@ def cmd_finite_n(args) -> int:
 def cmd_sample(args) -> int:
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
-    # the gap needs the top 2 eigenvalues; the DOS takes the full spectrum,
-    # which at large n costs less than bisecting for the top few dozen
-    top_k = 2 if args.quantity == "gap" else None
+    # the gap needs the top 2 eigenvalues and the edge DOS (r <= 8) the top
+    # EDGE_TOP_K, both from the top-left block; the bulk DOS needs them all
+    if args.quantity == "gap":
+        top_k = 2
+    elif args.scaling == "edge":
+        top_k = montecarlo.EDGE_TOP_K
+    else:
+        top_k = None
     samples = montecarlo.sample_spectrum(sampler, args.samples,
                                          threads=threads, top_k=top_k)
-    header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}"]
+    header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}",
+              montecarlo.solve_header(args.n, top_k)]
     if args.quantity == "gap":
         hist = montecarlo.empirical_gap(samples, args.n)
         dens = hist.density()

@@ -45,13 +45,24 @@ class ScalingCurve:
 NEGATIVE_TOL = 1e-12
 
 
+#: most spectral parameters per batched psi solve; each solve holds a few
+#: (2 n_points - 1) x chunk float arrays, so this bounds memory for any grid
+R_CHUNK = 64
+
+
 def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
     """(2^(1/3)/pi) int (f^2 - I^2) F2 dx over the table grid at every
-    signed spectral parameter in ``r_signed``, where I(x) = int_x^inf q f."""
-    f, _, qf_integral = solve_psi_batch(r_signed, table)
-    integrand = (f**2 - qf_integral**2) * table.f2.values[:, None]
-    seg = segment_integrals(table.grid.nodes(), integrand)
-    return _CBRT2 / math.pi * np.sum(seg, axis=0)
+    signed spectral parameter in ``r_signed``, where I(x) = int_x^inf q f.
+    The psi functions are solved R_CHUNK columns at a time."""
+    r = np.atleast_1d(np.asarray(r_signed, dtype=float))
+    x = table.grid.nodes()
+    f2 = table.f2.values[:, None]
+    total = np.empty(r.size)
+    for start in range(0, r.size, R_CHUNK):
+        f, _, qf_integral = solve_psi_batch(r[start:start + R_CHUNK], table)
+        seg = segment_integrals(x, (f**2 - qf_integral**2) * f2)
+        total[start:start + R_CHUNK] = np.sum(seg, axis=0)
+    return _CBRT2 / math.pi * total
 
 
 def _nonnegative_curve(r_values, sign: float,

@@ -211,7 +211,8 @@ def test_criterion_10_exact_vs_mc_n4():
 def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
                     threads):
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=seed)
-    samples = mc.sample_spectrum(sampler, count, threads=threads)
+    samples = mc.sample_spectrum(sampler, count, threads=threads,
+                                 top_k=mc.EDGE_TOP_K)
 
     r_grid = np.arange(0.0, 6.5 + 1e-9, 0.05)
     p_curve = scaling.p_typ_curve(r_grid, table)

@@ -103,7 +103,9 @@ def test_sample_bulk_dos_full_mass(tmp_path):
     assert run(["sample", "--n", "80", "--samples", "200", "--seed", "3",
                 "--quantity", "dos", "--scaling", "bulk", "--threads", "1",
                 "--out", str(out)]) == 0
-    _, _, rows = read_csv(out)
+    header, _, rows = read_csv(out)
+    assert header[2] == ("# draw: 64 Philox chunks, full d/e draw; eigensolve: "
+                         "per-row tridiagonal, full matrix; k = 80")
     width = rows[1, 0] - rows[0, 0]
     assert float(np.sum(rows[:, 1]) * width) == pytest.approx(1.0, abs=1e-2)
 
@@ -117,13 +119,33 @@ def test_sample_gap_top_two_matches_full_spectrum(tmp_path):
     assert run(["sample", "--n", "80", "--samples", "500", "--seed", "9",
                 "--quantity", "gap", "--threads", "1",
                 "--out", str(out)]) == 0
-    _, _, rows = read_csv(out)
+    header, _, rows = read_csv(out)
+    assert header[2].endswith("eigensolve: per-row tridiagonal, full matrix; "
+                              "k = 2")
     full = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=80, seed=9),
                               500)
     hist = mc.empirical_gap(full, 80)
     assert rows[:, 0] == pytest.approx(hist.centers(), rel=1e-11)
     assert rows[:, 1] == pytest.approx(hist.density(), rel=1e-11)
     assert rows[:, 2] == pytest.approx(hist.stderr(), rel=1e-11)
+
+
+def test_sample_edge_dos_block_matches_full_spectrum(tmp_path):
+    # the edge DOS solves only the top 16 of the top-left block (m = 176 of
+    # 200); the histogram must be the one the full spectra give
+    from nearextreme import montecarlo as mc
+
+    out = tmp_path / "edge.csv"
+    assert run(["sample", "--n", "200", "--samples", "300", "--seed", "9",
+                "--quantity", "dos", "--scaling", "edge", "--threads", "1",
+                "--out", str(out)]) == 0
+    header, _, rows = read_csv(out)
+    assert header[2].endswith("top-left block m = 176 of n = 200; k = 16")
+    full = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=200, seed=9),
+                              300)
+    hist = mc.empirical_dos(full, "edge", 200)
+    assert rows[:, 1] == pytest.approx(hist.density() * 200, rel=1e-11)
+    assert rows[:, 2] == pytest.approx(hist.stderr() * 200, rel=1e-11)
 
 
 def test_gap_pdf_small_range(tmp_path):

@@ -1,5 +1,5 @@
-"""Tridiagonal GUE sampler, its two eigensolve branches, empirical
-estimators."""
+"""Tridiagonal GUE sampler, its eigensolve branches (dense batch, full
+tridiagonal, top-left block), empirical estimators."""
 
 import math
 import os
@@ -61,13 +61,49 @@ def test_n2_gap_distribution():
 
 
 def test_sample_spectrum_top_k_consistency():
-    # both eigensolve branches keep the k largest of the same draws
-    for n in (20, 40):
+    # every eigensolve branch keeps the k largest of the same draws: the
+    # dense batch (n = 20), the full tridiagonal (n = 40) and, for
+    # k <= EDGE_TOP_K and n > 165, the top-left block, whose error budget
+    # against the whole matrix this is
+    for n, count, ks in ((20, 64, (3,)), (40, 64, (3,)),
+                         (200, 400, (2, mc.EDGE_TOP_K)),
+                         (1000, 200, (2, mc.EDGE_TOP_K)),
+                         (3000, 6, (2, mc.EDGE_TOP_K))):
         sampler = mc.TridiagonalSpectrumSampler(n=n, seed=11)
-        full = mc.sample_spectrum(sampler, 64)
-        top = mc.sample_spectrum(sampler, 64, top_k=3)
-        assert top.shape == (64, 3)
-        assert np.max(np.abs(full[:, :3] - top)) < 1e-10
+        full = mc.sample_spectrum(sampler, count)
+        for k in ks:
+            top = mc.sample_spectrum(sampler, count, top_k=k)
+            assert top.shape == (count, k)
+            assert np.max(np.abs(full[:, :k] - top)) < 1e-10
+
+
+def test_block_size():
+    assert mc.block_size(1000, 2) == 300
+    assert mc.block_size(1000, mc.EDGE_TOP_K) == 300
+    assert mc.block_size(10**4, 2) == 647
+    # the block covers the whole matrix up to n = 165, and is never used
+    # for more than EDGE_TOP_K eigenvalues
+    assert mc.block_size(165, 2) == 165
+    assert mc.block_size(166, 2) == 165
+    assert mc.block_size(1000, mc.EDGE_TOP_K + 1) == 1000
+    assert mc.block_size(1000, None) == 1000
+
+
+def test_block_thread_invariance():
+    sampler = mc.TridiagonalSpectrumSampler(n=400, seed=43)
+    for k in (2, mc.EDGE_TOP_K):
+        a = mc.sample_spectrum(sampler, 130, threads=1, top_k=k)
+        b = mc.sample_spectrum(sampler, 130, threads=2, top_k=k)
+        assert np.array_equal(a, b)
+
+
+def test_solve_header_names_the_branch():
+    # the per-row branches are asserted on the CLI's CSV headers
+    assert mc.solve_header(20, 2) == (
+        "draw: 64 Philox chunks, full d/e draw; eigensolve: dense batch; "
+        "k = 2")
+    assert mc.solve_header(1000, mc.EDGE_TOP_K).endswith(
+        "top-left block m = 300 of n = 1000; k = 16")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +138,21 @@ def test_empirical_estimators_reject_empty():
         mc.empirical_gap(np.empty((0, 4)), 4)
     with pytest.raises(ValueError):
         mc.empirical_dos(np.ones((2, 4)), "nope", 4)
+
+
+def test_truncated_dos_must_reach_last_bin():
+    # the top 16 of n = 200 stop far short of the bulk window, so a bulk
+    # histogram of them would miss counts; at n = 1000 the 16th lies beyond
+    # edge-scaled distance 8 in every draw
+    top = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=200, seed=47),
+                             50, top_k=mc.EDGE_TOP_K)
+    with pytest.raises(ValueError, match="last bin edge"):
+        mc.empirical_dos(top, "bulk", 200)
+    top = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=1000, seed=47),
+                             200, threads=2, top_k=mc.EDGE_TOP_K)
+    h = mc.empirical_dos(top, "edge", 1000)
+    assert h.bin_edges[-1] == 8.0
+    assert int(np.sum(h.counts)) > 0
 
 
 def test_histogram_weights():

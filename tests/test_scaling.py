@@ -236,3 +236,13 @@ def test_tabulate_curve_kinds(table):
         scaling.tabulate_curve("nope", table)
     with pytest.raises(ValueError):
         scaling.ScalingCurve(c.r_values, c.values, kind="nope")
+
+
+def test_edge_integral_chunking_is_invisible(table):
+    # a grid longer than R_CHUNK is solved in chunks; each column's value
+    # must not depend on which other r share its psi solve
+    r = np.linspace(-3.0, 6.0, scaling.R_CHUNK + 9)
+    whole = scaling.edge_integral(r, table)
+    split = np.concatenate([scaling.edge_integral(r[:5], table),
+                            scaling.edge_integral(r[5:], table)])
+    assert np.array_equal(whole, split)
