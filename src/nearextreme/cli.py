@@ -41,10 +41,11 @@ def _write_csv(path, header_lines, columns, names):
 
 
 def _default_threads(args) -> int:
+    """--threads if given; else the CPU count where threads pay (the dense
+    batched path, n <= montecarlo._DENSE_MAX_N) and 1 above it."""
     if args.threads is not None:
         return args.threads
-    env = os.environ.get("NEAREXTREME_THREADS")
-    return int(env) if env else (os.cpu_count() or 1)
+    return (os.cpu_count() or 1) if args.n <= montecarlo._DENSE_MAX_N else 1
 
 
 def _provenance(table: painleve.PainleveTable) -> list[str]:
@@ -76,41 +77,38 @@ def cmd_tabulate_psi(args) -> int:
     return 0
 
 
-def _write_edge_curve(args, t, curve, large) -> int:
-    r = curve.r_values
+def _write_edge_curve(args, t, r, values, large) -> int:
     small = 0.5 * r**2 + scaling.a4_integral(t) * r**4
     _write_csv(args.out,
                _provenance(t) + [
                    f"rmax = {args.rmax}, step = {args.step}",
                    "columns: r_tilde, value, asymptotic_small, "
                    "asymptotic_large"],
-               [r, curve.values, small, large],
+               [r, values, small, large],
                ["r_tilde", "value", "asymptotic_small", "asymptotic_large"])
     return 0
 
 
 def cmd_dos_edge(args) -> int:
     t = painleve.default_table()
-    curve = scaling.tabulate_curve("dos_edge", t, args.rmax, args.step)
-    r = curve.r_values
-    large = np.where(r > 0, np.sqrt(np.maximum(r, 1e-300)) / math.pi, 0.0)
-    return _write_edge_curve(args, t, curve, large)
+    r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
+    return _write_edge_curve(args, t, r, scaling.rho_edge_curve(r, t),
+                             np.sqrt(r) / math.pi)
 
 
 def cmd_gap_pdf(args) -> int:
     t = painleve.default_table()
-    curve = scaling.tabulate_curve("gap_typ", t, args.rmax, args.step)
-    large = np.array([scaling.gap_tail_asymptotic(ri) if ri > 0 else 0.0
-                      for ri in curve.r_values])
-    return _write_edge_curve(args, t, curve, large)
+    r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
+    large = np.zeros_like(r)
+    large[r > 0] = scaling.gap_tail_asymptotic(r[r > 0])
+    return _write_edge_curve(args, t, r, scaling.p_typ_curve(r, t), large)
 
 
 def cmd_dos_bulk(args) -> int:
     top = 2.0 * math.sqrt(2.0)
     x = np.arange(0.0, top + 0.5 * args.step, args.step)
-    vals = np.array([scaling.rho_bulk_shifted(xi) for xi in x])
     _write_csv(args.out, [f"step = {args.step}", "columns: x_hat, value"],
-               [x, vals], ["x_hat", "value"])
+               [x, scaling.rho_bulk_shifted(x)], ["x_hat", "value"])
     return 0
 
 
@@ -168,11 +166,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    t = painleve.default_table()
     r = np.arange(max(args.step, 0.5), args.rmax + 0.5 * args.step, args.step)
-    gap_tail = np.array([scaling.gap_tail_asymptotic(ri) for ri in r])
+    if r.size == 0:
+        raise ValueError(f"no r_tilde in [max(step, 0.5), rmax = {args.rmax}]")
+    t = painleve.default_table()
+    gap_tail = scaling.gap_tail_asymptotic(r)
     dos_tail = np.sqrt(r) / math.pi
-    f2_tail = np.array([painleve.tracy_widom_f2_asymptote(-ri) for ri in r])
+    f2_tail = painleve.tracy_widom_f2_asymptote(-r)
     _write_csv(args.out,
                _provenance(t) + [
                    "columns: r_tilde, gap_tail, dos_tail, f2_left_tail",
@@ -253,6 +253,23 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _checked(convert, ok, rule: str):
+    """argparse type: ``convert`` the text, then reject it unless ``ok``."""
+    def parse(text):
+        v = convert(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return v
+    parse.__name__ = convert.__name__  # argparse's "invalid float value"
+    return parse
+
+
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "finite, > 0")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf,
+                              "finite, >= 0")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nearextreme",
@@ -262,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, rmax=12.0, step=0.05):
         sp.add_argument("--out", default=None, help="output CSV (default stdout)")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=_positive_int, default=None)
         if rmax is not None:
-            sp.add_argument("--rmax", type=float, default=rmax)
-            sp.add_argument("--step", type=float, default=step)
+            sp.add_argument("--rmax", type=_nonnegative_float, default=rmax)
+            sp.add_argument("--step", type=_positive_float, default=step)
 
     sp = sub.add_parser("tabulate-painleve",
                         help="tabulate (x, q, q', R, F2)")
@@ -287,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dos-bulk", help="shifted semicircle bulk density")
     common(sp, rmax=None)
-    sp.add_argument("--step", type=float, default=0.02)
+    sp.add_argument("--step", type=_positive_float, default=0.02)
     sp.set_defaults(func=cmd_dos_bulk)
 
     sp = sub.add_parser("finite-n", help="exact finite-N curves")

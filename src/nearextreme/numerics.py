@@ -1,17 +1,18 @@
 """Shared numerical infrastructure: grids, tail-aware integration, ODE driver.
 
 The central object is :class:`GridFunction`, a function tabulated on a uniform
-grid with cubic interpolation.  Tail-sensitive quantities (integrals of the
-form ``G(x) = int_x^inf``) are computed by :func:`cumulative_tail_integral`,
-which accumulates piecewise spline integrals *from the right end inward* so
-that small tail values retain full relative accuracy even when the integrand
-grows by many orders of magnitude toward the left.  A global antiderivative
-difference would lose them to cancellation.
+grid with cubic interpolation; it is defined on its grid only.  Tail-sensitive
+quantities (integrals of the form ``G(x) = int_x^inf``) are computed by
+:func:`cumulative_tail_integral`, which accumulates piecewise spline integrals
+*from the right end inward* so that small tail values retain full relative
+accuracy even when the integrand grows by many orders of magnitude toward the
+left.  A global antiderivative difference would lose them to cancellation.
+The part beyond x_max is a tail model's closed-form remainder, passed to the
+integral by the caller.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -59,8 +60,9 @@ class Grid:
 
 
 # ---------------------------------------------------------------------------
-# Tail models: analytic behaviour of a grid function beyond x_max.  They
-# supply both extrapolated values and the remainder int_{x_max}^inf.
+# Tail models: the analytic remainder int_{x_max}^inf of an integrand whose
+# behaviour beyond the grid is known.  They are passed to
+# cumulative_tail_integral; a GridFunction carries none.
 # ---------------------------------------------------------------------------
 
 
@@ -70,41 +72,8 @@ class ExponentialTail:
 
     rate: float
 
-    def value(self, x: float, x_max: float, v_max: float) -> float:
-        return v_max * math.exp(-self.rate * (x - x_max))
-
     def remainder(self, x_max: float, v_max: float) -> float:
         return v_max / self.rate
-
-
-@dataclass(frozen=True)
-class AirySquaredTail:
-    """f(x) ~ c * Ai(x - shift)^2, with c matched at x_max.
-
-    The remainder uses the closed form
-    int_a^inf Ai^2 = Ai'(a)^2 - a Ai(a)^2.
-    """
-
-    shift: float = 0.0
-
-    def _c(self, x_max: float, v_max: float) -> float:
-        from scipy.special import airy as _airy
-
-        ai = _airy(x_max - self.shift)[0]
-        return v_max / ai**2
-
-    def value(self, x: float, x_max: float, v_max: float) -> float:
-        from scipy.special import airy as _airy
-
-        ai = _airy(x - self.shift)[0]
-        return self._c(x_max, v_max) * ai**2
-
-    def remainder(self, x_max: float, v_max: float) -> float:
-        from scipy.special import airy as _airy
-
-        a = x_max - self.shift
-        ai, aip, _, _ = _airy(a)
-        return self._c(x_max, v_max) * (aip**2 - a * ai**2)
 
 
 @dataclass(frozen=True)
@@ -114,21 +83,11 @@ class AiryProductTail:
     The remainder uses the closed form the Airy Wronskian gives: with
     a = x_max - shift_a and d = shift_b - shift_a,
     int_a^inf Ai(u) Ai(u - d) du = (Ai(a) Ai'(a - d) - Ai'(a) Ai(a - d)) / d,
-    which is Ai'(a)^2 - a Ai(a)^2 at d = 0.
+    which is Ai'(a)^2 - a Ai(a)^2 at d = 0 (the default, f ~ c Ai(x)^2).
     """
 
     shift_a: float = 0.0
     shift_b: float = 0.0
-
-    def _model(self, x, x_max: float, v_max: float):
-        from scipy.special import airy as _airy
-
-        m = _airy(x - self.shift_a)[0] * _airy(x - self.shift_b)[0]
-        m0 = _airy(x_max - self.shift_a)[0] * _airy(x_max - self.shift_b)[0]
-        return v_max * m / m0
-
-    def value(self, x: float, x_max: float, v_max: float) -> float:
-        return float(self._model(x, x_max, v_max))
 
     def remainder(self, x_max: float, v_max: float) -> float:
         from scipy.special import airy as _airy
@@ -148,9 +107,9 @@ class AiryProductTail:
 
 class GridFunction:
     """Real function sampled on a uniform grid, cubic interpolation between
-    nodes.  Evaluation outside the grid requires an attached tail model."""
+    nodes.  Evaluation outside the grid raises."""
 
-    def __init__(self, grid: Grid, values: Sequence[float], tail=None):
+    def __init__(self, grid: Grid, values: Sequence[float]):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_points,):
             raise ValueError("values length must match grid.n_points")
@@ -158,7 +117,6 @@ class GridFunction:
             raise ValueError("GridFunction values must be finite")
         self.grid = grid
         self.values = values
-        self.tail = tail
         self._spline: Optional[CubicSpline] = None
 
     def spline(self) -> CubicSpline:
@@ -168,31 +126,15 @@ class GridFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xa = np.atleast_1d(x)
         lo, hi = self.grid.x_min, self.grid.x_max
-        out = np.empty_like(xa)
-        inside = (xa >= lo) & (xa <= hi)
-        out[inside] = self.spline()(xa[inside])
-        above = xa > hi
-        below = xa < lo
-        if np.any(below):
-            raise ValueError(f"evaluation below grid domain [{lo}, {hi}]")
-        if np.any(above):
-            if self.tail is None:
-                raise ValueError(
-                    f"evaluation above grid domain [{lo}, {hi}] "
-                    "without a tail model")
-            v_max = self.values[-1]
-            out[above] = [self.tail.value(xx, hi, v_max) for xx in xa[above]]
-        return float(out[0]) if scalar else out
+        if np.any((x < lo) | (x > hi)):
+            raise ValueError(f"evaluation outside grid domain [{lo}, {hi}]")
+        out = self.spline()(x)
+        return float(out) if x.ndim == 0 else out
 
     def derivative(self) -> "GridFunction":
         d = self.spline().derivative()(self.grid.nodes())
         return GridFunction(self.grid, d)
-
-    def with_tail(self, tail) -> "GridFunction":
-        return GridFunction(self.grid, self.values, tail=tail)
 
 
 def segment_integrals(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -216,13 +158,13 @@ def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def cumulative_tail_integral(gf: GridFunction, tail=None) -> GridFunction:
-    """G(x) = int_x^{x_max} gf(u) du + analytic remainder beyond x_max.
+    """G(x) = int_x^{x_max} gf(u) du + ``tail``'s remainder beyond x_max.
 
     The cumulative sum runs from x_max downward so that G keeps relative
     accuracy where it is small, independent of how large gf gets near x_min.
+    Without a tail the integrand must have decayed at x_max.
     """
     cum = integral_from_right(gf.grid.nodes(), gf.values)
-    tail = tail if tail is not None else gf.tail
     if tail is None:
         scale = np.max(np.abs(gf.values)) if gf.values.size else 0.0
         if scale > 0.0 and abs(gf.values[-1]) > 1e-13 * scale:

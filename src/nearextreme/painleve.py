@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad, solve_bvp
 
 from . import airy as _airy
-from .numerics import (AirySquaredTail, ExponentialTail, Grid, GridFunction,
+from .numerics import (AiryProductTail, ExponentialTail, Grid, GridFunction,
                        ZETA_PRIME_MINUS_ONE, cumulative_tail_integral)
 
 # Left tail amplitude of F2: tau2 = 2^(1/24) exp(zeta'(-1))
@@ -98,21 +98,18 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN,
 
     g = domain.nodes()
     q, qp = sol.sol(g)
-    q_gf = GridFunction(domain, q, tail=AirySquaredTail())
-
     # R(x) = int_x^inf q^2 with the exact Airy-squared remainder
-    q2 = GridFunction(domain, q * q, tail=AirySquaredTail())
-    R = cumulative_tail_integral(q2)
+    R = cumulative_tail_integral(GridFunction(domain, q * q),
+                                 AiryProductTail())
 
     # log F2(x) = -int_x^inf R(u) du; R decays like Ai(x)^2, for which a
     # local exponential rate 2 sqrt(x_max) is accurate at the boundary.
-    R_gf = GridFunction(domain, R.values,
-                        tail=ExponentialTail(rate=2.0 * math.sqrt(x_max)))
-    logf2 = cumulative_tail_integral(R_gf)
+    logf2 = cumulative_tail_integral(
+        R, ExponentialTail(rate=2.0 * math.sqrt(x_max)))
     f2 = np.exp(-logf2.values)
 
     return PainleveTable(grid=domain,
-                         q=q_gf,
+                         q=GridFunction(domain, q),
                          q_prime=GridFunction(domain, qp),
                          R=R,
                          f2=GridFunction(domain, f2),
@@ -127,11 +124,13 @@ def default_table() -> PainleveTable:
     return solve_hastings_mcleod(DEFAULT_DOMAIN)
 
 
-def tracy_widom_f2_asymptote(x: float) -> float:
-    """Left-tail closed form tau2 |x|^(-1/8) e^(-|x|^3/12) (1 + 3/(64|x|^3))."""
-    ax = abs(x)
-    return TAU_2 * ax ** (-0.125) * math.exp(-(ax**3) / 12.0) \
+def tracy_widom_f2_asymptote(x):
+    """Left-tail closed form tau2 |x|^(-1/8) e^(-|x|^3/12) (1 + 3/(64|x|^3)).
+    An array in gives an array out, a scalar a float."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    out = TAU_2 * ax ** (-0.125) * np.exp(-(ax**3) / 12.0) \
         * (1.0 + 3.0 / (64.0 * ax**3))
+    return float(out) if out.ndim == 0 else out
 
 
 def tracy_widom_f2(table: PainleveTable, x: float) -> float:

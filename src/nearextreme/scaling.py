@@ -11,7 +11,6 @@ evaluated at spectral parameter +r (density of states) or -r (gap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +25,6 @@ _CBRT2 = 2.0 ** (1.0 / 3.0)
 #: 2^(-91/48) e^(zeta'(-1)) / sqrt(pi)
 GAP_TAIL_AMPLITUDE = (2.0 ** (-91.0 / 48.0)
                       * math.exp(ZETA_PRIME_MINUS_ONE) / math.sqrt(math.pi))
-
-CURVE_KINDS = ("dos_edge", "gap_typ", "dos_bulk")
-
-
-@dataclass(frozen=True)
-class ScalingCurve:
-    r_values: np.ndarray
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"kind must be one of {CURVE_KINDS}")
-
 
 #: an edge integral below -NEGATIVE_TOL is a numerical failure, not roundoff
 NEGATIVE_TOL = 1e-12
@@ -118,13 +103,14 @@ def p_typ_g_form(r_tilde: float, table: PainleveTable) -> float:
     return _CBRT2 / math.pi * float(np.sum(segment_integrals(g, integrand)))
 
 
-def rho_bulk_shifted(x_hat: float) -> float:
+def rho_bulk_shifted(x_hat):
     """Shifted Wigner semicircle (1/pi) sqrt(x(2 sqrt 2 - x)) on
-    (0, 2 sqrt 2), the bulk limit of the near-maximum density."""
+    (0, 2 sqrt 2), the bulk limit of the near-maximum density; 0 outside.
+    An array in gives an array out, a scalar a float."""
+    x = np.asarray(x_hat, dtype=float)
     top = 2.0 * math.sqrt(2.0)
-    if x_hat <= 0.0 or x_hat >= top:
-        return 0.0
-    return math.sqrt(x_hat * (top - x_hat)) / math.pi
+    out = np.sqrt(np.maximum(x * (top - x), 0.0)) / math.pi
+    return float(out) if out.ndim == 0 else out
 
 
 def a4_integral(table: PainleveTable) -> float:
@@ -149,42 +135,26 @@ def h_t_functions(table: PainleveTable):
     q, qp, R = table.q.values, table.q_prime.values, table.R.values
     x_max = table.grid.x_max
     tail_int = cumulative_tail_integral(
-        GridFunction(table.grid, q**4 + g * q * q,
-                     tail=ExponentialTail(rate=2.0 * math.sqrt(x_max))))
+        GridFunction(table.grid, q**4 + g * q * q),
+        ExponentialTail(rate=2.0 * math.sqrt(x_max)))
     H = -0.5 * q * q * R + R**3 / 6.0 + tail_int.values
     T = -qp * R - q**3 / 2.0 - R * R * q / 2.0 - g * q
     return H, T
 
 
-def gap_tail_asymptotic(r_tilde: float) -> float:
+def gap_tail_asymptotic(r_tilde):
     """Large-r form of the gap PDF:
     A exp(-(4/3) r^(3/2) + (8/3) sqrt(2) r^(3/4)) r^(-21/32)
-      (1 - (1405 sqrt 2 / 1536) r^(-3/4))."""
-    if r_tilde <= 0:
+      (1 - (1405 sqrt 2 / 1536) r^(-3/4)).
+    An array in gives an array out, a scalar a float."""
+    r = np.asarray(r_tilde, dtype=float)
+    if not np.all(r > 0):
         raise ValueError("r_tilde must be > 0")
-    r = r_tilde
-    return (GAP_TAIL_AMPLITUDE
-            * math.exp(-4.0 / 3.0 * r**1.5 + 8.0 / 3.0 * math.sqrt(2.0) * r**0.75)
-            * r ** (-21.0 / 32.0)
-            * (1.0 - 1405.0 * math.sqrt(2.0) / 1536.0 * r ** (-0.75)))
-
-
-def dos_finite_n_edge(r: float, n: int, table: PainleveTable) -> float:
-    """Finite-N edge approximation of the density of states:
-    sqrt(2) N^(-5/6) rho_edge(sqrt(2) N^(1/6) r)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = math.sqrt(2.0) * n ** (1.0 / 6.0)
-    return s / n * rho_edge_scaling(s * r, table)
-
-
-def gap_finite_n(r: float, n: int, table: PainleveTable) -> float:
-    """Finite-N edge approximation of the first-gap PDF:
-    sqrt(2) N^(1/6) p_typ(sqrt(2) N^(1/6) r)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = math.sqrt(2.0) * n ** (1.0 / 6.0)
-    return s * p_typ(s * r, table)
+    out = (GAP_TAIL_AMPLITUDE
+           * np.exp(-4.0 / 3.0 * r**1.5 + 8.0 / 3.0 * math.sqrt(2.0) * r**0.75)
+           * r ** (-21.0 / 32.0)
+           * (1.0 - 1405.0 * math.sqrt(2.0) / 1536.0 * r ** (-0.75)))
+    return float(out) if out.ndim == 0 else out
 
 
 def gap_normalization(table: PainleveTable, r_switch: float = 10.0,
@@ -198,18 +168,3 @@ def gap_normalization(table: PainleveTable, r_switch: float = 10.0,
     tail, _ = quad(gap_tail_asymptotic, r_switch, 60.0,
                    epsabs=1e-300, epsrel=1e-10, limit=200)
     return main + tail
-
-
-def tabulate_curve(kind: str, table: PainleveTable, r_max: float = 12.0,
-                   step: float = 0.05) -> ScalingCurve:
-    """Tabulate one scaling curve on a uniform r grid."""
-    r = np.arange(0.0, r_max + 0.5 * step, step)
-    if kind == "dos_edge":
-        v = rho_edge_curve(r, table)
-    elif kind == "gap_typ":
-        v = p_typ_curve(r, table)
-    elif kind == "dos_bulk":
-        v = np.array([rho_bulk_shifted(ri) for ri in r])
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    return ScalingCurve(r_values=r, values=v, kind=kind)

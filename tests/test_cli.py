@@ -1,11 +1,17 @@
 """CLI: subcommand round-trips, CSV determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nearextreme import cli
+from nearextreme import cli, montecarlo
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -33,6 +39,53 @@ def test_unknown_command_exits_2():
     assert run(["frobnicate"]) == 2
     assert run(["dos-edge", "--badflag", "1"]) == 2
     assert run(["tabulate-painleve", "--tol", "1e-10"]) == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ["dos-edge", "--step", "0"], ["dos-edge", "--step", "-0.1"],
+    ["gap-pdf", "--step", "0"], ["finite-n", "--step", "0"],
+    ["dos-bulk", "--step", "0"], ["asymptotics", "--step", "0"],
+    ["dos-edge", "--step", "nan"], ["finite-n", "--rmax", "-1"],
+    ["gap-pdf", "--rmax", "inf"], ["sample", "--threads", "0"],
+    ["sample", "--threads", "-1"]))
+def test_bad_numeric_flags_exit_2(argv, capsys):
+    # rejected while parsing, before any table is solved or draw made
+    assert run(argv) == 2
+    assert f"argument {argv[1]}: must be" in capsys.readouterr().err
+
+
+def test_asymptotics_empty_range_exits_1(capsys):
+    # the tables start at r = max(step, 0.5); an empty range is an error,
+    # not a header-only CSV
+    assert run(["asymptotics", "--rmax", "0.2"]) == 1
+    assert capsys.readouterr().err.startswith("error: no r_tilde")
+
+
+def test_threads_default_follows_the_solve_path(monkeypatch):
+    # threads pay only on the dense batched path (n <= _DENSE_MAX_N);
+    # the NEAREXTREME_THREADS variable is not read
+    monkeypatch.setenv("NEAREXTREME_THREADS", "7")
+    parse = cli.build_parser().parse_args
+    assert montecarlo._DENSE_MAX_N >= 20
+    assert cli._default_threads(parse(["sample", "--n", "20"])) == (
+        os.cpu_count() or 1)
+    assert cli._default_threads(parse(["sample", "--n", "1000"])) == 1
+    assert cli._default_threads(
+        parse(["sample", "--n", "1000", "--threads", "3"])) == 3
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py wraps nearextreme functions by name; a deleted
+    # name would break the traced benchmark run.  Instrumenting rebinds
+    # module attributes, so it runs in its own interpreter.
+    code = ("import tracing; cli, counters = "
+            "tracing._instrument(tracing.Tracer()); counters(); print('ok')")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_numerical_failure_exits_1(tmp_path):

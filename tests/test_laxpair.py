@@ -96,9 +96,8 @@ def rk45_reference(r, table):
                           SEED_AMPLITUDE * seed.ai_prime],
                          rel_tol=1e-12, abs_tol=1e-300, t_eval=x[::-1])
     f = y[0][::-1]
-    qf = GridFunction(table.grid, table.q.values * f,
-                      tail=AiryProductTail(0.0, r))
-    big_i = cumulative_tail_integral(qf).values
+    qf = GridFunction(table.grid, table.q.values * f)
+    big_i = cumulative_tail_integral(qf, AiryProductTail(0.0, r)).values
     integral = np.sum(segment_integrals(x, (f**2 - big_i**2)
                                         * table.f2.values))
     return f, 2.0 ** (1.0 / 3.0) / math.pi * float(integral)

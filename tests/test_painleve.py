@@ -74,6 +74,15 @@ def test_q_matches_airy_on_the_right(table):
     assert airy.airy(6.0).ai == pytest.approx(9.9477e-6, abs=1e-9)
 
 
+def test_q_above_table_raises(table):
+    # a GridFunction carries no tail model: beyond x_max it raises rather
+    # than extrapolate (q ~ Ai(x) there, not the Ai(x)^2 of R's integrand)
+    with pytest.raises(ValueError):
+        table.q(table.grid.x_max + 2.0)
+    with pytest.raises(ValueError):
+        table.R(np.array([0.0, table.grid.x_max + 2.0]))
+
+
 def test_q_left_asymptote(table):
     # sqrt(-x/2)(1 + 1/(8 x^3)) at x = -8
     expect = 2.0 * (1.0 - 1.0 / 4096.0)
@@ -125,6 +134,14 @@ def test_f2_left_tail_asymptote(table):
     val = painleve.tracy_widom_f2(table, -8.0)
     asym = painleve.tracy_widom_f2_asymptote(-8.0)
     assert val == pytest.approx(asym, rel=0.01)
+
+
+def test_f2_asymptote_array_equals_scalar_calls():
+    x = -np.linspace(0.5, 12.0, 47)
+    stacked = np.array([painleve.tracy_widom_f2_asymptote(xi) for xi in x])
+    got = painleve.tracy_widom_f2_asymptote(x)
+    assert isinstance(painleve.tracy_widom_f2_asymptote(-8.0), float)
+    assert np.max(np.abs(got - stacked) / stacked) <= 1e-13
 
 
 def test_f2_quadrature_matches_table_field(table):

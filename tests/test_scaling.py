@@ -55,6 +55,16 @@ def test_rho_edge_tail_difference_bounded(table):
     assert np.max(prods) - np.min(prods) < 0.05 * np.max(np.abs(prods)) + 0.02
 
 
+def test_edge_integral_chunking_is_invisible(table):
+    # a grid longer than R_CHUNK is solved in chunks; each column's value
+    # must not depend on which other r share its psi solve
+    r = np.linspace(-3.0, 6.0, scaling.R_CHUNK + 9)
+    whole = scaling.edge_integral(r, table)
+    split = np.concatenate([scaling.edge_integral(r[:5], table),
+                            scaling.edge_integral(r[5:], table)])
+    assert np.array_equal(whole, split)
+
+
 def test_negative_density_raises(table):
     # a corrupted table (F2 negated) makes the edge integrals negative; that
     # must be reported, not clamped to 0
@@ -129,6 +139,14 @@ def test_bulk_midpoint_and_endpoints():
     assert scaling.rho_bulk_shifted(-1.0) == 0.0
 
 
+def test_bulk_array_equals_scalar_calls():
+    x = np.linspace(-0.5, 3.5, 203)
+    stacked = np.array([scaling.rho_bulk_shifted(xi) for xi in x])
+    got = scaling.rho_bulk_shifted(x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert np.array_equal(got, stacked)
+
+
 def test_bulk_normalization():
     from scipy.integrate import quad
 
@@ -185,6 +203,16 @@ def test_gap_tail_amplitude():
 def test_gap_tail_rejects_nonpositive():
     with pytest.raises(ValueError):
         scaling.gap_tail_asymptotic(0.0)
+    with pytest.raises(ValueError):
+        scaling.gap_tail_asymptotic(np.array([1.0, -2.0]))
+
+
+def test_gap_tail_array_equals_scalar_calls():
+    r = np.linspace(0.05, 30.0, 211)
+    stacked = np.array([scaling.gap_tail_asymptotic(ri) for ri in r])
+    got = scaling.gap_tail_asymptotic(r)
+    assert isinstance(scaling.gap_tail_asymptotic(9.0), float)
+    assert np.max(np.abs(got - stacked) / np.abs(stacked)) <= 1e-13
 
 
 @pytest.mark.xfail(
@@ -204,45 +232,3 @@ def test_gap_full_exponent(table):
     rhs = -math.log(scaling.gap_tail_asymptotic(r))
     assert lhs == pytest.approx(rhs, rel=0.01)
 
-
-# ---------------------------------------------------------------------------
-# finite-N rescalings and tabulation
-# ---------------------------------------------------------------------------
-
-
-def test_finite_n_edge_at_zero(table):
-    assert abs(scaling.dos_finite_n_edge(0.0, 1000, table)) < 1e-12
-    assert abs(scaling.gap_finite_n(0.0, 1000, table)) < 1e-12
-
-
-def test_gap_finite_n_normalization(table):
-    # change of variables maps int p_typ = 1 exactly; verify on a grid
-    n = 1000
-    s = math.sqrt(2.0) * n ** (1.0 / 6.0)
-    r = np.linspace(0.0, 8.0 / s, 60)
-    vals = np.array([scaling.gap_finite_n(ri, n, table) for ri in r])
-    main = float(np.trapezoid(vals, r))
-    from scipy.integrate import quad
-    tail, _ = quad(scaling.gap_tail_asymptotic, 8.0, 60.0, epsabs=1e-300)
-    assert main + tail == pytest.approx(1.0, abs=1e-2)
-
-
-def test_tabulate_curve_kinds(table):
-    c = scaling.tabulate_curve("dos_bulk", table, r_max=2.0, step=0.1)
-    assert c.kind == "dos_bulk"
-    assert np.all(c.values >= 0.0)
-    assert len(c.r_values) == len(c.values) == 21
-    with pytest.raises(ValueError):
-        scaling.tabulate_curve("nope", table)
-    with pytest.raises(ValueError):
-        scaling.ScalingCurve(c.r_values, c.values, kind="nope")
-
-
-def test_edge_integral_chunking_is_invisible(table):
-    # a grid longer than R_CHUNK is solved in chunks; each column's value
-    # must not depend on which other r share its psi solve
-    r = np.linspace(-3.0, 6.0, scaling.R_CHUNK + 9)
-    whole = scaling.edge_integral(r, table)
-    split = np.concatenate([scaling.edge_integral(r[:5], table),
-                            scaling.edge_integral(r[5:], table)])
-    assert np.array_equal(whole, split)
