@@ -53,7 +53,8 @@ def _provenance(table: painleve.PainleveTable) -> list[str]:
     g = table.grid
     return [f"table: Hastings-McLeod on [{g.x_min:g}, {g.x_max:g}], "
             f"n_points = {g.n_points}, h = {g.h:g}, "
-            f"bvp_nodes = {table.bvp_nodes}, bvp_tol = {table.bvp_tol:g}",
+            f"{painleve.TABLE_SCHEME}, newton_steps = {table.newton_steps}, "
+            f"residual = {table.residual:.1e}",
             f"psi: {laxpair.PSI_SCHEME}"]
 
 

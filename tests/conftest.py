@@ -1,4 +1,4 @@
-"""Shared fixture: the canonical Painleve table (~1 s to solve) is built
+"""Shared fixture: the canonical Painleve table (~15 ms to solve) is built
 once per session."""
 
 import pytest

@@ -226,10 +226,15 @@ def test_tabulate_psi(tmp_path):
     header, names, rows = read_csv(out)
     assert names == ["x", "f", "g"]
     assert any("r_tilde = 2.0" in line for line in header)
-    # provenance: table domain, grid, BVP mesh and tolerance, psi scheme
-    assert header[1] == ("# table: Hastings-McLeod on [-12, 20], "
-                         "n_points = 6401, h = 0.005, bvp_nodes = 60395, "
-                         "bvp_tol = 1e-10")
+    # provenance: table domain, grid, solver, Newton steps and the final
+    # Numerov residual, psi scheme
+    prefix = ("# table: Hastings-McLeod on [-12, 20], n_points = 6401, "
+              "h = 0.005, Newton-Numerov on h and h/2 with Richardson, "
+              "newton_steps = ")
+    assert header[1].startswith(prefix)
+    steps, residual = header[1][len(prefix):].split(", residual = ")
+    assert 0 < int(steps) <= 40
+    assert float(residual) <= 1e-13
     assert header[2].startswith("# psi: Numerov")
     assert "Richardson" in header[2]
     assert rows.shape == (6401, 3)
@@ -243,7 +248,8 @@ def test_tabulate_painleve_tw2_moments(tmp_path):
     out = tmp_path / "pii.csv"
     assert run(["tabulate-painleve", "--out", str(out)]) == 0
     header, names, rows = read_csv(out)
-    assert any("bvp_tol" in line for line in header)
+    table_line = next(line for line in header if line.startswith("# table:"))
+    assert float(table_line.split("residual = ")[1]) <= 1e-13
     cols = dict(zip(names, rows.T))
     x = cols["x"]
     assert (x.size - 1) % 2 == 0

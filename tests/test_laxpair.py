@@ -15,8 +15,8 @@ from nearextreme.numerics import (AiryProductTail, Grid, GridFunction,
 
 @pytest.fixture(scope="module")
 def table_short():
-    """A second domain, [-12, 12] at the same h = 0.005: its BVP converges
-    at the first tolerance (on [-12, 14] it does not converge at all)."""
+    """A second domain, [-12, 12] at the same h = 0.005, solved on its own
+    grid."""
     return painleve.solve_hastings_mcleod(Grid(-12.0, 12.0, 4801))
 
 
@@ -113,7 +113,8 @@ def test_batched_solver_matches_rk45(table):
 
 
 def test_error_budget_grid_halving(table):
-    # the same BVP sampled at h/2 moves both curves by far less than 1e-7
+    # the table solved on h/2 (its own Newton solve, psi on h/2 and h/4)
+    # moves both curves by far less than 1e-7 (measured 1.7e-10, 1.9e-10)
     fine = painleve.solve_hastings_mcleod(Grid(-12.0, 20.0, 12801))
     for curve, r_max in ((scaling.rho_edge_curve, 12.0),
                          (scaling.p_typ_curve, 8.0)):
