@@ -4,6 +4,10 @@ subcommand.
 Output format is plain CSV with '.' decimals and '#' comment headers
 recording version, parameters and seed, so identical invocations produce
 byte-identical files.
+
+No pipeline module is imported at module level: each command imports the
+modules it calls, so that ``sample`` loads only scipy.linalg, ``finite-n``
+only scipy.special, and parsing the arguments loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import finite_n as fn
-from . import laxpair, montecarlo, painleve, scaling
 
 
 def _open_out(path):
@@ -43,13 +45,18 @@ def _write_csv(path, header_lines, columns, names):
 def _default_threads(args) -> int:
     """--threads if given; else the CPU count where threads pay (the dense
     batched path, n <= montecarlo._DENSE_MAX_N) and 1 above it."""
+    from . import montecarlo
+
     if args.threads is not None:
         return args.threads
     return (os.cpu_count() or 1) if args.n <= montecarlo._DENSE_MAX_N else 1
 
 
-def _provenance(table: painleve.PainleveTable) -> list[str]:
-    """Header lines saying how the table and psi functions were computed."""
+def _provenance(table) -> list[str]:
+    """Header lines saying how the ``painleve.PainleveTable`` and the psi
+    functions were computed."""
+    from . import laxpair, painleve
+
     g = table.grid
     return [f"table: Hastings-McLeod on [{g.x_min:g}, {g.x_max:g}], "
             f"n_points = {g.n_points}, h = {g.h:g}, "
@@ -59,6 +66,8 @@ def _provenance(table: painleve.PainleveTable) -> list[str]:
 
 
 def cmd_tabulate_painleve(args) -> int:
+    from . import painleve
+
     t = painleve.default_table()
     g = t.grid.nodes()
     _write_csv(args.out, _provenance(t) + ["columns: x, q, q_prime, R, F2"],
@@ -68,6 +77,8 @@ def cmd_tabulate_painleve(args) -> int:
 
 
 def cmd_tabulate_psi(args) -> int:
+    from . import laxpair, painleve
+
     t = painleve.default_table()
     psi = laxpair.solve_psi(args.r_tilde, t)
     g = t.grid.nodes()
@@ -79,6 +90,8 @@ def cmd_tabulate_psi(args) -> int:
 
 
 def _write_edge_curve(args, t, r, values, large) -> int:
+    from . import scaling
+
     small = 0.5 * r**2 + scaling.a4_integral(t) * r**4
     _write_csv(args.out,
                _provenance(t) + [
@@ -91,6 +104,8 @@ def _write_edge_curve(args, t, r, values, large) -> int:
 
 
 def cmd_dos_edge(args) -> int:
+    from . import painleve, scaling
+
     t = painleve.default_table()
     r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
     return _write_edge_curve(args, t, r, scaling.rho_edge_curve(r, t),
@@ -98,6 +113,8 @@ def cmd_dos_edge(args) -> int:
 
 
 def cmd_gap_pdf(args) -> int:
+    from . import painleve, scaling
+
     t = painleve.default_table()
     r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
     large = np.zeros_like(r)
@@ -106,6 +123,8 @@ def cmd_gap_pdf(args) -> int:
 
 
 def cmd_dos_bulk(args) -> int:
+    from . import scaling
+
     top = 2.0 * math.sqrt(2.0)
     x = np.arange(0.0, top + 0.5 * args.step, args.step)
     _write_csv(args.out, [f"step = {args.step}", "columns: x_hat, value"],
@@ -114,6 +133,8 @@ def cmd_dos_bulk(args) -> int:
 
 
 def cmd_finite_n(args) -> int:
+    from . import finite_n as fn
+
     n = args.n
     x = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
     header = [f"n = {n}, rmax = {args.rmax}, step = {args.step}"]
@@ -135,6 +156,8 @@ def cmd_finite_n(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import montecarlo
+
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
     # the gap needs the top 2 eigenvalues and the edge DOS (r <= 8) the top
@@ -170,6 +193,8 @@ def cmd_asymptotics(args) -> int:
     r = np.arange(max(args.step, 0.5), args.rmax + 0.5 * args.step, args.step)
     if r.size == 0:
         raise ValueError(f"no r_tilde in [max(step, 0.5), rmax = {args.rmax}]")
+    from . import painleve, scaling
+
     t = painleve.default_table()
     gap_tail = scaling.gap_tail_asymptotic(r)
     dos_tail = np.sqrt(r) / math.pi
@@ -186,6 +211,11 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_check(args) -> int:
     """Run the invariant suite; nonzero exit on any failure."""
+    from scipy.integrate import quad
+
+    from . import finite_n as fn
+    from . import laxpair, painleve
+
     failures = []
 
     def check(name, ok, detail=""):
@@ -238,7 +268,6 @@ def cmd_check(args) -> int:
               abs(sys_.h[0] - h0) < 1e-10 and abs(sys_.h[1] - h1) < 1e-9
               and abs(sys_.s_coef[0] + a) < 1e-10)
 
-    from scipy.integrate import quad
     sys4 = fn.build_ortho_system(0.5, 5)
     norm, _ = quad(lambda x: fn.kernel(sys4, x, x), -8.0, 0.5, limit=200)
     check("kernel normalization int K = N (N = 4)", abs(norm - 4) < 1e-6,
@@ -317,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="Monte Carlo histograms")
     common(sp, rmax=None)
-    sp.add_argument("--n", type=int, default=1000)
-    sp.add_argument("--samples", type=int, default=200000)
+    sp.add_argument("--n", type=_positive_int, default=1000)
+    sp.add_argument("--samples", type=_positive_int, default=200000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--quantity", choices=("dos", "gap"), default="gap")
     sp.add_argument("--scaling", choices=("bulk", "edge"), default="edge")
@@ -350,3 +379,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# not called here: perfbench/tracing.py looks up `finite_n.quad` by name
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import erfcx
 
 # conditioning cap: matrix size N <= 12 (the kernel needs N+1 polynomials)
@@ -218,3 +216,13 @@ def gap_pdf_exact(r: float | np.ndarray, n: int) -> float | np.ndarray:
     if np.any(r < 0):
         raise ValueError("gap distance must be >= 0")
     return (n - 1) * dos_exact(-r, n)
+
+
+def __getattr__(name):
+    # not called here: perfbench/tracing.py looks up `finite_n.quad` by name
+    # at start-up; it resolves on demand so that importing this module does
+    # not load scipy.integrate
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

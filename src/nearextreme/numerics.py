@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 # Riemann zeta'(-1), cross-checked once against the Glaisher-Kinkelin
@@ -186,6 +185,8 @@ def integrate_ode(rhs: Callable, x_start: float, x_end: float,
     Returns (x_nodes, y_matrix) with y_matrix of shape (len(y_start), n).
     Direction may be decreasing (x_end < x_start).
     """
+    from scipy.integrate import solve_ivp
+
     if x_start == x_end:
         raise ValueError("x_start must differ from x_end")
     sol = solve_ivp(rhs, (x_start, x_end), np.asarray(y_start, dtype=float),
@@ -196,3 +197,13 @@ def integrate_ode(rhs: Callable, x_start: float, x_end: float,
         raise DivergedSolutionError(
             f"ODE integration failed: {sol.message}", last_x=float(last))
     return sol.t, sol.y
+
+
+def __getattr__(name):
+    # not called here: perfbench/tracing.py looks up `numerics.solve_ivp` by
+    # name at start-up; it resolves on demand so that importing this module
+    # does not load scipy.integrate
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

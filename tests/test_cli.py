@@ -47,7 +47,9 @@ def test_unknown_command_exits_2():
     ["dos-bulk", "--step", "0"], ["asymptotics", "--step", "0"],
     ["dos-edge", "--step", "nan"], ["finite-n", "--rmax", "-1"],
     ["gap-pdf", "--rmax", "inf"], ["sample", "--threads", "0"],
-    ["sample", "--threads", "-1"]))
+    ["sample", "--threads", "-1"], ["sample", "--n", "0"],
+    ["sample", "--n", "-5"], ["sample", "--samples", "0"],
+    ["sample", "--samples", "-1"]))
 def test_bad_numeric_flags_exit_2(argv, capsys):
     # rejected while parsing, before any table is solved or draw made
     assert run(argv) == 2
@@ -86,6 +88,62 @@ def test_benchmark_tracer_names_resolve():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _scipy_modules_after(argv, tmp_path):
+    """The scipy modules a fresh interpreter holds after importing the CLI
+    and, if ``argv`` is given, running that command."""
+    code = ("import sys; import nearextreme.cli as cli; "
+            "rc = cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+            "print(rc, *sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    rc, *modules = out.stdout.split()
+    assert rc == "0", out.stderr
+    return set(modules)
+
+
+def test_commands_import_only_what_they_use(tmp_path):
+    # start-up is most of a cheap command's wall time; each command loads
+    # only the scipy subpackages it calls
+    assert _scipy_modules_after([], tmp_path) == set()
+    out = ["--out", str(tmp_path / "out.csv")]
+    cases = (
+        (["sample", "--n", "1000", "--samples", "20", "--quantity", "gap",
+          "--threads", "1"],
+         ("scipy.integrate", "scipy.interpolate", "scipy.special")),
+        (["finite-n", "--n", "6", "--quantity", "gap"],
+         ("scipy.integrate", "scipy.interpolate", "scipy.linalg")),
+        (["dos-edge"], ("scipy.integrate",)),
+    )
+    for argv, absent in cases:
+        loaded = _scipy_modules_after(argv + out, tmp_path)
+        assert "scipy" in loaded, argv  # the probe sees scipy at all
+        assert not loaded & set(absent), (argv, sorted(loaded & set(absent)))
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # `python -m nearextreme.cli` must run the command, not import the
+    # module and exit 0 with nothing written
+    base = [sys.executable, "-m", "nearextreme.cli"]
+    out = subprocess.run(base + ["dos-bulk", "--step", "0.5"],
+                         env=_src_env(), cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("# nearextreme ")
+    assert "x_hat,value" in lines
+    bad = subprocess.run(base + ["dos-bulk", "--step", "0"], env=_src_env(),
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    assert bad.returncode == 2
 
 
 def test_numerical_failure_exits_1(tmp_path):

@@ -153,6 +153,15 @@ def test_q_zero_domain_independence(table):
     print(f"q(0) = {table.q(0.0):.10f} (expected near 0.3670615)")
 
 
+def test_newton_takes_no_steps_in_roundoff(table):
+    # Newton converges quadratically: 4 updates on h (4e-2, 7e-4, 7.5e-7,
+    # 8e-13) and 2 on h/2 reach roundoff.  Stepping on until an update
+    # stopped shrinking took 14, and the table is the same to 1.4e-15 in q
+    assert table.newton_steps <= 8
+    other = painleve.solve_hastings_mcleod(Grid(-10.0, 8.0, 1801))
+    assert other.newton_steps <= 8 and other.residual <= 1e-13
+
+
 def test_grid_refinement_stability(table):
     # same domain, twice the spacing: each grid is its own Newton solve,
     # and R and F2 agree at the shared nodes (measured 2.5e-12, 6.4e-12)
