@@ -54,15 +54,16 @@ def _default_threads(args) -> int:
 
 def _provenance(table) -> list[str]:
     """Header lines saying how the ``painleve.PainleveTable`` and the psi
-    functions were computed."""
-    from . import laxpair, painleve
+    functions were computed, and by which rule they were integrated."""
+    from . import laxpair, numerics, painleve
 
     g = table.grid
     return [f"table: Hastings-McLeod on [{g.x_min:g}, {g.x_max:g}], "
             f"n_points = {g.n_points}, h = {g.h:g}, "
             f"{painleve.TABLE_SCHEME}, newton_steps = {table.newton_steps}, "
             f"residual = {table.residual:.1e}",
-            f"psi: {laxpair.PSI_SCHEME}"]
+            f"psi: {laxpair.PSI_SCHEME}",
+            f"quadrature: {numerics.QUADRATURE_SCHEME}"]
 
 
 def cmd_tabulate_painleve(args) -> int:

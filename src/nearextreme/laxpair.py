@@ -33,7 +33,8 @@ DOS_MARGIN = 4.0
 
 #: how f is computed, recorded in the CSV headers
 PSI_SCHEME = ("Numerov downward from x_max on h and h/2, "
-              "Richardson-extrapolated (16 f_h/2 - f_h)/15")
+              "Richardson-extrapolated (16 f_h/2 - f_h)/15; "
+              "q at the h/2 midpoints by cubic Hermite from q, q'")
 
 # nodes where q has decayed below this are excluded from ratio-type
 # residual diagnostics (q'/q, R/q^2 are roundoff-dominated there)
@@ -77,7 +78,7 @@ def _numerov_down(x: np.ndarray, q2: np.ndarray,
 
 
 def solve_psi_batch(r_values, table: PainleveTable):
-    """f, f' and I(x) = int_x^inf q f on the table grid at every spectral
+    """f and I(x) = int_x^inf q f on the table grid at every spectral
     parameter in ``r_values``; each is an (n_points, len(r_values)) array
     with one column per r.
 
@@ -85,11 +86,11 @@ def solve_psi_batch(r_values, table: PainleveTable):
     admixture of the Airy seed decays relative to the Ai-type branch as x
     decreases.  The seed 2^(-1/6) sqrt(pi) Ai(x - r) is exact at the top
     nodes to 2q(x_max)^2 (~1e-52 on the canonical table).  Numerov is run on
-    the table grid (step h) and on its halving, whose q comes from the
-    table's spline, and the two are Richardson-combined: plain Numerov at
-    h = 0.005 misses f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the
-    combination by ~4e-9.  f' is the right-anchored integral
-    f'(x_max) - int_x^{x_max} (u + 2q^2 - r) f du.
+    the table grid (step h) and on its halving, and the two are
+    Richardson-combined: plain Numerov at h = 0.005 misses
+    f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the combination by ~4e-9.
+    q at the half-grid midpoints is the cubic Hermite interpolant of the
+    table's q and q', (q_i + q_{i+1})/2 + h/8 (q'_i - q'_{i+1}).
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     grid = table.grid
@@ -104,31 +105,33 @@ def solve_psi_batch(r_values, table: PainleveTable):
             "double precision; use the asymptotic formulas instead")
 
     x = grid.nodes()
-    q = table.q.values
+    q, qp = table.q.values, table.q_prime.values
     x_half = np.linspace(grid.x_min, x_max, 2 * grid.n_points - 1)
-    q_half = table.q.spline()(x_half)
+    q_half = np.empty_like(x_half)
+    q_half[::2] = q
+    q_half[1::2] = 0.5 * (q[:-1] + q[1:]) + grid.h / 8.0 * (qp[:-1] - qp[1:])
     f_h = _numerov_down(x, q * q, r)
     f = _numerov_down(x_half, q_half * q_half, r)[::2]
     f *= 16.0 / 15.0
     f -= f_h / 15.0
 
-    potential = (x + 2.0 * q * q)[:, None] - r
-    fp_top = SEED_AMPLITUDE * _airy.ai_prime_values(x_max - r)
-    f_prime = fp_top - integral_from_right(x, potential * f)
-
     qf = q[:, None] * f
     remainder = [AiryProductTail(0.0, ri).remainder(x_max, v)
                  for ri, v in zip(r, qf[-1])]
     qf_integral = integral_from_right(x, qf) + np.array(remainder)
-    return f, f_prime, qf_integral
+    return f, qf_integral
 
 
 def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
     """The pair (f, g) at one spectral parameter: f from
-    :func:`solve_psi_batch`, g from the integral relation."""
-    f, fp, qf_integral = (v[:, 0] for v in solve_psi_batch([r_tilde], table))
+    :func:`solve_psi_batch`, g from the integral relation, and
+    f' = f'(x_max) - int_x^{x_max} (u + 2q^2 - r) f du."""
+    f, qf_integral = (v[:, 0] for v in solve_psi_batch([r_tilde], table))
     grid = table.grid
-    g_vals = -r_tilde * qf_integral / table.q.values
+    x, q = grid.nodes(), table.q.values
+    fp = (SEED_AMPLITUDE * _airy.ai_prime_values(grid.x_max - r_tilde)
+          - integral_from_right(x, (x + 2.0 * q * q - r_tilde) * f))
+    g_vals = -r_tilde * qf_integral / q
     # zero-tail convention: g vanishes at the right end of the table
     g_vals[-1] = 0.0
 

@@ -17,7 +17,7 @@ from scipy.linalg import solve_banded
 from . import airy as _airy
 from .numerics import (AiryProductTail, ExponentialTail, Grid, GridFunction,
                        ZETA_PRIME_MINUS_ONE, cumulative_tail_integral,
-                       integral_from_right, segment_integrals)
+                       integral_from_right)
 
 # Left tail amplitude of F2: tau2 = 2^(1/24) exp(zeta'(-1))
 TAU_2 = 2.0 ** (1.0 / 24.0) * math.exp(ZETA_PRIME_MINUS_ONE)
@@ -230,7 +230,7 @@ def a2_integral(table: PainleveTable) -> float:
     q, qp, R, f2 = (table.q.values, table.q_prime.values,
                     table.R.values, table.f2.values)
     integrand = ((qp + q * R) ** 2 - 0.25 * (q * q - R * R) ** 2) * f2
-    return float(np.sum(segment_integrals(g, integrand)))
+    return float(integral_from_right(g, integrand)[0])
 
 
 def __getattr__(name):

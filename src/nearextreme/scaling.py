@@ -15,8 +15,9 @@ import math
 import numpy as np
 
 from .numerics import (ExponentialTail, GridFunction, ZETA_PRIME_MINUS_ONE,
-                       cumulative_tail_integral, segment_integrals)
-from .laxpair import solve_psi, solve_psi_batch
+                       cumulative_tail_integral, integral_from_right)
+# solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
+from .laxpair import solve_psi, solve_psi_batch  # noqa: F401
 from .painleve import PainleveTable
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -44,9 +45,9 @@ def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
     f2 = table.f2.values[:, None]
     total = np.empty(r.size)
     for start in range(0, r.size, R_CHUNK):
-        f, _, qf_integral = solve_psi_batch(r[start:start + R_CHUNK], table)
-        seg = segment_integrals(x, (f**2 - qf_integral**2) * f2)
-        total[start:start + R_CHUNK] = np.sum(seg, axis=0)
+        f, qf_integral = solve_psi_batch(r[start:start + R_CHUNK], table)
+        total[start:start + R_CHUNK] = integral_from_right(
+            x, (f**2 - qf_integral**2) * f2)[0]
     return _CBRT2 / math.pi * total
 
 
@@ -89,20 +90,6 @@ def p_typ(r_tilde: float, table: PainleveTable) -> float:
     return float(p_typ_curve(r_tilde, table)[0])
 
 
-def p_typ_g_form(r_tilde: float, table: PainleveTable) -> float:
-    """Same gap PDF through the g-function: the (int q f)^2 term is
-    replaced by q^2 g^2 / r^2.  Regression cross-check of the integral
-    relation between f and g."""
-    if r_tilde <= 0:
-        raise ValueError("r_tilde must be > 0 for the g form")
-    psi = solve_psi(-r_tilde, table)
-    g = table.grid.nodes()
-    q = table.q.values
-    integrand = ((psi.f.values**2
-                  - q**2 * psi.g.values**2 / r_tilde**2) * table.f2.values)
-    return _CBRT2 / math.pi * float(np.sum(segment_integrals(g, integrand)))
-
-
 def rho_bulk_shifted(x_hat):
     """Shifted Wigner semicircle (1/pi) sqrt(x(2 sqrt 2 - x)) on
     (0, 2 sqrt 2), the bulk limit of the near-maximum density; 0 outside.
@@ -124,7 +111,7 @@ def a4_integral(table: PainleveTable) -> float:
     g = table.grid.nodes()
     H, T = h_t_functions(table)
     integrand = (H + 0.5 * (T * T - H * H)) * table.f2.values
-    return 0.5 * float(np.sum(segment_integrals(g, integrand)))
+    return 0.5 * float(integral_from_right(g, integrand)[0])
 
 
 def h_t_functions(table: PainleveTable):

@@ -94,11 +94,11 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
-def _scipy_modules_after(argv, tmp_path):
-    """The scipy modules a fresh interpreter holds after importing the CLI
-    and, if ``argv`` is given, running that command."""
-    code = ("import sys; import nearextreme.cli as cli; "
-            "rc = cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+def _scipy_modules_after(argv, tmp_path, module="nearextreme.cli"):
+    """The scipy modules a fresh interpreter holds after importing
+    ``module`` and, if ``argv`` is given, running that CLI command."""
+    code = (f"import sys; import {module} as mod; "
+            "rc = mod.run(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
             "print(rc, *sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
@@ -114,14 +114,24 @@ def test_commands_import_only_what_they_use(tmp_path):
     # start-up is most of a cheap command's wall time; each command loads
     # only the scipy subpackages it calls
     assert _scipy_modules_after([], tmp_path) == set()
+    assert _scipy_modules_after([], tmp_path, "nearextreme.numerics") == set()
     out = ["--out", str(tmp_path / "out.csv")]
+    # the edge path integrates without splines, so nothing loads
+    # scipy.interpolate or what it brings with it
+    no_spline = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+                 "scipy.sparse", "scipy.spatial")
     cases = (
         (["sample", "--n", "1000", "--samples", "20", "--quantity", "gap",
           "--threads", "1"],
          ("scipy.integrate", "scipy.interpolate", "scipy.special")),
         (["finite-n", "--n", "6", "--quantity", "gap"],
          ("scipy.integrate", "scipy.interpolate", "scipy.linalg")),
-        (["dos-edge"], ("scipy.integrate",)),
+        (["dos-edge"], no_spline),
+        (["gap-pdf", "--rmax", "2", "--step", "0.5"], no_spline),
+        (["tabulate-painleve"], no_spline),
+        (["tabulate-psi", "--r-tilde", "2"], no_spline),
+        (["asymptotics", "--rmax", "2", "--step", "0.5"], no_spline),
+        (["dos-bulk", "--step", "0.5"], no_spline),
     )
     for argv, absent in cases:
         loaded = _scipy_modules_after(argv + out, tmp_path)
@@ -285,7 +295,7 @@ def test_tabulate_psi(tmp_path):
     assert names == ["x", "f", "g"]
     assert any("r_tilde = 2.0" in line for line in header)
     # provenance: table domain, grid, solver, Newton steps and the final
-    # Numerov residual, psi scheme
+    # Numerov residual, psi scheme, quadrature rule
     prefix = ("# table: Hastings-McLeod on [-12, 20], n_points = 6401, "
               "h = 0.005, Newton-Numerov on h and h/2 with Richardson, "
               "newton_steps = ")
@@ -295,6 +305,8 @@ def test_tabulate_psi(tmp_path):
     assert float(residual) <= 1e-13
     assert header[2].startswith("# psi: Numerov")
     assert "Richardson" in header[2]
+    assert header[3].startswith("# quadrature: trapezoid")
+    assert "end correction" in header[3]
     assert rows.shape == (6401, 3)
     # g at the right end is pinned to zero by convention
     assert rows[-1, 2] == 0.0

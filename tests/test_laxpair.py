@@ -9,8 +9,8 @@ import pytest
 from nearextreme import airy, laxpair, painleve, scaling
 from nearextreme.laxpair import SEED_AMPLITUDE
 from nearextreme.numerics import (AiryProductTail, Grid, GridFunction,
-                                  cumulative_tail_integral, integrate_ode,
-                                  segment_integrals)
+                                  cumulative_tail_integral,
+                                  integral_from_right, integrate_ode)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ REFERENCE_PARAMS = (-5.0, -2.0, 0.5, 2.0, 5.0, 16.0)
 
 def rk45_reference(r, table):
     """f by adaptive RK45 through the q spline from the Airy seed at
-    x_max, the edge integral from it by cumulative spline integrals."""
+    x_max, the edge integral from it by the right-anchored quadrature."""
     qs = table.q.spline()
     x = table.grid.nodes()
     seed = airy.airy(table.grid.x_max - r)
@@ -98,13 +98,13 @@ def rk45_reference(r, table):
     f = y[0][::-1]
     qf = GridFunction(table.grid, table.q.values * f)
     big_i = cumulative_tail_integral(qf, AiryProductTail(0.0, r)).values
-    integral = np.sum(segment_integrals(x, (f**2 - big_i**2)
-                                        * table.f2.values))
+    integral = integral_from_right(x, (f**2 - big_i**2)
+                                   * table.f2.values)[0]
     return f, 2.0 ** (1.0 / 3.0) / math.pi * float(integral)
 
 
 def test_batched_solver_matches_rk45(table):
-    f, _, _ = laxpair.solve_psi_batch(REFERENCE_PARAMS, table)
+    f, _ = laxpair.solve_psi_batch(REFERENCE_PARAMS, table)
     edge = scaling.edge_integral(REFERENCE_PARAMS, table)
     for k, r in enumerate(REFERENCE_PARAMS):
         f_ref, edge_ref = rk45_reference(r, table)
@@ -203,16 +203,14 @@ def test_gap_branch_correction_function(table):
     # [f(-r, x) 2^(7/6) r^(1/4) e^((2/3) r^(3/2) + x sqrt(r)) - 1] sqrt(r)
     # tends to F1(x) = -(1/2) int_{-inf}^x (u + 2 q^2) du, which behaves
     # like -1/(8x) far to the left
-    from nearextreme.numerics import segment_integrals
-
     r = 25.0
     psi = laxpair.solve_psi(-r, table)
     g = table.grid.nodes()
     q = table.q.values
-    seg = segment_integrals(g, g + 2.0 * q * q)
+    from_right = integral_from_right(g, g + 2.0 * q * q)
     # remainder below x_min: integrand ~ -1/(4u^2), integral = 1/(4 x_min)
     below = 1.0 / (4.0 * table.grid.x_min)
-    f1_vals = -0.5 * (below + np.concatenate([[0.0], np.cumsum(seg)]))
+    f1_vals = -0.5 * (below + from_right[0] - from_right)
     for x_probe in (-6.0, -4.0, -2.0):
         i = int(np.argmin(np.abs(g - x_probe)))
         scaled = (psi.f.values[i] * 2.0 ** (7.0 / 6.0) * r**0.25

@@ -10,8 +10,8 @@ from nearextreme.numerics import (AiryProductTail, DivergedSolutionError,
                                   ExponentialTail,
                                   Grid, GridFunction, TruncationError,
                                   ZETA_PRIME_MINUS_ONE,
-                                  cumulative_tail_integral, integrate_ode,
-                                  segment_integrals)
+                                  cumulative_tail_integral,
+                                  integral_from_right, integrate_ode)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +81,27 @@ def test_gridfunction_rejects_nonfinite():
 # ---------------------------------------------------------------------------
 
 
-def test_segment_integrals_polynomial_exact():
+def test_integral_from_right_polynomial_exact():
+    # the end-corrected trapezoid is exact for cubics: five-point differences
+    # are exact for them, and the next Euler-Maclaurin term is a difference
+    # of third derivatives
     x = np.linspace(0.0, 2.0, 21)
-    seg = segment_integrals(x, x**3 - x)
-    assert float(np.sum(seg)) == pytest.approx(4.0 - 2.0, abs=1e-12)
+    whole = integral_from_right(x, x**3 - x)[0]
+    assert whole == pytest.approx(4.0 - 2.0, abs=1e-12)
+
+
+def test_integral_from_right_fourth_order():
+    # halving h divides the cumulative error by about 2^4
+    def antiderivative(x):
+        return np.exp(-x) * (2.0 * np.sin(2.0 * x) - np.cos(2.0 * x)) / 5.0
+
+    def error(n):
+        x = np.linspace(0.0, 3.0, n)
+        got = integral_from_right(x, np.exp(-x) * np.cos(2.0 * x))
+        return np.max(np.abs(got - (antiderivative(3.0) - antiderivative(x))))
+
+    for n in (31, 61, 121):
+        assert 12.0 < error(n) / error(2 * n - 1) < 20.0
 
 
 def test_cumulative_tail_exponential():

@@ -105,14 +105,6 @@ def test_p_typ_matches_tail_at_nine(table):
         scaling.gap_tail_asymptotic(9.0), rel=0.12)
 
 
-def test_p_typ_g_form_regression(table):
-    # the two algebraic forms of the same integral must agree to roundoff
-    for r in (0.5, 2.0, 5.0):
-        a = scaling.p_typ(r, table)
-        b = scaling.p_typ_g_form(r, table)
-        assert abs(a - b) < 1e-8 * max(1.0, abs(a))
-
-
 def test_dos_gap_symmetry_at_origin(table):
     # both curves share the even expansion r^2/2 + a4 r^4; their difference
     # at small r is beyond-quartic
