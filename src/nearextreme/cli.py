@@ -6,8 +6,8 @@ recording version, parameters and seed, so identical invocations produce
 byte-identical files.
 
 No pipeline module is imported at module level: each command imports the
-modules it calls, so that ``sample`` loads only scipy.linalg, ``finite-n``
-only scipy.special, and parsing the arguments loads no scipy at all.
+modules it calls, so that ``sample`` loads only scipy.linalg, and
+``finite-n``, like parsing the arguments, loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def cmd_check(args) -> int:
               abs(sys_.h[0] - h0) < 1e-10 and abs(sys_.h[1] - h1) < 1e-9
               and abs(sys_.s_coef[0] + a) < 1e-10)
 
-    sys4 = fn.build_ortho_system(0.5, 5)
+    sys4 = fn.build_ortho_system(0.5, 4)
     norm, _ = quad(lambda x: fn.kernel(sys4, x, x), -8.0, 0.5, limit=200)
     check("kernel normalization int K = N (N = 4)", abs(norm - 4) < 1e-6,
           f"({norm:.8f})")

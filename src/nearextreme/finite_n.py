@@ -5,9 +5,9 @@ y are built by the discretised Stieltjes procedure (Gautschi 2004, sec. 2.2:
 inner products on one fixed Gauss-Legendre rule feed the three-term
 recurrence), for a whole array of y at once.  The Hankel-moment route is
 catastrophically ill-conditioned; Stieltjes keeps matrix sizes up to 12 at
-double precision.  From the recurrence follow the wave functions psi_k, the
-Christoffel-Darboux kernel, the CDF of the largest eigenvalue, and the
-exact density of states / first-gap PDF.
+double precision.  From the recurrence follow the normalized wave functions
+psi_k, the kernel K_N = sum_{k<N} psi_k psi_k, the CDF of the largest
+eigenvalue, and the exact density of states / first-gap PDF.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
-# conditioning cap: matrix size N <= 12 (the kernel needs N+1 polynomials)
+# conditioning cap: matrix size N <= 12, and as many polynomials
 MAX_MATRIX_SIZE = 12
-MAX_POLYNOMIALS = MAX_MATRIX_SIZE + 1
 
 # one Gauss-Legendre rule serves the inner products and the y integrals
 _GL_NODES = 160
@@ -30,6 +28,8 @@ _GL_NODES = 160
 def truncation_amplitude(y: float) -> float:
     """a(y) = e^(-y^2) / (sqrt(pi) (1 + erf y)), written through the
     scaled complementary error function for stability at negative y."""
+    from scipy.special import erfcx
+
     return 1.0 / (math.sqrt(math.pi) * erfcx(-y))
 
 
@@ -57,17 +57,18 @@ class OrthoSystem:
 def build_ortho_system(y: float | np.ndarray, n: int) -> OrthoSystem:
     """Discretised Stieltjes procedure for the first n monic polynomials at
     every truncation point in y (scalar or 1-D array)."""
-    if not 1 <= n <= MAX_POLYNOMIALS:
+    if not 1 <= n <= MAX_MATRIX_SIZE:
         raise ValueError(
-            f"n must be in [1, {MAX_POLYNOMIALS}] (double-precision "
+            f"n must be in [1, {MAX_MATRIX_SIZE}] (double-precision "
             "conditioning bound)")
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("y must be finite")
-    # the weight is negligible below -13 (e^(-169)), so the rule starts there
+    # the weight is negligible beyond |lambda| = 13 (e^(-169)): the rule ends
+    # at min(y, 13) and starts at -13, or 2 below y when y is further out
     x, w = _gauss_rule()
     lo = np.minimum(-13.0, y_arr - 2.0)[..., None]
-    half = 0.5 * (y_arr[..., None] - lo)
+    half = 0.5 * (np.minimum(y_arr, 13.0)[..., None] - lo)
     lam = half * x + (lo + half)
     wt = half * w * np.exp(-lam * lam)
     h = np.zeros(y_arr.shape + (n,))
@@ -86,71 +87,51 @@ def build_ortho_system(y: float | np.ndarray, n: int) -> OrthoSystem:
     return OrthoSystem(y=y, n=n, h=h, s_coef=s, r_coef=r)
 
 
-def _recurrence(sys: OrthoSystem, k: int, lam):
-    """(pi_{k-1}, pi_k, pi_{k-1}', pi_k') at lam by the forward monic
-    recurrence and its derivative.  For an array system the last axis of
-    lam runs over its systems."""
-    p_prev, p = 0.0, 1.0
-    d_prev, d = 0.0, 0.0
-    for j in range(k):
-        s, r = sys.s_coef[..., j], sys.r_coef[..., j]
-        d_prev, d = d, p + (lam - s) * d - r * d_prev
+def psi(sys: OrthoSystem, lam) -> np.ndarray:
+    """Normalized wave functions psi_k(lam) = pi_k(lam) e^(-lam^2/2)/sqrt(h_k)
+    for k = 0 .. sys.n - 1, stacked on a leading axis, by the forward monic
+    recurrence.  For an array system the last axis of lam runs over its
+    systems."""
+    lam = np.asarray(lam, dtype=float)
+    weight = np.exp(-np.square(lam) / 2.0)
+    p_prev, p, out = 0.0, 1.0, []
+    for k in range(sys.n):
+        out.append(p * weight / np.sqrt(sys.h[..., k]))
+        s, r = sys.s_coef[..., k], sys.r_coef[..., k]
         p_prev, p = p, (lam - s) * p - r * p_prev
-    return p_prev, p, d_prev, d
-
-
-def psi_k(sys: OrthoSystem, k: int, lam):
-    """Normalized wave function pi_k(lam) e^(-lam^2/2) / sqrt(h_k)."""
-    if not 0 <= k < sys.n:
-        raise IndexError(f"k must be in [0, {sys.n})")
-    _, pk, _, _ = _recurrence(sys, k, lam)
-    return pk * np.exp(-np.square(lam) / 2.0) / np.sqrt(sys.h[..., k])
+    return np.stack(np.broadcast_arrays(*out))
 
 
 def kernel(sys: OrthoSystem, lam1, lam2):
-    """Christoffel-Darboux kernel K_N(lam1, lam2) with N = sys.n - 1
-    (the system must carry one polynomial beyond the matrix size):
-    e^(-(l1^2 + l2^2)/2) / h_{N-1} times
-    (pi_N(l1) pi_{N-1}(l2) - pi_{N-1}(l1) pi_N(l2)) / (l1 - l2), or its
-    limit pi_N' pi_{N-1} - pi_{N-1}' pi_N when |l1 - l2| < 1e-7.  For an
-    array system the last axis of lam1, lam2 runs over its systems."""
-    if sys.n < 2:
-        raise ValueError("kernel needs at least two polynomials")
-    diff = lam1 - lam2
-    close = np.abs(diff) < 1e-7
-    p1, p, d1, d = _recurrence(sys, sys.n - 1, 0.5 * (lam1 + lam2))
-    a1, b1, _, _ = _recurrence(sys, sys.n - 1, lam1)
-    a2, b2, _, _ = _recurrence(sys, sys.n - 1, lam2)
-    cd = np.where(close, d * p1 - d1 * p,
-                  (b1 * a2 - a1 * b2) / np.where(close, 1.0, diff))
-    w = np.exp(-(np.square(lam1) + np.square(lam2)) / 2.0)
-    return (cd * w / sys.h[..., sys.n - 2])[()]
+    """Kernel K_N(lam1, lam2) = sum_{k<N} psi_k(lam1) psi_k(lam2) with
+    N = sys.n.  For an array system the last axis of lam1, lam2 runs over
+    its systems."""
+    lam1, lam2 = np.broadcast_arrays(lam1, lam2)
+    return np.sum(psi(sys, lam1) * psi(sys, lam2), axis=0)[()]
 
 
-def _cdf_from_norms(h: np.ndarray, n: int) -> np.ndarray:
-    """(N!/Z_N) prod_{j<N} h_j over the last axis of h, with
+def _cdf_from_norms(h: np.ndarray) -> np.ndarray:
+    """(N!/Z_N) prod_{j<N} h_j over the last axis of h (length N), with
     Z_N = 2^(-N^2/2) (2 pi)^(N/2) prod_{j=1}^{N} j!"""
+    n = h.shape[-1]
     log_z = (-n * n / 2.0 * math.log(2.0) + n / 2.0 * math.log(2.0 * math.pi)
              + sum(math.lgamma(j + 1) for j in range(1, n + 1)))
     return np.exp(math.lgamma(n + 1) - log_z
-                  + np.sum(np.log(h[..., :n]), axis=-1))
+                  + np.sum(np.log(h), axis=-1))
 
 
 def cdf_lambda_max(y: float | np.ndarray, n: int) -> float | np.ndarray:
     """P(lambda_max <= y) = (N!/Z_N) prod_{j=0}^{N-1} h_j(y), for a scalar
     or an array y."""
-    if not 1 <= n <= MAX_MATRIX_SIZE:
-        raise ValueError(f"n must be in [1, {MAX_MATRIX_SIZE}]")
-    sys = build_ortho_system(y, n)
-    cdf = np.minimum(_cdf_from_norms(sys.h, n), 1.0)
+    cdf = _cdf_from_norms(build_ortho_system(y, n).h)
     return float(cdf) if cdf.ndim == 0 else cdf
 
 
 @functools.lru_cache(maxsize=32)
 def _dos_nodes(n: int, left_extension: int = 0):
     """Window [y_lo, y_hi] over the support of the lambda_max density, and
-    on its Gauss-Legendre nodes the weights, the OrthoSystem of n + 1
-    polynomials (its y are the nodes), the CDF and K_N(y, y).
+    on its Gauss-Legendre nodes the weights, the OrthoSystem of n
+    polynomials (its y are the nodes), the CDF and psi(y).
 
     `left_extension` widens the window downward; the kernel factor
     K_N(y - r, y - r) at negative r pushes integrand mass below the
@@ -167,10 +148,9 @@ def _dos_nodes(n: int, left_extension: int = 0):
     x, w = _gauss_rule()
     y_nodes = 0.5 * (y_hi - y_lo) * x + 0.5 * (y_hi + y_lo)
     weights = 0.5 * (y_hi - y_lo) * w
-    sys = build_ortho_system(y_nodes, n + 1)
-    cdf_vals = _cdf_from_norms(sys.h, n)
-    kyy = kernel(sys, y_nodes, y_nodes)
-    return y_lo, y_hi, weights, sys, cdf_vals, kyy
+    sys = build_ortho_system(y_nodes, n)
+    return (y_lo, y_hi, weights, sys, _cdf_from_norms(sys.h),
+            psi(sys, y_nodes))
 
 
 def _node_set(r: np.ndarray, n: int):
@@ -190,12 +170,14 @@ def dos_exact(r: float | np.ndarray, n: int) -> float | np.ndarray:
     if not 2 <= n <= MAX_MATRIX_SIZE:
         raise ValueError(f"dos_exact needs n in [2, {MAX_MATRIX_SIZE}]")
     r_arr = np.asarray(r, dtype=float)
-    _, _, weights, sys, cdf_vals, kyy = _node_set(r_arr, n)
-    lam = sys.y - r_arr[..., None]
-    k_rr = kernel(sys, lam, lam)
-    k_yr = kernel(sys, sys.y, lam)
-    total = np.sum(weights * cdf_vals * (kyy * k_rr - k_yr * k_yr),
-                   axis=-1) / (n - 1)
+    _, _, weights, sys, cdf_vals, psi_y = _node_set(r_arr, n)
+    # one recurrence at y - r for every r (rows) and node (columns)
+    psi_r = psi(sys, sys.y - r_arr.reshape(-1, 1))
+    k_yy = np.sum(psi_y * psi_y, axis=0)
+    k_rr = np.sum(psi_r * psi_r, axis=0)
+    k_yr = np.sum(psi_y[:, None] * psi_r, axis=0)
+    total = np.sum(weights * cdf_vals * (k_yy * k_rr - k_yr * k_yr),
+                   axis=-1).reshape(r_arr.shape) / (n - 1)
     return float(total) if r_arr.ndim == 0 else total
 
 
@@ -203,7 +185,7 @@ def rule_header(n: int, r: np.ndarray | None = None) -> str:
     """CSV header line naming the Gauss rule and, for dos_exact at the
     distances r (the gap PDF at s takes r = -s), its node-set window."""
     line = (f"rule: Gauss-Legendre, {_GL_NODES} nodes, inner products on "
-            "[min(-13, y - 2), y]")
+            "[min(-13, y - 2), min(y, 13)]")
     if r is not None:
         line += "; y integral on [{:.6g}, {:.6g}]".format(*_node_set(r, n)[:2])
     return line

@@ -166,7 +166,7 @@ def test_criterion_09_finite_n_exactness():
         norm_errs.append(abs(sysk.h[0] - h0))
         norm_errs.append(abs(sysk.h[1] - h1))
     y4 = 0.5
-    sys4 = fn.build_ortho_system(y4, 5)
+    sys4 = fn.build_ortho_system(y4, 4)
     n1, _ = quad(lambda lam: fn.kernel(sys4, lam, lam), -8.0, y4, limit=200)
     n2, _ = quad(lambda r: fn.kernel(sys4, y4, y4 - r) ** 2, 0.0, 9.0,
                  limit=300)

@@ -112,10 +112,13 @@ def _scipy_modules_after(argv, tmp_path, module="nearextreme.cli"):
 
 def test_commands_import_only_what_they_use(tmp_path):
     # start-up is most of a cheap command's wall time; each command loads
-    # only the scipy subpackages it calls
+    # only the scipy subpackages it calls, and the finite-N path none
     assert _scipy_modules_after([], tmp_path) == set()
     assert _scipy_modules_after([], tmp_path, "nearextreme.numerics") == set()
+    assert _scipy_modules_after([], tmp_path, "nearextreme.finite_n") == set()
     out = ["--out", str(tmp_path / "out.csv")]
+    assert _scipy_modules_after(["finite-n", "--n", "6", "--quantity", "gap"]
+                                + out, tmp_path) == set()
     # the edge path integrates without splines, so nothing loads
     # scipy.interpolate or what it brings with it
     no_spline = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
@@ -124,8 +127,6 @@ def test_commands_import_only_what_they_use(tmp_path):
         (["sample", "--n", "1000", "--samples", "20", "--quantity", "gap",
           "--threads", "1"],
          ("scipy.integrate", "scipy.interpolate", "scipy.special")),
-        (["finite-n", "--n", "6", "--quantity", "gap"],
-         ("scipy.integrate", "scipy.interpolate", "scipy.linalg")),
         (["dos-edge"], no_spline),
         (["gap-pdf", "--rmax", "2", "--step", "0.5"], no_spline),
         (["tabulate-painleve"], no_spline),
@@ -184,7 +185,7 @@ def test_finite_n_gap_roundtrip(tmp_path):
     # F_2 reaches 1e-13 and 1 - 1e-13 at -3.289 and 5.583; gap distances
     # up to 3 widen the lower end by ceil(3 + 1) = 4
     assert header[2] == ("# rule: Gauss-Legendre, 160 nodes, inner products "
-                         "on [min(-13, y - 2), y]; y integral on "
+                         "on [min(-13, y - 2), min(y, 13)]; y integral on "
                          "[-7.28904, 5.58333]")
 
 
@@ -206,7 +207,7 @@ def test_finite_n_cdf_roundtrip(tmp_path):
     for y, v in rows:
         assert v == pytest.approx((1.0 + math.erf(y)) / 2.0, abs=1e-10)
     assert header[2] == ("# rule: Gauss-Legendre, 160 nodes, inner products "
-                         "on [min(-13, y - 2), y]")
+                         "on [min(-13, y - 2), min(y, 13)]")
 
 
 def test_sample_csv_determinism(tmp_path):

@@ -100,6 +100,19 @@ def test_hermite_limit():
         assert sys.h[k] == pytest.approx(expect, rel=1e-6)
 
 
+def test_rule_stays_on_the_weight_for_large_y():
+    # a rule running up to a large y spreads its nodes where the weight is
+    # zero: the norms drift from the Hermite values and F_N exceeds 1
+    n = fn.MAX_MATRIX_SIZE
+    k = np.arange(n)
+    hermite = np.array([math.sqrt(math.pi) * math.factorial(j) / 2.0**j
+                        for j in k])
+    sys = fn.build_ortho_system(np.array([8.0, 20.0, 40.0]), n)
+    assert np.max(np.abs(sys.h / hermite - 1.0)) < 1e-12
+    cdf = fn.cdf_lambda_max(np.linspace(-12.0, 40.0, 521), n)
+    assert np.max(cdf) <= 1.0 + 1e-13
+
+
 def stieltjes_reference(y, n):
     """Stieltjes procedure with every inner product an adaptive quad over
     [min(-13, y - 2), y]: h, S, R of the first n monic polynomials."""
@@ -124,7 +137,7 @@ def stieltjes_reference(y, n):
 @pytest.mark.parametrize("y", (-3.0, 0.0, 2.0, 5.0, 8.0))
 def test_builder_matches_adaptive_reference(y):
     # beyond n = 4 no closed form exists; adaptive quadrature is the oracle
-    n = fn.MAX_POLYNOMIALS
+    n = fn.MAX_MATRIX_SIZE
     h, s, r = stieltjes_reference(y, n)
     sys = fn.build_ortho_system(y, n)
     assert np.max(np.abs(sys.h / h - 1.0)) < 1e-11
@@ -156,7 +169,7 @@ def test_array_call_equals_stacked_scalar_calls():
 
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
-        fn.build_ortho_system(0.0, fn.MAX_POLYNOMIALS + 1)
+        fn.build_ortho_system(0.0, fn.MAX_MATRIX_SIZE + 1)
     with pytest.raises(ValueError):
         fn.build_ortho_system(math.inf, 3)
     with pytest.raises(ValueError):
@@ -170,12 +183,12 @@ def test_build_rejects_bad_input():
 
 def test_psi_orthonormality():
     y = 0.7
-    sys = fn.build_ortho_system(y, 5)
+    sys = fn.build_ortho_system(y, 4)
     for k in range(4):
-        norm, _ = quad(lambda lam: fn.psi_k(sys, k, lam) ** 2, -10.0, y,
+        norm, _ = quad(lambda lam: fn.psi(sys, lam)[k] ** 2, -10.0, y,
                        limit=200)
         assert norm == pytest.approx(1.0, abs=1e-8)
-    cross, _ = quad(lambda lam: fn.psi_k(sys, 0, lam) * fn.psi_k(sys, 1, lam),
+    cross, _ = quad(lambda lam: fn.psi(sys, lam)[0] * fn.psi(sys, lam)[1],
                     -10.0, y, limit=200)
     assert abs(cross) < 1e-8
 
@@ -187,13 +200,14 @@ def test_psi_hermite_regime():
     h2 = 4.0 * lam * lam - 2.0
     expect = h2 * math.exp(-lam * lam / 2.0) / (
         math.pi**0.25 * 2.0 * math.sqrt(2.0))
-    assert fn.psi_k(sys, 2, lam) == pytest.approx(expect, abs=1e-6)
+    assert fn.psi(sys, lam)[2] == pytest.approx(expect, abs=1e-6)
 
 
 def test_psi_index_bounds():
     sys = fn.build_ortho_system(0.0, 3)
+    assert fn.psi(sys, 0.0).shape == (3,)
     with pytest.raises(IndexError):
-        fn.psi_k(sys, 3, 0.0)
+        fn.psi(sys, 0.0)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +216,7 @@ def test_psi_index_bounds():
 
 
 def test_kernel_symmetry():
-    sys = fn.build_ortho_system(0.5, 5)
+    sys = fn.build_ortho_system(0.5, 4)
     rng = np.random.default_rng(3)
     for _ in range(10):
         l1, l2 = rng.uniform(-3.0, 0.5, 2)
@@ -212,7 +226,7 @@ def test_kernel_symmetry():
 
 def test_kernel_trace_normalization():
     y = 0.5
-    sys = fn.build_ortho_system(y, 5)
+    sys = fn.build_ortho_system(y, 4)
     norm, _ = quad(lambda lam: fn.kernel(sys, lam, lam), -8.0, y, limit=200)
     assert norm == pytest.approx(4.0, abs=1e-6)
 
@@ -220,7 +234,7 @@ def test_kernel_trace_normalization():
 def test_kernel_squared_normalization():
     # int K^2(y, y - r) dr = K(y, y)
     y = 0.5
-    sys = fn.build_ortho_system(y, 5)
+    sys = fn.build_ortho_system(y, 4)
     # the second argument runs over the weight's support (-inf, y]
     val, _ = quad(lambda r: fn.kernel(sys, y, y - r) ** 2, 0.0, 9.0,
                   limit=300)
@@ -229,16 +243,48 @@ def test_kernel_squared_normalization():
 
 def test_kernel_is_log_derivative_of_cdf():
     y, delta, n = 0.8, 1e-5, 4
-    sys = fn.build_ortho_system(y, n + 1)
+    sys = fn.build_ortho_system(y, n)
     num = (math.log(fn.cdf_lambda_max(y + delta, n))
            - math.log(fn.cdf_lambda_max(y - delta, n))) / (2.0 * delta)
     assert fn.kernel(sys, y, y) == pytest.approx(num, abs=1e-5)
 
 
 def test_kernel_coinciding_limit_continuity():
-    sys = fn.build_ortho_system(0.5, 5)
+    sys = fn.build_ortho_system(0.5, 4)
     assert fn.kernel(sys, 0.1, 0.1) == pytest.approx(
         fn.kernel(sys, 0.1, 0.1 + 1e-6), rel=1e-4)
+
+
+def test_kernel_matches_extended_precision():
+    # the Gram determinant K(y,y) K(lam,lam) - K(y,lam)^2 in the dos_exact
+    # integrand cancels as r = y - lam -> 0; the same recurrence
+    # coefficients summed in 40 digits are the reference
+    mp = pytest.importorskip("mpmath")
+    y, n = 1.0, 12
+    sys = fn.build_ortho_system(y, n)
+    s = [mp.mpf(v) for v in sys.s_coef]
+    r_coef = [mp.mpf(v) for v in sys.r_coef]
+    h = [mp.mpf(v) for v in sys.h]
+
+    def psi_mp(lam):
+        weight = mp.exp(-lam * lam / 2)
+        p_prev, p, out = mp.mpf(0), mp.mpf(1), []
+        for k in range(n):
+            out.append(p * weight / mp.sqrt(h[k]))
+            p_prev, p = p, (lam - s[k]) * p - r_coef[k] * p_prev
+        return out
+
+    def kernel_mp(a, b):
+        return mp.fsum(u * v for u, v in zip(psi_mp(a), psi_mp(b)))
+
+    for r in (1e-3, 0.05, 1.0, 12.0):
+        lam = y - r
+        got = (fn.kernel(sys, y, y) * fn.kernel(sys, lam, lam)
+               - fn.kernel(sys, y, lam) ** 2)
+        with mp.workdps(40):
+            a, b = mp.mpf(y), mp.mpf(lam)
+            ref = kernel_mp(a, a) * kernel_mp(b, b) - kernel_mp(a, b) ** 2
+            assert abs(float(mp.mpf(float(got)) / ref - 1)) < 1e-10, r
 
 
 # ---------------------------------------------------------------------------
