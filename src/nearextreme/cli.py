@@ -72,7 +72,7 @@ def cmd_tabulate_painleve(args) -> int:
     t = painleve.default_table()
     g = t.grid.nodes()
     _write_csv(args.out, _provenance(t) + ["columns: x, q, q_prime, R, F2"],
-               [g, t.q.values, t.q_prime.values, t.R.values, t.f2.values],
+               [g, t.q, t.q_prime, t.R, t.f2],
                ["x", "q", "q_prime", "R", "F2"])
     return 0
 
@@ -86,7 +86,7 @@ def cmd_tabulate_psi(args) -> int:
     _write_csv(args.out,
                _provenance(t) + [f"r_tilde = {args.r_tilde}",
                                  "columns: x, f, g"],
-               [g, psi.f.values, psi.g.values], ["x", "f", "g"])
+               [g, psi.f, psi.g], ["x", "f", "g"])
     return 0
 
 
@@ -175,15 +175,12 @@ def cmd_sample(args) -> int:
               montecarlo.solve_header(args.n, top_k)]
     if args.quantity == "gap":
         hist = montecarlo.empirical_gap(samples, args.n)
-        dens = hist.density()
-        err = hist.stderr()
     else:
         hist = montecarlo.empirical_dos(samples, args.scaling, args.n)
-        dens = hist.density()
-        err = hist.stderr()
-        if args.scaling == "edge":
-            dens = dens * args.n
-            err = err * args.n
+    dens, err = hist.density(), hist.stderr()
+    if args.quantity == "dos" and args.scaling == "edge":
+        # the edge-scaled histogram estimates rho_edge / n
+        dens, err = dens * args.n, err * args.n
     _write_csv(args.out, header + ["columns: bin_center, density, stderr"],
                [hist.centers(), dens, err],
                ["bin_center", "density", "stderr"])
@@ -228,25 +225,14 @@ def cmd_check(args) -> int:
     t = painleve.default_table()
     for line in _provenance(t):
         print(f"# {line}")
-    g = t.grid.nodes()
-    h = t.grid.h
-    q = t.q.values
-
-    check("q positive", bool(np.all(q > 0)))
-    qdd = (q[2:] - 2 * q[1:-1] + q[:-2]) / h**2
-    res = np.max(np.abs(qdd - 2 * q[1:-1] ** 3 - g[1:-1] * q[1:-1]))
+    tr = painleve.table_residuals(t)
+    check("q positive", tr["q_min"] > 0)
+    res = tr["painleve_ii"]
     check("Painleve II residual < 1e-6", res < 1e-6, f"({res:.2e})")
-    rid = np.max(np.abs(t.R.values - (t.q_prime.values**2 - q**4 - g * q**2)))
+    rid = tr["r_identity"]
     check("R identity < 1e-8", rid < 1e-8, f"({rid:.2e})")
-    f2 = t.f2.values
-    check("F2 monotone in (0,1], F2(x_max) = 1",
-          bool(np.all(np.diff(f2) >= 0) and abs(f2[-1] - 1) < 1e-10
-               and np.all(f2 > 0) and np.all(f2 <= 1.0)))
-    # restrict to nodes where f2 retains relative accuracy in float64;
-    # below ~1e-8 the spline derivative of the stored values is noise
-    keep = f2[1:-1] > 1e-8
-    df2 = t.f2.derivative().values[1:-1]
-    rf2 = np.max(np.abs(df2[keep] / f2[1:-1][keep] - t.R.values[1:-1][keep]))
+    check("F2 monotone in (0,1], F2(x_max) = 1", tr["f2_monotone"])
+    rf2 = tr["r_log_derivative"]
     check("R = F2'/F2 < 1e-6", rf2 < 1e-6, f"({rf2:.2e})")
 
     a2 = painleve.a2_integral(t)
@@ -308,60 +294,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "curves, edge scaling functions, Monte Carlo validation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, rmax=12.0, step=0.05):
+    def command(name, func, text, rmax=12.0):
+        """A subcommand running ``func``, with --out and --threads, and
+        --rmax and --step unless ``rmax`` is None."""
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(func=func)
         sp.add_argument("--out", default=None, help="output CSV (default stdout)")
         sp.add_argument("--threads", type=_positive_int, default=None)
         if rmax is not None:
             sp.add_argument("--rmax", type=_nonnegative_float, default=rmax)
-            sp.add_argument("--step", type=_positive_float, default=step)
+            sp.add_argument("--step", type=_positive_float, default=0.05)
+        return sp
 
-    sp = sub.add_parser("tabulate-painleve",
-                        help="tabulate (x, q, q', R, F2)")
-    common(sp, rmax=None)
-    sp.set_defaults(func=cmd_tabulate_painleve)
-
-    sp = sub.add_parser("tabulate-psi", help="tabulate (x, f, g) at one r")
-    common(sp, rmax=None)
+    command("tabulate-painleve", cmd_tabulate_painleve,
+            "tabulate (x, q, q', R, F2)", rmax=None)
+    sp = command("tabulate-psi", cmd_tabulate_psi,
+                 "tabulate (x, f, g) at one r", rmax=None)
     sp.add_argument("--r-tilde", type=float, required=True)
-    sp.set_defaults(func=cmd_tabulate_psi)
-
-    sp = sub.add_parser("dos-edge", help="edge scaling density of states")
-    common(sp)
-    sp.set_defaults(func=cmd_dos_edge)
-
-    sp = sub.add_parser("gap-pdf", help="scaled first-gap PDF")
-    common(sp, rmax=8.0)
-    sp.set_defaults(func=cmd_gap_pdf)
-
-    sp = sub.add_parser("dos-bulk", help="shifted semicircle bulk density")
-    common(sp, rmax=None)
+    command("dos-edge", cmd_dos_edge, "edge scaling density of states")
+    command("gap-pdf", cmd_gap_pdf, "scaled first-gap PDF", rmax=8.0)
+    sp = command("dos-bulk", cmd_dos_bulk, "shifted semicircle bulk density",
+                 rmax=None)
     sp.add_argument("--step", type=_positive_float, default=0.02)
-    sp.set_defaults(func=cmd_dos_bulk)
-
-    sp = sub.add_parser("finite-n", help="exact finite-N curves")
-    common(sp, rmax=4.0)
+    sp = command("finite-n", cmd_finite_n, "exact finite-N curves", rmax=4.0)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--quantity", choices=("dos", "gap", "cdf"),
                     default="dos")
-    sp.set_defaults(func=cmd_finite_n)
-
-    sp = sub.add_parser("sample", help="Monte Carlo histograms")
-    common(sp, rmax=None)
+    sp = command("sample", cmd_sample, "Monte Carlo histograms", rmax=None)
     sp.add_argument("--n", type=_positive_int, default=1000)
     sp.add_argument("--samples", type=_positive_int, default=200000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--quantity", choices=("dos", "gap"), default="gap")
     sp.add_argument("--scaling", choices=("bulk", "edge"), default="edge")
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("asymptotics", help="asymptotic formula tables")
-    common(sp)
-    sp.set_defaults(func=cmd_asymptotics)
-
-    sp = sub.add_parser("check", help="run the invariant suite")
-    common(sp, rmax=None)
-    sp.set_defaults(func=cmd_check)
-
+    command("asymptotics", cmd_asymptotics, "asymptotic formula tables")
+    command("check", cmd_check, "run the invariant suite", rmax=None)
     return p
 
 

@@ -56,7 +56,18 @@ class OrthoSystem:
 
 def build_ortho_system(y: float | np.ndarray, n: int) -> OrthoSystem:
     """Discretised Stieltjes procedure for the first n monic polynomials at
-    every truncation point in y (scalar or 1-D array)."""
+    every truncation point in y (scalar or 1-D array); a norm that is not
+    positive raises RuntimeError."""
+    h, s, r = _stieltjes(y, n)
+    if not np.all(h > 0.0):
+        raise RuntimeError(f"a norm h_k came out non-positive at y={y}")
+    return OrthoSystem(y=y, n=n, h=h, s_coef=s, r_coef=r)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _stieltjes(y, n: int):
+    """(h, S, R) at every y, unchecked: where the weight underflows on the
+    rule (y below about -26) the norms come out 0 or NaN."""
     if not 1 <= n <= MAX_MATRIX_SIZE:
         raise ValueError(
             f"n must be in [1, {MAX_MATRIX_SIZE}] (double-precision "
@@ -78,13 +89,11 @@ def build_ortho_system(y: float | np.ndarray, n: int) -> OrthoSystem:
     for k in range(n):
         wp2 = wt * p * p
         h[..., k] = wp2.sum(axis=-1)
-        if np.any(h[..., k] <= 0.0):
-            raise RuntimeError(f"norm h_{k} came out non-positive at y={y}")
         s[..., k] = (wp2 * lam).sum(axis=-1) / h[..., k]
         if k > 0:
             r[..., k] = h[..., k] / h[..., k - 1]
         p_prev, p = p, (lam - s[..., k, None]) * p - r[..., k, None] * p_prev
-    return OrthoSystem(y=y, n=n, h=h, s_coef=s, r_coef=r)
+    return h, s, r
 
 
 def psi(sys: OrthoSystem, lam) -> np.ndarray:
@@ -122,8 +131,11 @@ def _cdf_from_norms(h: np.ndarray) -> np.ndarray:
 
 def cdf_lambda_max(y: float | np.ndarray, n: int) -> float | np.ndarray:
     """P(lambda_max <= y) = (N!/Z_N) prod_{j=0}^{N-1} h_j(y), for a scalar
-    or an array y."""
-    cdf = _cdf_from_norms(build_ortho_system(y, n).h)
+    or an array y.  Where the norms underflow (y below about -26) the CDF
+    is 0 to double precision, and 0 is returned."""
+    h = _stieltjes(y, n)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = np.where(np.all(h > 0.0, axis=-1), _cdf_from_norms(h), 0.0)
     return float(cdf) if cdf.ndim == 0 else cdf
 
 

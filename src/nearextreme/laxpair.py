@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import airy as _airy
-from .numerics import AiryProductTail, GridFunction, integral_from_right
+from .numerics import (AiryProductTail, derivative, hermite,
+                       integral_from_right)
 # not called here: perfbench/tracing.py looks up `laxpair.integrate_ode` by
 # name at start-up, so the name stays importable from this module
 from .numerics import integrate_ode  # noqa: F401
@@ -43,18 +44,23 @@ _Q_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class PsiPair:
-    """Lax-pair solution at one spectral parameter on the table grid.
+    """Lax-pair solution at one spectral parameter: one array each, one
+    value per node of the table grid.
 
     ``qf_integral`` tabulates I(x) = int_x^inf q f, from which
     g = -r_tilde * I / q.
     """
 
     r_tilde: float
-    f: GridFunction
-    g: GridFunction
+    f: np.ndarray
+    g: np.ndarray
     table: PainleveTable
-    f_prime: GridFunction
-    qf_integral: GridFunction
+    f_prime: np.ndarray
+    qf_integral: np.ndarray
+
+    def __post_init__(self):
+        self.table.grid.check(f=self.f, g=self.g, f_prime=self.f_prime,
+                              qf_integral=self.qf_integral)
 
 
 def _numerov_down(x: np.ndarray, q2: np.ndarray,
@@ -90,7 +96,7 @@ def solve_psi_batch(r_values, table: PainleveTable):
     Richardson-combined: plain Numerov at h = 0.005 misses
     f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the combination by ~4e-9.
     q at the half-grid midpoints is the cubic Hermite interpolant of the
-    table's q and q', (q_i + q_{i+1})/2 + h/8 (q'_i - q'_{i+1}).
+    table's q and q'.
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     grid = table.grid
@@ -105,11 +111,9 @@ def solve_psi_batch(r_values, table: PainleveTable):
             "double precision; use the asymptotic formulas instead")
 
     x = grid.nodes()
-    q, qp = table.q.values, table.q_prime.values
+    q = table.q
     x_half = np.linspace(grid.x_min, x_max, 2 * grid.n_points - 1)
-    q_half = np.empty_like(x_half)
-    q_half[::2] = q
-    q_half[1::2] = 0.5 * (q[:-1] + q[1:]) + grid.h / 8.0 * (qp[:-1] - qp[1:])
+    q_half = hermite(grid, q, table.q_prime, x_half)
     f_h = _numerov_down(x, q * q, r)
     f = _numerov_down(x_half, q_half * q_half, r)[::2]
     f *= 16.0 / 15.0
@@ -128,23 +132,19 @@ def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
     f' = f'(x_max) - int_x^{x_max} (u + 2q^2 - r) f du."""
     f, qf_integral = (v[:, 0] for v in solve_psi_batch([r_tilde], table))
     grid = table.grid
-    x, q = grid.nodes(), table.q.values
+    x, q = grid.nodes(), table.q
     fp = (SEED_AMPLITUDE * _airy.ai_prime_values(grid.x_max - r_tilde)
           - integral_from_right(x, (x + 2.0 * q * q - r_tilde) * f))
     g_vals = -r_tilde * qf_integral / q
     # zero-tail convention: g vanishes at the right end of the table
     g_vals[-1] = 0.0
 
-    return PsiPair(r_tilde=r_tilde,
-                   f=GridFunction(grid, f),
-                   g=GridFunction(grid, g_vals),
-                   table=table,
-                   f_prime=GridFunction(grid, fp),
-                   qf_integral=GridFunction(grid, qf_integral))
+    return PsiPair(r_tilde=r_tilde, f=f, g=g_vals, table=table, f_prime=fp,
+                   qf_integral=qf_integral)
 
 
 def _diagnostic_window(table: PainleveTable) -> np.ndarray:
-    q = table.q.values
+    q = table.q
     ok = q > _Q_FLOOR * np.max(q)
     ok[0] = ok[-1] = False
     return ok
@@ -162,22 +162,17 @@ def psi_residuals(psi: PsiPair) -> dict:
     underflow; residuals are max-norms over that window.
     """
     table = psi.table
-    g_nodes = table.grid.nodes()
-    h = table.grid.h
-    q, R = table.q.values, table.R.values
-    qp = table.q_prime.values
-    f, gv = psi.f.values, psi.g.values
-    r = psi.r_tilde
+    x, h = table.grid.nodes(), table.grid.h
+    q, qp, R = table.q, table.q_prime, table.R
+    f, gv, r = psi.f, psi.g, psi.r_tilde
 
     # fourth-order five-point second derivative so the stencil truncation
     # error stays well below the 1e-5 residual scale
     fdd = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3]
            - f[:-4]) / (12.0 * h**2)
-    schrod = fdd - (g_nodes[2:-2] + 2.0 * q[2:-2] ** 2 - r) * f[2:-2]
+    schrod = fdd - (x[2:-2] + 2.0 * q[2:-2] ** 2 - r) * f[2:-2]
     scale = max(1.0, float(np.max(np.abs(f))))
-
-    fg = q * gv + r * psi.qf_integral.values
-
+    fg = q * gv + r * psi.qf_integral
     out = {
         "schrod": float(np.max(np.abs(schrod))) / scale,
         "fg_relation": float(np.max(np.abs(fg))) / scale,
@@ -188,10 +183,7 @@ def psi_residuals(psi: PsiPair) -> dict:
         ok = _diagnostic_window(table)
         combo = ((r + R / q**2) * f**2 - 2.0 * (qp / q) * f * gv
                  + (1.0 + q**2 / r) * gv**2)
-        combo_gf = GridFunction(table.grid,
-                                np.where(np.isfinite(combo), combo, 0.0))
-        dcombo = combo_gf.derivative().values
-        res = dcombo + f * f
+        res = derivative(x, combo) + f * f
         out["conserved"] = float(np.max(np.abs(res[ok]))) / scale**2
     return out
 
@@ -203,13 +195,12 @@ def small_r_expansion(table: PainleveTable):
     f1 = -2^(-1/6) sqrt(pi) (q' + q R)
     f2 = 2^(-7/6) sqrt(pi) (q'^2/q + q' R - R/q - q^3/2 + q R^2 / 2)
     """
-    q, qp, R = table.q.values, table.q_prime.values, table.R.values
+    q, qp, R = table.q, table.q_prime, table.R
     c = SEED_AMPLITUDE
     f0 = c * q
     f1 = -c * (qp + q * R)
     f2 = 0.5 * c * (qp**2 / q + qp * R - R / q - q**3 / 2.0 + q * R**2 / 2.0)
-    mk = lambda v: GridFunction(table.grid, v)
-    return mk(f0), mk(f1), mk(f2)
+    return f0, f1, f2
 
 
 def lax_residuals(psi: PsiPair, psi_shifted: PsiPair) -> dict:
@@ -231,10 +222,9 @@ def lax_residuals(psi: PsiPair, psi_shifted: PsiPair) -> dict:
 
     table = psi.table
     ok = _diagnostic_window(table)
-    q, qp, R = table.q.values, table.q_prime.values, table.R.values
-    f, gv = psi.f.values, psi.g.values
-    fp = psi.f_prime.values
-    gp = psi.g.derivative().values
+    q, qp, R = table.q, table.q_prime, table.R
+    f, gv, fp = psi.f, psi.g, psi.f_prime
+    gp = derivative(table.grid.nodes(), gv)
     scale = max(1.0, float(np.max(np.abs(f))))
 
     res_bf = fp - (qp / q) * f + gv
@@ -243,8 +233,8 @@ def lax_residuals(psi: PsiPair, psi_shifted: PsiPair) -> dict:
 
     # centered difference: the mirror pair at r - delta is solved here
     psi_minus = solve_psi(r - delta, table)
-    dfdr = (psi_shifted.f.values - psi_minus.f.values) / (2.0 * delta)
-    dgdr = (psi_shifted.g.values - psi_minus.g.values) / (2.0 * delta)
+    dfdr = (psi_shifted.f - psi_minus.f) / (2.0 * delta)
+    dgdr = (psi_shifted.g - psi_minus.g) / (2.0 * delta)
     res_af = dfdr + (qp / q) * f - (1.0 + q**2 / r) * gv
     res_ag = dgdr - (-r - R / q**2) * f - (qp / q) * gv
     a_res = max(np.max(np.abs(res_af[ok])), np.max(np.abs(res_ag[ok])))

@@ -1,11 +1,13 @@
 """Shared numerical infrastructure: grids, tail-aware integration, ODE driver.
 
-The central object is :class:`GridFunction`, a function tabulated on a uniform
-grid and defined on its grid only.  Every integral is the end-corrected
-trapezoid rule of :func:`integral_from_right`, accumulated *from the right end
-inward* so that small tail values retain full relative accuracy even when the
-integrand grows by many orders of magnitude toward the left; a global
-antiderivative difference would lose them to cancellation.
+A function on a uniform :class:`Grid` is a plain array of its node values,
+defined on the grid only.  It has three rules: :func:`derivative`, five-point
+differences of fourth order; :func:`hermite`, the cubic Hermite interpolant
+from values and known slopes, which raises off the grid; and
+:func:`integral_from_right`, the end-corrected trapezoid rule accumulated
+*from the right end inward* so that small tail values retain full relative
+accuracy even when the integrand grows by many orders of magnitude toward the
+left; a global antiderivative difference would lose them to cancellation.
 :func:`cumulative_tail_integral` adds the part beyond x_max, a tail model's
 closed-form remainder passed by the caller.
 """
@@ -59,11 +61,18 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
+    def check(self, **arrays) -> None:
+        """Raise ValueError unless each array has one finite value per node."""
+        for name, v in arrays.items():
+            if np.shape(v) != (self.n_points,) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must hold n_points = "
+                                 f"{self.n_points} finite values")
+
 
 # ---------------------------------------------------------------------------
 # Tail models: the analytic remainder int_{x_max}^inf of an integrand whose
 # behaviour beyond the grid is known.  They are passed to
-# cumulative_tail_integral; a GridFunction carries none.
+# cumulative_tail_integral; an array on a grid carries none.
 # ---------------------------------------------------------------------------
 
 
@@ -106,43 +115,39 @@ class AiryProductTail:
         return float(v_max * integral / (ai_a * ai_b))
 
 
-class GridFunction:
-    """Real function sampled on a uniform grid, cubic interpolation between
-    nodes.  Evaluation outside the grid raises."""
-
-    def __init__(self, grid: Grid, values: Sequence[float]):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_points,):
-            raise ValueError("values length must match grid.n_points")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("GridFunction values must be finite")
-        self.grid = grid
-        self.values = values
-        self._spline = None
-
-    def spline(self):
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(self.grid.nodes(), self.values)
-        return self._spline
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.grid.x_min, self.grid.x_max
-        if np.any((x < lo) | (x > hi)):
-            raise ValueError(f"evaluation outside grid domain [{lo}, {hi}]")
-        out = self.spline()(x)
-        return float(out) if x.ndim == 0 else out
-
-    def derivative(self) -> "GridFunction":
-        d = self.spline().derivative()(self.grid.nodes())
-        return GridFunction(self.grid, d)
+def hermite(grid: Grid, values: np.ndarray, slopes: np.ndarray, x):
+    """Cubic Hermite interpolant of ``values`` with derivatives ``slopes`` at
+    the nodes of ``grid``, evaluated at x (a float for a scalar x, else an
+    array).  Evaluation outside the grid raises ValueError."""
+    x, lo, hi, h = np.asarray(x, dtype=float), grid.x_min, grid.x_max, grid.h
+    if not np.all((x >= lo) & (x <= hi)):
+        raise ValueError(f"evaluation outside grid domain [{lo}, {hi}]")
+    u = (x - lo) / h
+    i = np.minimum(u.astype(int), grid.n_points - 2)
+    t = u - i
+    s = 1.0 - t
+    out = (s * s * ((1.0 + 2.0 * t) * values[i] + t * h * slopes[i])
+           + t * t * ((3.0 - 2.0 * t) * values[i + 1] - s * h * slopes[i + 1]))
+    return float(out) if out.ndim == 0 else out
 
 
 # g' at the first two of five nodes, to fourth order like the central stencil;
 # mirrored and negated, the same rows give g' at the last two
 _ONE_SIDED = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
                        [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+
+
+def derivative(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """g' at every node of the uniform grid x (5 or more nodes), g =
+    ``values`` with one function per trailing column: five-point differences
+    of fourth order, one-sided at the two end nodes on each side."""
+    g = np.asarray(values, dtype=float)
+    h = x[1] - x[0]
+    dg = np.empty_like(g)
+    dg[2:-2] = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * h)
+    dg[:2] = np.tensordot(_ONE_SIDED, g[:5], axes=1) / h
+    dg[-2:] = -np.tensordot(_ONE_SIDED[::-1, ::-1], g[-5:], axes=1) / h
+    return dg
 
 
 def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -156,32 +161,25 @@ def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     h = x[1] - x[0]
     cum = np.zeros_like(g)
     cum[:-1] = np.cumsum(0.5 * h * (g[-1:0:-1] + g[-2::-1]), axis=0)[::-1]
-    dg = np.empty_like(g)
-    dg[2:-2] = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * h)
-    dg[:2] = np.tensordot(_ONE_SIDED, g[:5], axes=1) / h
-    dg[-2:] = -np.tensordot(_ONE_SIDED[::-1, ::-1], g[-5:], axes=1) / h
+    dg = derivative(x, g)
     cum += h * h / 12.0 * (dg - dg[-1])
     return cum
 
 
-def cumulative_tail_integral(gf: GridFunction, tail=None) -> GridFunction:
-    """G(x) = int_x^{x_max} gf(u) du + ``tail``'s remainder beyond x_max.
-
-    The cumulative sum runs from x_max downward so that G keeps relative
-    accuracy where it is small, independent of how large gf gets near x_min.
-    Without a tail the integrand must have decayed at x_max.
-    """
-    cum = integral_from_right(gf.grid.nodes(), gf.values)
+def cumulative_tail_integral(x: np.ndarray, values: np.ndarray,
+                             tail=None) -> np.ndarray:
+    """G(x) = int_x^{x_max} g(u) du + ``tail``'s remainder beyond x_max, at
+    every node of the uniform grid x, g = ``values``; G keeps relative
+    accuracy where it is small (:func:`integral_from_right`).  Without a
+    tail the integrand must have decayed at x_max."""
+    cum = integral_from_right(x, values)
     if tail is None:
-        scale = np.max(np.abs(gf.values)) if gf.values.size else 0.0
-        if scale > 0.0 and abs(gf.values[-1]) > 1e-13 * scale:
+        if abs(values[-1]) > 1e-13 * np.max(np.abs(values)):
             raise TruncationError(
                 "integrand has not decayed at x_max and no tail model was "
                 "given; attach an explicit tail descriptor")
-        remainder = 0.0
-    else:
-        remainder = tail.remainder(gf.grid.x_max, gf.values[-1])
-    return GridFunction(gf.grid, cum + remainder)
+        return cum
+    return cum + tail.remainder(float(x[-1]), values[-1])
 
 
 def integrate_ode(rhs: Callable, x_start: float, x_end: float,

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import airy as _airy
-from .numerics import (AiryProductTail, ExponentialTail, Grid, GridFunction,
+from .numerics import (AiryProductTail, ExponentialTail, Grid,
                        ZETA_PRIME_MINUS_ONE, cumulative_tail_integral,
-                       integral_from_right)
+                       derivative, hermite, integral_from_right)
 
 # Left tail amplitude of F2: tau2 = 2^(1/24) exp(zeta'(-1))
 TAU_2 = 2.0 ** (1.0 / 24.0) * math.exp(ZETA_PRIME_MINUS_ONE)
@@ -37,22 +37,32 @@ TABLE_SCHEME = "Newton-Numerov on h and h/2 with Richardson"
 
 @dataclass(frozen=True)
 class PainleveTable:
-    """Jointly tabulated (q, q', R, F2) on one grid.
-
-    Invariants: q > 0; q'' = 2q^3 + x q; R = q'^2 - q^4 - x q^2;
-    f2 non-decreasing with f2(x_max) = 1; R = f2'/f2.
+    """Jointly tabulated (q, q', R, F2): one array each, one value per node
+    of ``grid``.  :func:`table_residuals` measures their invariants.
 
     ``newton_steps`` and ``residual`` are the Newton step count and the
     largest Numerov residual over the two solves (h and h/2).
     """
 
     grid: Grid
-    q: GridFunction
-    q_prime: GridFunction
-    R: GridFunction
-    f2: GridFunction
+    q: np.ndarray
+    q_prime: np.ndarray
+    R: np.ndarray
+    f2: np.ndarray
     newton_steps: int
     residual: float
+
+    def __post_init__(self):
+        self.grid.check(q=self.q, q_prime=self.q_prime, R=self.R, f2=self.f2)
+
+    def at(self, x):
+        """(q, q', R, F2) at x, each the cubic Hermite interpolant on its
+        exact slope: q', 2q^3 + x q, -q^2 and R F2.  Off the grid it
+        raises ValueError."""
+        q, qp, R, f2 = self.q, self.q_prime, self.R, self.f2
+        slopes = (qp, (2.0 * q * q + self.grid.nodes()) * q, -q * q, R * f2)
+        return tuple(hermite(self.grid, v, d, x)
+                     for v, d in zip((q, qp, R, f2), slopes))
 
 
 def _left_asymptote(x):
@@ -65,7 +75,8 @@ def _newton_numerov(x: np.ndarray, q: np.ndarray):
     x, q[0] and q[-1] held fixed.  Returns q, the step count and the max
     residual of q[i+1] - 2q[i] + q[i-1] - h^2/12 (F[i+1] + 10F[i] + F[i-1])
     at the returned q; the Jacobian is tridiagonal.  Newton stops after an
-    update below _LAST_UPDATE: the next one would be roundoff."""
+    update below _LAST_UPDATE: the next one would be roundoff.  A
+    non-finite iterate raises RuntimeError."""
     c = (x[1] - x[0]) ** 2 / 12.0
     q, ab = q.copy(), np.empty((3, x.size - 2))
     steps, size = 0, math.inf
@@ -73,6 +84,11 @@ def _newton_numerov(x: np.ndarray, q: np.ndarray):
         force = (2.0 * q * q + x) * q
         res = (q[2:] - 2.0 * q[1:-1] + q[:-2]
                - c * (force[2:] + 10.0 * force[1:-1] + force[:-2]))
+        if not np.all(np.isfinite(res)):
+            raise RuntimeError(
+                f"Newton did not converge on [{x[0]:g}, {x[-1]:g}] with "
+                f"{x.size} nodes: not finite after step {steps} (last "
+                f"update {size:.3e})")
         if size <= _LAST_UPDATE or steps == 100:
             return q, steps, float(np.max(np.abs(res)))
         off = 1.0 - c * (6.0 * q * q + x)
@@ -116,18 +132,14 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
         x, (2.0 * q * q + x) * q)
 
     # R(x) = int_x^inf q^2 with the exact Airy-squared remainder
-    R = cumulative_tail_integral(GridFunction(domain, q * q),
-                                 AiryProductTail())
+    R = cumulative_tail_integral(x, q * q, AiryProductTail())
 
     # log F2(x) = -int_x^inf R(u) du; R decays like Ai(x)^2, for which a
     # local exponential rate 2 sqrt(x_max) is accurate at the boundary.
-    logf2 = cumulative_tail_integral(
-        R, ExponentialTail(rate=2.0 * math.sqrt(x_max)))
-    f2 = np.exp(-logf2.values)
+    f2 = np.exp(-cumulative_tail_integral(
+        x, R, ExponentialTail(rate=2.0 * math.sqrt(x_max))))
 
-    return PainleveTable(grid=domain, q=GridFunction(domain, q),
-                         q_prime=GridFunction(domain, qp), R=R,
-                         f2=GridFunction(domain, f2),
+    return PainleveTable(grid=domain, q=q, q_prime=qp, R=R, f2=f2,
                          newton_steps=steps_h + steps_fine, residual=residual)
 
 
@@ -136,6 +148,28 @@ def default_table() -> PainleveTable:
     """The canonical table on DEFAULT_DOMAIN, solved once per process
     (~15 ms)."""
     return solve_hastings_mcleod(DEFAULT_DOMAIN)
+
+
+def table_residuals(table: PainleveTable) -> dict:
+    """The table invariants on its nodes: ``q_min`` (q > 0), the max-norm
+    residuals ``painleve_ii`` of q'' = 2q^3 + x q (q'' by second
+    differences), ``r_identity`` of R = q'^2 - q^4 - x q^2 and
+    ``r_log_derivative`` of R = (log f2)' (five-point, interior nodes), and
+    ``f2_monotone``: f2 non-decreasing in (0, 1] with f2(x_max) = 1."""
+    x, h = table.grid.nodes(), table.grid.h
+    q, qp, R, f2 = table.q, table.q_prime, table.R, table.f2
+    qdd = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / h**2
+    return {
+        "q_min": float(np.min(q)),
+        "painleve_ii": float(np.max(np.abs(
+            qdd - 2.0 * q[1:-1] ** 3 - x[1:-1] * q[1:-1]))),
+        "r_identity": float(np.max(np.abs(R - (qp**2 - q**4 - x * q**2)))),
+        "f2_monotone": bool(np.all(np.diff(f2) >= 0.0)
+                            and abs(f2[-1] - 1.0) < 1e-10
+                            and np.all(f2 > 0.0) and np.all(f2 <= 1.0)),
+        "r_log_derivative": float(np.max(np.abs(
+            derivative(x, np.log(f2))[1:-1] - R[1:-1]))),
+    }
 
 
 def tracy_widom_f2_asymptote(x):
@@ -161,12 +195,12 @@ def tracy_widom_f2(table: PainleveTable, x: float) -> float:
         return tracy_widom_f2_asymptote(x)
     if x >= x_max:
         return 1.0
-    qs = table.q.spline()
-    val, _ = quad(lambda u: (u - x) * qs(u) ** 2, x, x_max,
+    grid, q, qp = table.grid, table.q, table.q_prime
+    val, _ = quad(lambda u: (u - x) * hermite(grid, q, qp, u) ** 2, x, x_max,
                   epsabs=1e-13, epsrel=1e-12, limit=300)
     # remainder beyond x_max with the Airy model for q
     rem, _ = quad(lambda u: (u - x) * _airy.ai_values(np.array(u)) ** 2
-                  * (table.q.values[-1] / _airy.airy(x_max).ai) ** 2,
+                  * (q[-1] / _airy.airy(x_max).ai) ** 2,
                   x_max, x_max + 20.0, epsabs=1e-300, epsrel=1e-10)
     return math.exp(-(val + rem))
 
@@ -177,8 +211,8 @@ _CBRT2 = 2.0 ** (1.0 / 3.0)
 def q_half(table: PainleveTable, s: float) -> float:
     """Painleve II alpha = 1/2 transcendent via the quotient formula
     q_half(s) = -2^(-1/3) q'(x)/q(x) at x = -2^(-1/3) s."""
-    x = -s / _CBRT2
-    return -table.q_prime(x) / (_CBRT2 * table.q(x))
+    q, qp, _, _ = table.at(-s / _CBRT2)
+    return -qp / (_CBRT2 * q)
 
 
 def q_half_prime(table: PainleveTable, s: float) -> float:
@@ -186,7 +220,7 @@ def q_half_prime(table: PainleveTable, s: float) -> float:
     eliminating q'' through the Painleve II equation:
     q_half'(s) = 2^(-2/3) (2 q^2 + x - (q'/q)^2) at x = -2^(-1/3) s."""
     x = -s / _CBRT2
-    q, qp = table.q(x), table.q_prime(x)
+    q, qp, _, _ = table.at(x)
     return (2.0 * q * q + x - (qp / q) ** 2) / _CBRT2**2
 
 
@@ -199,24 +233,18 @@ def check_appendix_a_identities(table: PainleveTable,
 
     Returns max-norm residuals over the sampled overlap domain.
     """
-    if s_values is None:
-        s_values = np.linspace(-6.0, 6.0, 241)
-    s_values = np.asarray(s_values, dtype=float)
+    s = np.asarray(np.linspace(-6.0, 6.0, 241) if s_values is None
+                   else s_values, dtype=float)
     lo, hi = -_CBRT2 * table.grid.x_max, -_CBRT2 * table.grid.x_min
-    s_values = s_values[(s_values >= lo) & (s_values <= hi)]
-    if s_values.size == 0:
+    s = s[(s >= lo) & (s <= hi)]
+    if s.size == 0:
         raise ValueError("no overlap between s range and table domain")
-    x, s = -s_values / _CBRT2, s_values
-    qh, qhp, q = q_half(table, s), q_half_prime(table, s), table.q(x)
+    q, _, R, _ = table.at(-s / _CBRT2)
+    qh, qhp = q_half(table, s), q_half_prime(table, s)
     res1 = qh * qh + qhp + s / 2.0 - _CBRT2 * q * q
-    res2 = -qh * qh + qhp - s / 2.0 + _CBRT2 * table.R(x) / (q * q)
-    return {
-        "s_values": s_values,
-        "residual_1": res1,
-        "residual_2": res2,
-        "max_residual_1": float(np.max(np.abs(res1))),
-        "max_residual_2": float(np.max(np.abs(res2))),
-    }
+    res2 = -qh * qh + qhp - s / 2.0 + _CBRT2 * R / (q * q)
+    return {"max_residual_1": float(np.max(np.abs(res1))),
+            "max_residual_2": float(np.max(np.abs(res2)))}
 
 
 def a2_integral(table: PainleveTable) -> float:
@@ -227,8 +255,7 @@ def a2_integral(table: PainleveTable) -> float:
     and a sharp end-to-end check of the whole table.
     """
     g = table.grid.nodes()
-    q, qp, R, f2 = (table.q.values, table.q_prime.values,
-                    table.R.values, table.f2.values)
+    q, qp, R, f2 = table.q, table.q_prime, table.R, table.f2
     integrand = ((qp + q * R) ** 2 - 0.25 * (q * q - R * R) ** 2) * f2
     return float(integral_from_right(g, integrand)[0])
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .numerics import (ExponentialTail, GridFunction, ZETA_PRIME_MINUS_ONE,
+from .numerics import (ExponentialTail, ZETA_PRIME_MINUS_ONE,
                        cumulative_tail_integral, integral_from_right)
 # solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
 from .laxpair import solve_psi, solve_psi_batch  # noqa: F401
@@ -42,7 +42,7 @@ def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
     The psi functions are solved R_CHUNK columns at a time."""
     r = np.atleast_1d(np.asarray(r_signed, dtype=float))
     x = table.grid.nodes()
-    f2 = table.f2.values[:, None]
+    f2 = table.f2[:, None]
     total = np.empty(r.size)
     for start in range(0, r.size, R_CHUNK):
         f, qf_integral = solve_psi_batch(r[start:start + R_CHUNK], table)
@@ -110,7 +110,7 @@ def a4_integral(table: PainleveTable) -> float:
     """
     g = table.grid.nodes()
     H, T = h_t_functions(table)
-    integrand = (H + 0.5 * (T * T - H * H)) * table.f2.values
+    integrand = (H + 0.5 * (T * T - H * H)) * table.f2
     return 0.5 * float(integral_from_right(g, integrand)[0])
 
 
@@ -119,12 +119,11 @@ def h_t_functions(table: PainleveTable):
     T is evaluated in the closed form obtained by differentiating H and
     eliminating q'' through the Painleve II equation."""
     g = table.grid.nodes()
-    q, qp, R = table.q.values, table.q_prime.values, table.R.values
+    q, qp, R = table.q, table.q_prime, table.R
     x_max = table.grid.x_max
     tail_int = cumulative_tail_integral(
-        GridFunction(table.grid, q**4 + g * q * q),
-        ExponentialTail(rate=2.0 * math.sqrt(x_max)))
-    H = -0.5 * q * q * R + R**3 / 6.0 + tail_int.values
+        g, q**4 + g * q * q, ExponentialTail(rate=2.0 * math.sqrt(x_max)))
+    H = -0.5 * q * q * R + R**3 / 6.0 + tail_int
     T = -qp * R - q**3 / 2.0 - R * R * q / 2.0 - g * q
     return H, T
 

@@ -96,7 +96,8 @@ def _src_env():
 
 def _scipy_modules_after(argv, tmp_path, module="nearextreme.cli"):
     """The scipy modules a fresh interpreter holds after importing
-    ``module`` and, if ``argv`` is given, running that CLI command."""
+    ``module`` and, if ``argv`` is given, running that CLI command (whose
+    own output, if any, comes first on stdout)."""
     code = (f"import sys; import {module} as mod; "
             "rc = mod.run(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
             "print(rc, *sorted(m for m in sys.modules "
@@ -105,7 +106,7 @@ def _scipy_modules_after(argv, tmp_path, module="nearextreme.cli"):
                          cwd=tmp_path, capture_output=True, text=True,
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    rc, *modules = out.stdout.split()
+    rc, *modules = out.stdout.splitlines()[-1].split()
     assert rc == "0", out.stderr
     return set(modules)
 
@@ -119,10 +120,14 @@ def test_commands_import_only_what_they_use(tmp_path):
     out = ["--out", str(tmp_path / "out.csv")]
     assert _scipy_modules_after(["finite-n", "--n", "6", "--quantity", "gap"]
                                 + out, tmp_path) == set()
-    # the edge path integrates without splines, so nothing loads
-    # scipy.interpolate or what it brings with it
+    # no module evaluates a spline, so nothing loads scipy.interpolate or
+    # what it brings with it; the table and the psi solver load only
+    # scipy.special and scipy.linalg
     no_spline = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
                  "scipy.sparse", "scipy.spatial")
+    for module in ("nearextreme.painleve", "nearextreme.laxpair"):
+        loaded = _scipy_modules_after([], tmp_path, module)
+        assert not loaded & set(no_spline), (module, sorted(loaded))
     cases = (
         (["sample", "--n", "1000", "--samples", "20", "--quantity", "gap",
           "--threads", "1"],
@@ -133,6 +138,9 @@ def test_commands_import_only_what_they_use(tmp_path):
         (["tabulate-psi", "--r-tilde", "2"], no_spline),
         (["asymptotics", "--rmax", "2", "--step", "0.5"], no_spline),
         (["dos-bulk", "--step", "0.5"], no_spline),
+        # check integrates with scipy.integrate.quad, but interpolates
+        # with nothing from scipy
+        (["check"], ("scipy.interpolate",)),
     )
     for argv, absent in cases:
         loaded = _scipy_modules_after(argv + out, tmp_path)

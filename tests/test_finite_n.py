@@ -308,6 +308,21 @@ def test_cdf_monotone():
     assert np.all(np.diff(vals) >= 0.0)
 
 
+@pytest.mark.parametrize("n", (2, 12))
+def test_cdf_is_zero_where_the_norms_underflow(n):
+    # far left the weight underflows on the rule and the norms come out 0;
+    # the CDF is 0 to double precision there, for a scalar and inside an
+    # array alike, while build_ortho_system still refuses such a y
+    for y in (-27.2, -30.0, -100.0):
+        assert fn.cdf_lambda_max(y, n) == 0.0
+    with pytest.raises(RuntimeError, match="non-positive"):
+        fn.build_ortho_system(-30.0, n)
+    ys = np.linspace(-40.0, 5.0, 901)
+    cdf = fn.cdf_lambda_max(ys, n)
+    assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0.0)
+    assert cdf[0] == 0.0 and cdf[-1] > 0.5
+
+
 def test_cdf_against_monte_carlo():
     from nearextreme import montecarlo as mc
 

@@ -8,9 +8,14 @@ import pytest
 
 from nearextreme import airy, laxpair, painleve, scaling
 from nearextreme.laxpair import SEED_AMPLITUDE
-from nearextreme.numerics import (AiryProductTail, Grid, GridFunction,
-                                  cumulative_tail_integral,
+from nearextreme.numerics import (AiryProductTail, Grid,
+                                  cumulative_tail_integral, hermite,
                                   integral_from_right, integrate_ode)
+
+
+def f_at(psi, x):
+    """f between the nodes: the cubic Hermite interpolant on f and f'."""
+    return hermite(psi.table.grid, psi.f, psi.f_prime, x)
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +40,9 @@ def test_psi_invariants(table, r):
 
 def test_r_zero_reduces_to_q(table):
     psi = laxpair.solve_psi(0.0, table)
-    diff = psi.f.values - SEED_AMPLITUDE * table.q.values
+    diff = psi.f - SEED_AMPLITUDE * table.q
     assert np.max(np.abs(diff)) < 1e-6
-    assert np.max(np.abs(psi.g.values)) < 1e-10
+    assert np.max(np.abs(psi.g)) < 1e-10
 
 
 def test_oscillatory_envelope_large_r(table):
@@ -48,7 +53,7 @@ def test_oscillatory_envelope_large_r(table):
     psi = laxpair.solve_psi(r, table)
     period = 2.0 * math.pi / math.sqrt(r)
     x = np.linspace(-period / 4.0, period / 4.0, 101)
-    peak = float(np.max(np.abs(psi.f(x))))
+    peak = float(np.max(np.abs(f_at(psi, x))))
     envelope = 2.0 ** (-1.0 / 6.0) * r ** (-0.25)
     assert peak == pytest.approx(envelope, rel=0.10)
 
@@ -57,7 +62,7 @@ def test_gap_branch_decay_value(table):
     # f(-9, 0) ~ 2^(-7/6) 9^(-1/4) e^(-2/3 * 27)
     psi = laxpair.solve_psi(-9.0, table)
     expect = 2.0 ** (-7.0 / 6.0) * 9.0 ** (-0.25) * math.exp(-18.0)
-    assert abs(psi.f(0.0)) == pytest.approx(expect, rel=0.15)
+    assert abs(f_at(psi, 0.0)) == pytest.approx(expect, rel=0.15)
 
 
 def test_admissible_window(table):
@@ -71,8 +76,8 @@ def test_backward_integration_stability(table, table_short):
     # stretching the decay runway above x = 0 from 12 to 20 must leave f(0)
     # unchanged: the Ai branch dominates in the decreasing-x direction
     for r in (2.0, -3.0):
-        f_a = laxpair.solve_psi(r, table_short).f(0.0)
-        f_b = laxpair.solve_psi(r, table).f(0.0)
+        f_a = f_at(laxpair.solve_psi(r, table_short), 0.0)
+        f_b = f_at(laxpair.solve_psi(r, table), 0.0)
         assert abs(f_a - f_b) < 1e-6
 
 
@@ -85,21 +90,23 @@ REFERENCE_PARAMS = (-5.0, -2.0, 0.5, 2.0, 5.0, 16.0)
 
 
 def rk45_reference(r, table):
-    """f by adaptive RK45 through the q spline from the Airy seed at
+    """f by adaptive RK45 through the cubic Hermite q from the Airy seed at
     x_max, the edge integral from it by the right-anchored quadrature."""
-    qs = table.q.spline()
-    x = table.grid.nodes()
-    seed = airy.airy(table.grid.x_max - r)
-    _, y = integrate_ode(lambda u, v: [v[1], (u + 2.0 * qs(u) ** 2 - r) * v[0]],
+    grid, q = table.grid, table.q
+    x = grid.nodes()
+    seed = airy.airy(grid.x_max - r)
+
+    def q2(u):
+        return hermite(grid, q, table.q_prime, u) ** 2
+
+    _, y = integrate_ode(lambda u, v: [v[1], (u + 2.0 * q2(u) - r) * v[0]],
                          table.grid.x_max, table.grid.x_min,
                          [SEED_AMPLITUDE * seed.ai,
                           SEED_AMPLITUDE * seed.ai_prime],
                          rel_tol=1e-12, abs_tol=1e-300, t_eval=x[::-1])
     f = y[0][::-1]
-    qf = GridFunction(table.grid, table.q.values * f)
-    big_i = cumulative_tail_integral(qf, AiryProductTail(0.0, r)).values
-    integral = integral_from_right(x, (f**2 - big_i**2)
-                                   * table.f2.values)[0]
+    big_i = cumulative_tail_integral(x, q * f, AiryProductTail(0.0, r))
+    integral = integral_from_right(x, (f**2 - big_i**2) * table.f2)[0]
     return f, 2.0 ** (1.0 / 3.0) / math.pi * float(integral)
 
 
@@ -131,26 +138,26 @@ def test_error_budget_grid_halving(table):
 def test_small_r_f0_matches_solve(table):
     f0, _, _ = laxpair.small_r_expansion(table)
     psi0 = laxpair.solve_psi(0.0, table)
-    assert np.max(np.abs(f0.values - psi0.f.values)) < 1e-6
+    assert np.max(np.abs(f0 - psi0.f)) < 1e-6
 
 
 def test_small_r_f1_first_difference(table):
     eps = 1e-3
     f0, f1, _ = laxpair.small_r_expansion(table)
-    fp = laxpair.solve_psi(eps, table).f.values
-    diff = (fp - f0.values) / eps
-    scale = np.maximum(np.abs(f1.values), 1.0)
-    assert np.max(np.abs(diff - f1.values) / scale) < 10.0 * eps
+    fp = laxpair.solve_psi(eps, table).f
+    diff = (fp - f0) / eps
+    scale = np.maximum(np.abs(f1), 1.0)
+    assert np.max(np.abs(diff - f1) / scale) < 10.0 * eps
 
 
 def test_small_r_f2_second_difference(table):
     eps = 1e-3
     f0, _, f2 = laxpair.small_r_expansion(table)
-    fp = laxpair.solve_psi(eps, table).f.values
-    fm = laxpair.solve_psi(-eps, table).f.values
-    second = (fp - 2.0 * f0.values + fm) / (2.0 * eps**2)
-    scale = np.maximum(np.abs(f2.values), 1.0)
-    assert np.max(np.abs(second - f2.values) / scale) < 10.0 * eps
+    fp = laxpair.solve_psi(eps, table).f
+    fm = laxpair.solve_psi(-eps, table).f
+    second = (fp - 2.0 * f0 + fm) / (2.0 * eps**2)
+    scale = np.maximum(np.abs(f2), 1.0)
+    assert np.max(np.abs(second - f2) / scale) < 10.0 * eps
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +177,26 @@ def test_lax_residuals(table, r):
 
 def test_lax_residuals_detect_corruption(table):
     from dataclasses import replace
-    from nearextreme.numerics import GridFunction
 
     psi = laxpair.solve_psi(2.0, table)
     shifted = laxpair.solve_psi(2.0 + 1e-4, table)
-    zero_g = GridFunction(table.grid, np.zeros(table.grid.n_points))
-    bad = replace(psi, g=zero_g)
+    bad = replace(psi, g=np.zeros(table.grid.n_points))
     res = laxpair.lax_residuals(bad, shifted)
     assert res["b_residual"] > 0.1
+
+
+def test_psi_pair_rejects_missized_and_nonfinite(table, table_short):
+    from dataclasses import replace
+
+    psi = laxpair.solve_psi(2.0, table)
+    with pytest.raises(ValueError, match="f_prime must hold n_points"):
+        replace(psi, f_prime=psi.f_prime[::2])
+    g = psi.g.copy()
+    g[10] = math.inf
+    with pytest.raises(ValueError, match="g must hold n_points = 6401 finite"):
+        replace(psi, g=g)
+    with pytest.raises(ValueError, match="n_points"):
+        replace(psi, table=table_short)
 
 
 def test_lax_residuals_table_mismatch(table, table_short):
@@ -206,14 +225,14 @@ def test_gap_branch_correction_function(table):
     r = 25.0
     psi = laxpair.solve_psi(-r, table)
     g = table.grid.nodes()
-    q = table.q.values
+    q = table.q
     from_right = integral_from_right(g, g + 2.0 * q * q)
     # remainder below x_min: integrand ~ -1/(4u^2), integral = 1/(4 x_min)
     below = 1.0 / (4.0 * table.grid.x_min)
     f1_vals = -0.5 * (below + from_right[0] - from_right)
     for x_probe in (-6.0, -4.0, -2.0):
         i = int(np.argmin(np.abs(g - x_probe)))
-        scaled = (psi.f.values[i] * 2.0 ** (7.0 / 6.0) * r**0.25
+        scaled = (psi.f[i] * 2.0 ** (7.0 / 6.0) * r**0.25
                   * math.exp(2.0 / 3.0 * r**1.5 + g[i] * math.sqrt(r)))
         correction = (scaled - 1.0) * math.sqrt(r)
         assert correction == pytest.approx(f1_vals[i], rel=0.10)

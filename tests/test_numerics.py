@@ -1,5 +1,5 @@
-"""Infrastructure tests: grids, tail-aware integration, ODE driver and the
-zeta'(-1) constant."""
+"""Infrastructure tests: grids, Hermite interpolation, five-point
+derivatives, tail-aware integration, the RK45 integrator and zeta'(-1)."""
 
 import math
 
@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from nearextreme.numerics import (AiryProductTail, DivergedSolutionError,
-                                  ExponentialTail,
-                                  Grid, GridFunction, TruncationError,
+                                  ExponentialTail, Grid, TruncationError,
                                   ZETA_PRIME_MINUS_ONE,
-                                  cumulative_tail_integral,
-                                  integral_from_right, integrate_ode)
+                                  cumulative_tail_integral, derivative,
+                                  hermite, integral_from_right, integrate_ode)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +36,7 @@ def test_zeta_prime_minus_one_against_glaisher():
 
 
 # ---------------------------------------------------------------------------
-# Grid / GridFunction
+# Grid, and functions on it: arrays of node values
 # ---------------------------------------------------------------------------
 
 
@@ -53,27 +52,67 @@ def test_grid_validation():
 
 def test_gridfunction_interpolation_accuracy():
     g = Grid(0.0, 2.0 * math.pi, 401)
-    f = GridFunction(g, np.sin(g.nodes()))
+    nodes = g.nodes()
     x = np.linspace(0.1, 6.0, 57)
-    assert np.max(np.abs(f(x) - np.sin(x))) < 1e-7
-    assert np.max(np.abs(f.derivative()(x) - np.cos(x))) < 1e-5
+    got = hermite(g, np.sin(nodes), np.cos(nodes), x)
+    assert np.max(np.abs(got - np.sin(x))) < 1e-7
+    assert np.max(np.abs(derivative(nodes, np.sin(nodes))
+                         - np.cos(nodes))) < 1e-5
 
 
 def test_gridfunction_domain_errors():
     g = Grid(0.0, 1.0, 11)
-    f = GridFunction(g, np.ones(11))
+    ones, zeros = np.ones(11), np.zeros(11)
+    assert hermite(g, ones, zeros, 1.0) == 1.0
     with pytest.raises(ValueError):
-        f(-0.1)
+        hermite(g, ones, zeros, -0.1)
     with pytest.raises(ValueError):
-        f(1.5)
+        hermite(g, ones, zeros, 1.5)
     with pytest.raises(ValueError):
-        f(np.array([0.5, 1.5]))
+        hermite(g, ones, zeros, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        hermite(g, ones, zeros, math.nan)
 
 
 def test_gridfunction_rejects_nonfinite():
     g = Grid(0.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        GridFunction(g, [0.0, math.nan, 1.0])
+    g.check(values=[0.0, -1.0, 1.0])  # any finite sign passes
+    with pytest.raises(ValueError, match="finite"):
+        g.check(values=[0.0, math.nan, 1.0])
+    with pytest.raises(ValueError, match="n_points"):
+        g.check(values=[0.0, 1.0])
+
+
+def test_hermite_exact_on_cubics():
+    g = Grid(-1.0, 2.0, 7)
+    nodes = g.nodes()
+    x = np.random.default_rng(3).uniform(-1.0, 2.0, 200)
+    got = hermite(g, nodes**3 - 2.0 * nodes, 3.0 * nodes**2 - 2.0, x)
+    assert np.max(np.abs(got - (x**3 - 2.0 * x))) < 1e-13
+    assert isinstance(hermite(g, nodes**3, 3.0 * nodes**2, 0.3), float)
+
+
+def test_hermite_fourth_order():
+    # halving h divides the interpolation error of sin by about 2^4
+    x = np.linspace(0.0, 3.0, 301)
+
+    def error(n):
+        g = Grid(0.0, 3.0, n)
+        nodes = g.nodes()
+        got = hermite(g, np.sin(nodes), np.cos(nodes), x)
+        return np.max(np.abs(got - np.sin(x)))
+
+    for n in (11, 21, 41):
+        assert 14.0 < error(n) / error(2 * n - 1) < 18.0
+
+
+def test_derivative_exact_on_quartics():
+    # central and one-sided five-point differences are exact up to degree 4;
+    # each column is one function
+    x = np.linspace(-1.0, 2.0, 13)
+    g = np.stack([x**4 - 3.0 * x**2 + x, 2.0 * x**3 - 1.0], axis=-1)
+    exact = np.stack([4.0 * x**3 - 6.0 * x + 1.0, 6.0 * x**2], axis=-1)
+    assert np.max(np.abs(derivative(x, g) - exact)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -105,26 +144,24 @@ def test_integral_from_right_fourth_order():
 
 
 def test_cumulative_tail_exponential():
-    g = Grid(0.0, 30.0, 3001)
-    f = GridFunction(g, np.exp(-g.nodes()))
-    G = cumulative_tail_integral(f, ExponentialTail(rate=1.0))
-    x = g.nodes()
+    x = Grid(0.0, 30.0, 3001).nodes()
+    G = cumulative_tail_integral(x, np.exp(-x), ExponentialTail(rate=1.0))
     # relative accuracy must hold even where the integral is ~1e-13
-    rel = np.abs(G.values - np.exp(-x)) / np.exp(-x)
+    rel = np.abs(G - np.exp(-x)) / np.exp(-x)
     assert np.max(rel) < 1e-9
 
 
 def test_cumulative_tail_airy_squared():
     from nearextreme import airy
 
-    g = Grid(-2.0, 6.0, 801)
-    q2 = GridFunction(g, airy.ai_values(g.nodes()) ** 2)
-    G = cumulative_tail_integral(q2, AiryProductTail())
-    # closed form: int_a^inf Ai^2 = Ai'(a)^2 - a Ai(a)^2
-    for a in (-2.0, 0.0, 3.0):
+    x = Grid(-2.0, 6.0, 801).nodes()
+    G = cumulative_tail_integral(x, airy.ai_values(x) ** 2, AiryProductTail())
+    # closed form: int_a^inf Ai^2 = Ai'(a)^2 - a Ai(a)^2, at the nodes a
+    for i in (0, 200, 500):
+        a = x[i]
         v = airy.airy(a)
         exact = v.ai_prime**2 - a * v.ai**2
-        assert G(a) == pytest.approx(exact, rel=1e-9)
+        assert G[i] == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("r", (-8.0, -1.0, 0.0, 1.0, 8.0))
@@ -143,10 +180,9 @@ def test_airy_product_tail_closed_form(r):
 
 
 def test_cumulative_tail_requires_tail_model():
-    g = Grid(0.0, 1.0, 11)
-    f = GridFunction(g, np.ones(11))
+    x = Grid(0.0, 1.0, 11).nodes()
     with pytest.raises(TruncationError):
-        cumulative_tail_integral(f)
+        cumulative_tail_integral(x, np.ones(11))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy.integrate import solve_bvp
 
 from nearextreme import airy, painleve
 from nearextreme.numerics import (AiryProductTail, ExponentialTail, Grid,
-                                  GridFunction, cumulative_tail_integral,
+                                  cumulative_tail_integral,
                                   integral_from_right)
 
 
@@ -29,12 +29,12 @@ def bvp_reference(domain):
         x0, np.vstack([guess, np.gradient(guess, x0)]), tol=1e-10,
         max_nodes=500000)
     assert sol.status == 0, sol.message
-    q, qp = sol.sol(domain.nodes())
-    R = cumulative_tail_integral(GridFunction(domain, q * q),
-                                 AiryProductTail())
+    x = domain.nodes()
+    q, qp = sol.sol(x)
+    R = cumulative_tail_integral(x, q * q, AiryProductTail())
     logf2 = cumulative_tail_integral(
-        R, ExponentialTail(rate=2.0 * math.sqrt(x_max)))
-    return q, qp, R.values, np.exp(-logf2.values)
+        x, R, ExponentialTail(rate=2.0 * math.sqrt(x_max)))
+    return q, qp, R, np.exp(-logf2)
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +46,10 @@ def test_table_matches_bvp_reference(table):
     # the collocation BVP the Newton-Numerov solver replaced, on the same
     # grid: measured q 3.2e-13, q' 7.0e-13, R 4.9e-13, F2 2.9e-14
     q, qp, R, f2 = bvp_reference(table.grid)
-    assert np.max(np.abs(table.q.values - q)) <= 2e-12
-    assert np.max(np.abs(table.q_prime.values - qp)) <= 2e-12
-    assert np.max(np.abs(table.R.values - R)) <= 2e-12
-    assert np.max(np.abs(table.f2.values - f2)) <= 2e-13
+    assert np.max(np.abs(table.q - q)) <= 2e-12
+    assert np.max(np.abs(table.q_prime - qp)) <= 2e-12
+    assert np.max(np.abs(table.R - R)) <= 2e-12
+    assert np.max(np.abs(table.f2 - f2)) <= 2e-13
 
 
 def test_unconverged_newton_raises(monkeypatch):
@@ -61,54 +61,75 @@ def test_unconverged_newton_raises(monkeypatch):
         painleve.solve_hastings_mcleod(Grid(-10.0, 8.0, 1801))
 
 
+def test_non_finite_newton_iterate_raises():
+    # a NaN in the guess (or an iterate that diverges) must raise the
+    # documented RuntimeError naming the domain, not scipy's ValueError
+    # from solve_banded's finiteness check
+    x = np.linspace(-10.0, 8.0, 1801)
+    guess = np.maximum(airy.ai_values(x), np.sqrt(np.maximum(-x, 0.0) / 2.0))
+    guess[900] = math.nan
+    with pytest.raises(RuntimeError,
+                       match=r"\[-10, 8\] with 1801 nodes.*step 0"):
+        painleve._newton_numerov(x, guess)
+
+
+def test_table_rejects_nonfinite_and_missized(table):
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match="q must hold n_points = 6401 finite"):
+        replace(table, q=np.where(table.grid.nodes() == 0.0, math.nan,
+                                  table.q))
+    with pytest.raises(ValueError, match="R must hold n_points = 6401 finite"):
+        replace(table, R=table.R[:-1])
+    # a negative f2 is finite and passes: corruption tests build one
+    assert replace(table, f2=-table.f2).f2[-1] == -table.f2[-1]
+
+
 def test_q_positive(table):
-    assert np.all(table.q.values > 0.0)
+    assert painleve.table_residuals(table)["q_min"] > 0.0
 
 
 def test_painleve_ii_residual(table):
-    g = table.grid.nodes()
-    q = table.q.values
-    h = table.grid.h
-    qdd = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / h**2
-    res = qdd - 2.0 * q[1:-1] ** 3 - g[1:-1] * q[1:-1]
-    assert np.max(np.abs(res)) < 1e-6
+    assert painleve.table_residuals(table)["painleve_ii"] < 1e-6
 
 
 def test_r_identity(table):
-    g = table.grid.nodes()
-    q, qp = table.q.values, table.q_prime.values
-    res = table.R.values - (qp**2 - q**4 - g * q**2)
-    assert np.max(np.abs(res)) < 1e-8
+    assert painleve.table_residuals(table)["r_identity"] < 1e-8
 
 
 def test_f2_monotone_with_limits(table):
-    f2 = table.f2.values
-    assert np.all(np.diff(f2) >= 0.0)
-    assert abs(f2[-1] - 1.0) < 1e-10
-    assert np.all(f2 > 0.0)
-    assert np.all(f2 <= 1.0)
-    assert f2[0] < 1e-15  # deep left tail genuinely small
+    assert painleve.table_residuals(table)["f2_monotone"]
+    assert table.f2[0] < 1e-15  # deep left tail genuinely small
 
 
 def test_r_equals_f2_log_derivative(table):
-    # spline-derivative check where f2 retains relative accuracy in
-    # float64 (below ~1e-8 the derivative of the stored values cannot
-    # support a 1e-6 comparison); the deep tail is covered by the
-    # independent-quadrature check that follows
-    keep = table.f2.values[1:-1] > 1e-8
-    df2 = table.f2.derivative().values[1:-1]
-    res = df2 / table.f2.values[1:-1] - table.R.values[1:-1]
-    assert np.max(np.abs(res[keep])) < 1e-6
+    # five-point derivative of log f2 at every interior node (measured
+    # 5.6e-12); log f2 keeps its relative accuracy down to the deep tail
+    assert painleve.table_residuals(table)["r_log_derivative"] < 1e-6
+
+
+def test_table_residuals_detect_corruption(table):
+    # each invariant reacts to the corruption it is meant to catch
+    from dataclasses import replace
+
+    rep = painleve.table_residuals(replace(table, q=table.q + 1e-3))
+    assert rep["painleve_ii"] > 1e-4 and rep["r_identity"] > 1e-4
+    assert painleve.table_residuals(replace(table, R=table.R * 1.001))[
+        "r_log_derivative"] > 1e-4
+    f2 = table.f2.copy()
+    f2[100] = f2[101] * 1.01
+    assert not painleve.table_residuals(replace(table, f2=f2))["f2_monotone"]
+    assert painleve.table_residuals(replace(table, q=-table.q))["q_min"] < 0
 
 
 def test_r_is_log_derivative_of_independent_f2(table):
     # centered difference of log F2 from the direct quadrature route,
-    # including deep-tail points the spline check cannot reach
+    # against R interpolated between the nodes
     d = 1e-4
     for x in (-8.0, -4.0, 0.0, 3.0):
         num = (math.log(painleve.tracy_widom_f2(table, x + d))
                - math.log(painleve.tracy_widom_f2(table, x - d))) / (2.0 * d)
-        assert num == pytest.approx(table.R(x), rel=1e-5, abs=1e-7)
+        assert num == pytest.approx(table.at(x)[2], rel=1e-5, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -117,28 +138,29 @@ def test_r_is_log_derivative_of_independent_f2(table):
 
 
 def test_q_matches_airy_on_the_right(table):
-    assert table.q(6.0) == pytest.approx(airy.airy(6.0).ai, abs=1e-9)
+    assert table.at(6.0)[0] == pytest.approx(airy.airy(6.0).ai, abs=1e-9)
     assert airy.airy(6.0).ai == pytest.approx(9.9477e-6, abs=1e-9)
     # q = Ai(x) (1 + O(Ai^2)), so on [6, x_max - 0.1] the relative gap to
     # Ai is the solver's error alone (the collocation BVP left 1.9e-6)
     x = table.grid.nodes()
-    x = x[(x >= 6.0) & (x <= table.grid.x_max - 0.1)]
-    assert np.max(np.abs(table.q(x) / airy.ai_values(x) - 1.0)) <= 1e-10
+    keep = (x >= 6.0) & (x <= table.grid.x_max - 0.1)
+    assert np.max(np.abs(table.q[keep] / airy.ai_values(x[keep]) - 1.0)) \
+        <= 1e-10
 
 
 def test_q_above_table_raises(table):
-    # a GridFunction carries no tail model: beyond x_max it raises rather
-    # than extrapolate (q ~ Ai(x) there, not the Ai(x)^2 of R's integrand)
+    # the table carries no tail model: beyond x_max it raises rather than
+    # extrapolate (q ~ Ai(x) there, not the Ai(x)^2 of R's integrand)
     with pytest.raises(ValueError):
-        table.q(table.grid.x_max + 2.0)
+        table.at(table.grid.x_max + 2.0)
     with pytest.raises(ValueError):
-        table.R(np.array([0.0, table.grid.x_max + 2.0]))
+        table.at(np.array([0.0, table.grid.x_max + 2.0]))
 
 
 def test_q_left_asymptote(table):
     # sqrt(-x/2)(1 + 1/(8 x^3)) at x = -8
     expect = 2.0 * (1.0 - 1.0 / 4096.0)
-    assert table.q(-8.0) == pytest.approx(expect, abs=1e-4)
+    assert table.at(-8.0)[0] == pytest.approx(expect, abs=1e-4)
 
 
 def test_q_zero_domain_independence(table):
@@ -147,10 +169,10 @@ def test_q_zero_domain_independence(table):
     assert table.residual <= 1e-13 and 0 < table.newton_steps <= 40
     for domain in (Grid(-10.0, 8.0, 3601), Grid(-12.0, 14.0, 5201)):
         other = painleve.solve_hastings_mcleod(domain)
-        assert abs(table.q(0.0) - other.q(0.0)) < 1e-8
+        assert abs(table.at(0.0)[0] - other.at(0.0)[0]) < 1e-8
         assert other.residual <= 1e-13 and 0 < other.newton_steps <= 40
     # literature sanity log only (not an oracle)
-    print(f"q(0) = {table.q(0.0):.10f} (expected near 0.3670615)")
+    print(f"q(0) = {table.at(0.0)[0]:.10f} (expected near 0.3670615)")
 
 
 def test_newton_takes_no_steps_in_roundoff(table):
@@ -166,10 +188,8 @@ def test_grid_refinement_stability(table):
     # same domain, twice the spacing: each grid is its own Newton solve,
     # and R and F2 agree at the shared nodes (measured 2.5e-12, 6.4e-12)
     coarse = painleve.solve_hastings_mcleod(Grid(-12.0, 20.0, 3201))
-    fine_r = table.R.values[::2]
-    fine_f2 = table.f2.values[::2]
-    assert np.max(np.abs(coarse.R.values - fine_r)) < 1e-10
-    assert np.max(np.abs(coarse.f2.values - fine_f2)) < 1e-10
+    assert np.max(np.abs(coarse.R - table.R[::2])) < 1e-10
+    assert np.max(np.abs(coarse.f2 - table.f2[::2])) < 1e-10
 
 
 def test_domain_precondition():
@@ -205,14 +225,14 @@ def test_f2_asymptote_array_equals_scalar_calls():
 def test_f2_quadrature_matches_table_field(table):
     for x in (-6.0, -3.0, -1.0, 0.0, 2.0, 5.0):
         assert painleve.tracy_widom_f2(table, x) == pytest.approx(
-            table.f2(x), rel=1e-8, abs=1e-12)
+            table.at(x)[3], rel=1e-8, abs=1e-12)
 
 
 def test_f2_mean(table):
     # int x dF2 = int x R F2 dx; the reference value -1.771 was frozen from
     # a 1e5-sample n = 1000 Monte Carlo run of the scaled largest eigenvalue
     g = table.grid.nodes()
-    mean = integral_from_right(g, g * table.R.values * table.f2.values)[0]
+    mean = integral_from_right(g, g * table.R * table.f2)[0]
     assert mean == pytest.approx(-1.771, abs=0.01)
 
 
@@ -247,7 +267,7 @@ def test_q_half_first_identity_pointwise(table):
         x = -s / cbrt2
         lhs = (painleve.q_half(table, s) ** 2
                + painleve.q_half_prime(table, s) + s / 2.0)
-        assert lhs == pytest.approx(cbrt2 * table.q(x) ** 2, abs=1e-6)
+        assert lhs == pytest.approx(cbrt2 * table.at(x)[0] ** 2, abs=1e-6)
 
 
 def test_q_half_domain_violation(table):
@@ -264,10 +284,8 @@ def test_appendix_identities_residuals(table):
 def test_appendix_identities_sensitivity(table):
     # perturbing q by +1e-3 must blow the residuals past 1e-4
     from dataclasses import replace
-    from nearextreme.numerics import GridFunction
 
-    bad_q = GridFunction(table.grid, table.q.values + 1e-3)
-    bad = replace(table, q=bad_q)
+    bad = replace(table, q=table.q + 1e-3)
     rep = painleve.check_appendix_a_identities(bad)
     assert max(rep["max_residual_1"], rep["max_residual_2"]) > 1e-4
 

@@ -69,9 +69,8 @@ def test_negative_density_raises(table):
     # a corrupted table (F2 negated) makes the edge integrals negative; that
     # must be reported, not clamped to 0
     from dataclasses import replace
-    from nearextreme.numerics import GridFunction
 
-    bad = replace(table, f2=GridFunction(table.grid, -table.f2.values))
+    bad = replace(table, f2=-table.f2)
     for single, curve in ((scaling.rho_edge_scaling, scaling.rho_edge_curve),
                           (scaling.p_typ, scaling.p_typ_curve)):
         with pytest.raises(RuntimeError, match="r_tilde = 2"):
