@@ -6,8 +6,9 @@ recording version, parameters and seed, so identical invocations produce
 byte-identical files.
 
 No pipeline module is imported at module level: each command imports the
-modules it calls, so that ``sample`` loads only scipy.linalg, and
-``finite-n``, like parsing the arguments, loads no scipy at all.
+modules it calls, so that ``sample`` loads scipy.linalg only for the
+per-row solves of the gap above n = 32, and ``finite-n``, like parsing the
+arguments, loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -43,13 +44,16 @@ def _write_csv(path, header_lines, columns, names):
 
 
 def _default_threads(args) -> int:
-    """--threads if given; else the CPU count where threads pay (the dense
-    batched path, n <= montecarlo._DENSE_MAX_N) and 1 above it."""
+    """--threads if given; else 1 on the per-row tridiagonal path (the gap
+    above n = montecarlo._DENSE_MAX_N), where threads give no gain, and the
+    CPU count on the dense batch and the Sturm counts, where they do."""
     from . import montecarlo
 
     if args.threads is not None:
         return args.threads
-    return (os.cpu_count() or 1) if args.n <= montecarlo._DENSE_MAX_N else 1
+    if args.quantity == "gap" and args.n > montecarlo._DENSE_MAX_N:
+        return 1
+    return os.cpu_count() or 1
 
 
 def _provenance(table) -> list[str]:
@@ -161,22 +165,17 @@ def cmd_sample(args) -> int:
 
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
-    # the gap needs the top 2 eigenvalues and the edge DOS (r <= 8) the top
-    # EDGE_TOP_K, both from the top-left block; the bulk DOS needs them all
+    header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}"]
     if args.quantity == "gap":
-        top_k = 2
-    elif args.scaling == "edge":
-        top_k = montecarlo.EDGE_TOP_K
-    else:
-        top_k = None
-    samples = montecarlo.sample_spectrum(sampler, args.samples,
-                                         threads=threads, top_k=top_k)
-    header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}",
-              montecarlo.solve_header(args.n, top_k)]
-    if args.quantity == "gap":
+        # the top 2 eigenvalues, from the top-left block
+        samples = montecarlo.sample_spectrum(sampler, args.samples,
+                                             threads=threads, top_k=2)
+        header.append(montecarlo.solve_header(args.n, 2))
         hist = montecarlo.empirical_gap(samples, args.n)
     else:
-        hist = montecarlo.empirical_dos(samples, args.scaling, args.n)
+        hist = montecarlo.dos_histogram(sampler, args.samples, args.scaling,
+                                        threads=threads)
+        header.append(montecarlo.count_header(args.n, args.scaling))
     dens, err = hist.density(), hist.stderr()
     if args.quantity == "dos" and args.scaling == "edge":
         # the edge-scaled histogram estimates rho_edge / n

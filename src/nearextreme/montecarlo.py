@@ -7,28 +7,40 @@ instead of the O(n^3) of dense Hermitian sampling, which is what makes the
 2e5 x (n = 1000) validation runs feasible.  A dense reference sampler is
 kept for cross-checks at small n.
 
+A density-of-states histogram needs no eigenvalue but lambda_max: the
+number of eigenvalues at or below x is the number of non-positive pivots
+of the LDL^T factorisation of T - x I (Sturm counts; Barth, Martin &
+Wilkinson, Numer. Math. 9 (1967) 386), an O(m) recurrence that runs
+vectorised over draws and bin edges.  :func:`dos_histogram` bisects
+lambda_max on these counts, then counts once at lambda_max - r_j for
+every bin edge r_j; :func:`sample_spectrum` solves for the eigenvalues
+the gap needs.
+
 The top eigenvalues of the tridiagonal model live in its top-left corner,
 on a scale of n^(1/3) (the stochastic Airy limit; Dumitriu & Edelman,
 J. Math. Phys. 43 (2002) 5830; Edelman & Sutton, J. Stat. Phys. 127 (2007)
-1121).  So when at most EDGE_TOP_K of them are kept, each draw is solved
-on its top-left block of size min(n, ceil(30 n^(1/3))) only: 300 at
+1121).  So the gap (top 2) and the edge-scaled DOS are solved on each
+draw's top-left block of size min(n, ceil(30 n^(1/3))) only: 300 at
 n = 1000, 647 at n = 10^4, the whole matrix up to n = 165.  On the same
 draws the top 16 of that block match the full spectrum's to <= 7.3e-12 at
 n = 200, 1000 and 10^4, the level at which the two LAPACK solvers
 disagree; a block of ceil(20 n^(1/3)) misses the 16th eigenvalue by up to
-0.055, one of ceil(15 n^(1/3)) by up to 0.71.  The whole matrix is still
-drawn, so the block changes no draw.
+0.055, one of ceil(15 n^(1/3)) by up to 0.71.  So every eigenvalue that
+the edge DOS counts inside its last bin edge r_last must be among the
+block's top EDGE_TOP_K: it refuses draws with EDGE_TOP_K or more
+eigenvalues above lambda_max - r_last.  The whole matrix is still drawn,
+so the block changes no draw.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 # fixed logical chunk count: the sample stream is identical for any
 # worker count because chunk c always uses spawned stream c
@@ -41,6 +53,12 @@ _DENSE_MAX_N = 32
 _BLOCK_C = 30
 #: most eigenvalues per draw that the top-left block gives to full accuracy
 EDGE_TOP_K = 16
+# draws that dos_histogram holds at once, in slabs of whole chunks; all
+# 1e5 draws of n = 32 at once peak at 160 MB instead of 47 MB
+_SLAB_DRAWS = 8192
+# (draw, bin edge) pairs per tile of a Sturm count, few enough that its
+# work arrays stay in cache (1.7 times as fast as a whole slab at n = 32)
+_TILE = 2**15
 
 
 @dataclass(frozen=True)
@@ -52,9 +70,16 @@ class TridiagonalSpectrumSampler:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def _rng(self, chunk: int):
+    def draw(self, chunk: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """`size` draws from chunk `chunk`'s own spawned Philox stream: all
+        diagonals, shape (size, n), then all sub-diagonals (size, n - 1)."""
         children = np.random.SeedSequence(self.seed).spawn(_N_CHUNKS)
-        return np.random.Generator(np.random.Philox(children[chunk]))
+        rng = np.random.Generator(np.random.Philox(children[chunk]))
+        n = self.n
+        d = rng.normal(0.0, math.sqrt(0.5), (size, n))
+        shape = np.arange(n - 1, 0, -1, dtype=float)
+        e = np.sqrt(rng.gamma(shape, size=(size, n - 1)) / 2.0)
+        return d, e
 
 
 @dataclass(frozen=True)
@@ -79,12 +104,21 @@ class Histogram:
             self.total_samples * widths)
 
 
-def _chunk_sizes(count: int) -> list[int]:
+def _jobs(count: int) -> list[tuple[int, int]]:
+    """(chunk, draws) for every chunk that gets any of `count` draws."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     base = count // _N_CHUNKS
-    sizes = [base] * _N_CHUNKS
-    for i in range(count - base * _N_CHUNKS):
-        sizes[i] += 1
-    return sizes
+    sizes = [base + (c < count - base * _N_CHUNKS) for c in range(_N_CHUNKS)]
+    return [(c, s) for c, s in enumerate(sizes) if s > 0]
+
+
+def _run(work, jobs: list, threads: int) -> list:
+    """work(job) for every job, in order, on `threads` threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(work, jobs))
+    return [work(j) for j in jobs]
 
 
 def block_size(n: int, top_k: Optional[int]) -> int:
@@ -93,6 +127,9 @@ def block_size(n: int, top_k: Optional[int]) -> int:
     if top_k is None or top_k > EDGE_TOP_K:
         return n
     return min(n, math.ceil(_BLOCK_C * n ** (1.0 / 3.0)))
+
+
+_DRAW_HEADER = f"draw: {_N_CHUNKS} Philox chunks, full d/e draw"
 
 
 def solve_header(n: int, top_k: Optional[int]) -> str:
@@ -106,8 +143,16 @@ def solve_header(n: int, top_k: Optional[int]) -> str:
         solve = f"per-row tridiagonal, top-left block m = {m} of n = {n}"
     else:
         solve = "per-row tridiagonal, full matrix"
-    return (f"draw: {_N_CHUNKS} Philox chunks, full d/e draw; "
-            f"eigensolve: {solve}; k = {k}")
+    return f"{_DRAW_HEADER}; eigensolve: {solve}; k = {k}"
+
+
+def count_header(n: int, scaling: str) -> str:
+    """CSV header line: the draw layout and the matrix that
+    :func:`dos_histogram` counts on for (n, scaling)."""
+    m = block_size(n, EDGE_TOP_K) if scaling == "edge" else n
+    on = f"top-left block m = {m} of n = {n}" if m < n else "full matrix"
+    return (f"{_DRAW_HEADER}; eigensolve: Sturm counts below bisected "
+            f"lambda_max, {on}")
 
 
 def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
@@ -116,26 +161,20 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     """Draw `count` spectra, each sorted descending.
 
     With `top_k` set, only the k largest eigenvalues per draw are kept; the
-    result has shape (count, k) instead of (count, n).  Each chunk draws
-    all its diagonals, then all its sub-diagonals, so the draws are
+    result has shape (count, k) instead of (count, n).  The draws are
     deterministic in (n, seed, count) and depend neither on the thread
     count nor on `top_k`.  Up to n = 32 a chunk is solved as one batch of
     dense matrices; above, row by row with the tridiagonal solver, which
     then computes only the k largest eigenvalues of the top-left
     :func:`block_size` block.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     n = sampler.n
     k = n if top_k is None else min(top_k, n)
     m = block_size(n, top_k)
-    shape = np.arange(n - 1, 0, -1, dtype=float)
 
-    def run_chunk(args) -> np.ndarray:
-        chunk, size = args
-        rng = sampler._rng(chunk)
-        d = rng.normal(0.0, math.sqrt(0.5), (size, n))
-        e = np.sqrt(rng.gamma(shape, size=(size, n - 1)) / 2.0)
+    def run_chunk(job) -> np.ndarray:
+        d, e = sampler.draw(*job)
+        size = d.shape[0]
         if n <= _DENSE_MAX_N:
             a = np.zeros((size, n, n))
             idx = np.arange(n)
@@ -143,21 +182,140 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
             a[:, idx[:-1], idx[1:]] = e
             a[:, idx[1:], idx[:-1]] = e
             return np.linalg.eigvalsh(a)[:, ::-1][:, :k]
+        # looked up on the module, so that a wrapper set there is called;
+        # __getattr__ imports it on first use
+        solve = sys.modules[__name__].eigvalsh_tridiagonal
         select = "a" if k == m else "i"
         out = np.empty((size, k))
         for i in range(size):
-            out[i] = eigvalsh_tridiagonal(
-                d[i, :m], e[i, :m - 1], select=select,
-                select_range=(m - k, m - 1))[::-1]
+            out[i] = solve(d[i, :m], e[i, :m - 1], select=select,
+                           select_range=(m - k, m - 1))[::-1]
         return out
 
-    jobs = [(c, s) for c, s in enumerate(_chunk_sizes(count)) if s > 0]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run_chunk, jobs))
+    return np.vstack(_run(run_chunk, _jobs(count), threads))
+
+
+def _count_at_or_below(d: np.ndarray, e2: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """How many eigenvalues of each draw's tridiagonal matrix lie at or
+    below each x: the non-positive pivots of the LDL^T factorisation of
+    T - x I.  d (m, B) and e2 (m - 1, B) hold the diagonals and squared
+    sub-diagonals of B draws, one per column; x is (B, K).
+
+    Inner pivots count by sign bit, with no pivmin guard: IEEE arithmetic
+    turns a zero pivot into an infinite next one of the opposite sign,
+    which keeps the count right while no sub-diagonal is 0 (Demmel,
+    Dhillon & Ren, ETNA 3 (1995) 116).  A zero last pivot means that x is
+    an eigenvalue, which counts, as in LAPACK's dstebz.
+    """
+    q = d[0, :, None] - x
+    t = np.empty_like(q)
+    neg = np.empty(q.shape, bool)
+    count = np.zeros(q.shape, np.int32)
+    with np.errstate(divide="ignore"):  # a zero pivot's infinite successor
+        for i in range(1, d.shape[0]):
+            count += np.signbit(q, out=neg)
+            np.divide(e2[i - 1, :, None], q, out=t)
+            np.subtract(d[i, :, None], x, out=q)
+            q -= t
+    count += q <= 0.0
+    return count
+
+
+def _lambda_max(d: np.ndarray, e: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Each draw's largest eigenvalue (d, e2 as in
+    :func:`_count_at_or_below`, e the sub-diagonals), bisected on the
+    counts until the midpoint equals an end of the bracket."""
+    m = d.shape[0]
+    # bounds: the largest diagonal entry (a Rayleigh quotient) and Gershgorin
+    radius = np.zeros_like(d)
+    radius[:-1] += e
+    radius[1:] += e
+    lo = d.max(axis=0)
+    hi = (d + radius).max(axis=0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return hi
+        full = _count_at_or_below(d, e2, mid[:, None])[:, 0] == m
+        hi = np.where(full, mid, hi)
+        lo = np.where(full, lo, mid)
+
+
+def dos_histogram(sampler: TridiagonalSpectrumSampler, count: int,
+                  scaling: str, bin_edges: Optional[np.ndarray] = None,
+                  threads: int = 1) -> Histogram:
+    """The histogram that :func:`empirical_dos` makes from the full spectra
+    of the same draws, in bulk or edge variables, from eigenvalue counts.
+
+    Per slab of whole chunks (about _SLAB_DRAWS draws), lambda_max of every
+    draw is bisected, then one count at lambda_max - r_j for all bin edges
+    r_j gives the eigenvalues at or below each; the bins are differences of
+    these.  An eigenvalue at distance exactly r_j thus falls in the bin
+    that starts at r_j, as in np.histogram (but for the last edge, which
+    np.histogram includes), and lambda_max itself is below no edge.  The
+    edge DOS counts on the top-left :func:`block_size` block and, as
+    :func:`empirical_dos` refuses top-EDGE_TOP_K spectra that do not reach
+    the last edge, refuses draws with EDGE_TOP_K or more eigenvalues above
+    it.
+    """
+    n = sampler.n
+    if n < 2:
+        raise ValueError("need spectra with at least 2 eigenvalues")
+    if scaling == "bulk":
+        r_per_x, default_hi, m = math.sqrt(n), 2.0 * math.sqrt(2.0), n
+    elif scaling == "edge":
+        r_per_x = 1.0 / (math.sqrt(2.0) * n ** (1.0 / 6.0))
+        default_hi, m = 8.0, block_size(n, EDGE_TOP_K)
     else:
-        parts = [run_chunk(j) for j in jobs]
-    return np.vstack(parts)
+        raise ValueError("scaling must be 'bulk' or 'edge'")
+    if bin_edges is None:
+        bin_edges = np.linspace(0.0, default_hi, 81)
+    edges = np.asarray(bin_edges, float)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) >= 0):
+        raise ValueError("bin edges must increase monotonically")
+    r = edges * r_per_x
+    jobs = _jobs(count)
+    per_slab = max(1, _SLAB_DRAWS // jobs[0][1])
+    tile = max(1, _TILE // edges.size)
+
+    def run_slab(slab):
+        # one draw per column, the counted block only
+        size = sum(s for _, s in slab)
+        d, e = np.empty((m, size)), np.empty((m - 1, size))
+        at = 0
+        for chunk, s in slab:
+            dc, ec = sampler.draw(chunk, s)
+            d[:, at:at + s] = dc[:, :m].T
+            e[:, at:at + s] = ec[:, :m - 1].T
+            at += s
+        e2 = e * e
+        top = _lambda_max(d, e, e2)
+        below = np.zeros(edges.size, np.int64)
+        most_above = 0
+        for s in range(0, size, tile):
+            cols = slice(s, s + tile)
+            k = _count_at_or_below(d[:, cols], e2[:, cols],
+                                   top[cols, None] - r)
+            # lambda_max lies below no edge, though the count at the
+            # bisected lambda_max (r = 0) includes it
+            np.minimum(k, m - 1, out=k)
+            below += k.sum(axis=0)
+            most_above = max(most_above, m - int(k[:, -1].min()))
+        return below, most_above
+
+    parts = _run(run_slab, [jobs[i:i + per_slab]
+                            for i in range(0, len(jobs), per_slab)], threads)
+    # at n <= EDGE_TOP_K every eigenvalue is among the top EDGE_TOP_K
+    if scaling == "edge" and n > EDGE_TOP_K and \
+            max(above for _, above in parts) >= EDGE_TOP_K:
+        raise ValueError(
+            f"{EDGE_TOP_K} or more eigenvalues lie within the last bin edge "
+            f"{edges[-1]:g} of lambda_max in some draw; the edge DOS counts "
+            f"only the top {EDGE_TOP_K} of the top-left block")
+    below = sum(b for b, _ in parts)
+    return Histogram(bin_edges=edges, counts=below[:-1] - below[1:],
+                     total_samples=count * (n - 1))
 
 
 def sample_dense_gue(n: int, count: int, seed: int) -> np.ndarray:
@@ -232,3 +390,12 @@ def empirical_gap(samples: np.ndarray, n: int,
     counts, _ = np.histogram(g, bins=bin_edges)
     return Histogram(bin_edges=np.asarray(bin_edges, float), counts=counts,
                      total_samples=samples.shape[0])
+
+
+def __getattr__(name):
+    # sample_spectrum's per-row solver, imported on first use so that
+    # importing this module, and the counts of dos_histogram, load no scipy
+    if name == "eigvalsh_tridiagonal":
+        from scipy.linalg import eigvalsh_tridiagonal
+        return eigvalsh_tridiagonal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

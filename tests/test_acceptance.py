@@ -201,9 +201,10 @@ def test_criterion_10_exact_vs_mc_n4():
 
 def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
                     threads):
+    # the gap from the top 2 eigenvalues, the DOS from Sturm counts, both on
+    # the same draws
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=seed)
-    samples = mc.sample_spectrum(sampler, count, threads=threads,
-                                 top_k=mc.EDGE_TOP_K)
+    samples = mc.sample_spectrum(sampler, count, threads=threads, top_k=2)
 
     r_grid = np.arange(0.0, 6.5 + 1e-9, 0.05)
     p_curve = scaling.p_typ_curve(r_grid, table)
@@ -218,7 +219,8 @@ def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
     ks = float(np.max(np.abs(emp - cdf(g[sel]))))
 
     edges = np.linspace(0.2, 6.0, dos_bins + 1)
-    hist = mc.empirical_dos(samples, "edge", n, bin_edges=edges)
+    hist = mc.dos_histogram(sampler, count, "edge", bin_edges=edges,
+                            threads=threads)
     rho = scaling.rho_edge_curve(hist.centers(), table)
     z = (hist.density() * n - rho) / (hist.stderr() * n)
     max_z = float(np.max(np.abs(z)))
@@ -253,9 +255,8 @@ def test_criterion_12_bulk_regime():
     # sample count matched to the systematic floor; see test_montecarlo
     n = 200
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=5)
-    samples = mc.sample_spectrum(sampler, 500, threads=4)
     edges = np.linspace(0.3, 2.45, 36)
-    hist = mc.empirical_dos(samples, "bulk", n, bin_edges=edges)
+    hist = mc.dos_histogram(sampler, 500, "bulk", bin_edges=edges, threads=4)
     expect = np.array([scaling.rho_bulk_shifted(c) for c in hist.centers()])
     exp_counts = expect * np.diff(edges) * hist.total_samples
     stat = float(np.sum((hist.counts - exp_counts) ** 2 / exp_counts))

@@ -64,14 +64,18 @@ def test_asymptotics_empty_range_exits_1(capsys):
 
 
 def test_threads_default_follows_the_solve_path(monkeypatch):
-    # threads pay only on the dense batched path (n <= _DENSE_MAX_N);
+    # threads pay on the dense batch (the gap at n <= _DENSE_MAX_N) and on
+    # the Sturm counts (every DOS), not on the per-row gap solves above;
     # the NEAREXTREME_THREADS variable is not read
     monkeypatch.setenv("NEAREXTREME_THREADS", "7")
     parse = cli.build_parser().parse_args
+    cpus = os.cpu_count() or 1
     assert montecarlo._DENSE_MAX_N >= 20
-    assert cli._default_threads(parse(["sample", "--n", "20"])) == (
-        os.cpu_count() or 1)
+    assert cli._default_threads(parse(["sample", "--n", "20"])) == cpus
     assert cli._default_threads(parse(["sample", "--n", "1000"])) == 1
+    for argv in (["--n", "32", "--scaling", "bulk"], ["--n", "1000"]):
+        assert cli._default_threads(
+            parse(["sample", "--quantity", "dos", *argv])) == cpus
     assert cli._default_threads(
         parse(["sample", "--n", "1000", "--threads", "3"])) == 3
 
@@ -128,10 +132,20 @@ def test_commands_import_only_what_they_use(tmp_path):
     for module in ("nearextreme.painleve", "nearextreme.laxpair"):
         loaded = _scipy_modules_after([], tmp_path, module)
         assert not loaded & set(no_spline), (module, sorted(loaded))
+    # the DOS counts eigenvalues and loads no scipy; the gap solves for
+    # them with scipy.linalg, and loads nothing else
+    for scaling in ("bulk", "edge"):
+        assert _scipy_modules_after(
+            ["sample", "--n", "200", "--samples", "20", "--quantity", "dos",
+             "--scaling", scaling, "--threads", "1"] + out,
+            tmp_path) == set()
+    gap = _scipy_modules_after(
+        ["sample", "--n", "1000", "--samples", "20", "--quantity", "gap",
+         "--threads", "1"] + out, tmp_path)
+    public = {m.split(".")[1] for m in gap
+              if "." in m and not m.split(".")[1].startswith("_")}
+    assert public - {"version"} == {"linalg"}, sorted(public)
     cases = (
-        (["sample", "--n", "1000", "--samples", "20", "--quantity", "gap",
-          "--threads", "1"],
-         ("scipy.integrate", "scipy.interpolate", "scipy.special")),
         (["dos-edge"], no_spline),
         (["gap-pdf", "--rmax", "2", "--step", "0.5"], no_spline),
         (["tabulate-painleve"], no_spline),
@@ -235,7 +249,7 @@ def test_sample_bulk_dos_full_mass(tmp_path):
                 "--out", str(out)]) == 0
     header, _, rows = read_csv(out)
     assert header[2] == ("# draw: 64 Philox chunks, full d/e draw; eigensolve: "
-                         "per-row tridiagonal, full matrix; k = 80")
+                         "Sturm counts below bisected lambda_max, full matrix")
     width = rows[1, 0] - rows[0, 0]
     assert float(np.sum(rows[:, 1]) * width) == pytest.approx(1.0, abs=1e-2)
 
@@ -261,8 +275,8 @@ def test_sample_gap_top_two_matches_full_spectrum(tmp_path):
 
 
 def test_sample_edge_dos_block_matches_full_spectrum(tmp_path):
-    # the edge DOS solves only the top 16 of the top-left block (m = 176 of
-    # 200); the histogram must be the one the full spectra give
+    # the edge DOS counts eigenvalues on the top-left block (m = 176 of 200)
+    # only; the histogram must be the one the full spectra give
     from nearextreme import montecarlo as mc
 
     out = tmp_path / "edge.csv"
@@ -270,7 +284,9 @@ def test_sample_edge_dos_block_matches_full_spectrum(tmp_path):
                 "--quantity", "dos", "--scaling", "edge", "--threads", "1",
                 "--out", str(out)]) == 0
     header, _, rows = read_csv(out)
-    assert header[2].endswith("top-left block m = 176 of n = 200; k = 16")
+    assert header[2] == ("# draw: 64 Philox chunks, full d/e draw; eigensolve: "
+                         "Sturm counts below bisected lambda_max, top-left "
+                         "block m = 176 of n = 200")
     full = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=200, seed=9),
                               300)
     hist = mc.empirical_dos(full, "edge", 200)

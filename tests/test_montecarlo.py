@@ -1,5 +1,6 @@
 """Tridiagonal GUE sampler, its eigensolve branches (dense batch, full
-tridiagonal, top-left block), empirical estimators."""
+tridiagonal, top-left block), empirical estimators, and the Sturm-count
+DOS histogram."""
 
 import math
 import os
@@ -104,6 +105,13 @@ def test_solve_header_names_the_branch():
         "k = 2")
     assert mc.solve_header(1000, mc.EDGE_TOP_K).endswith(
         "top-left block m = 300 of n = 1000; k = 16")
+    # the DOS counts on the whole matrix, or the edge block
+    assert mc.count_header(20, "edge") == (
+        "draw: 64 Philox chunks, full d/e draw; eigensolve: Sturm counts "
+        "below bisected lambda_max, full matrix")
+    assert mc.count_header(1000, "bulk").endswith(", full matrix")
+    assert mc.count_header(1000, "edge").endswith(
+        "lambda_max, top-left block m = 300 of n = 1000")
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +161,107 @@ def test_truncated_dos_must_reach_last_bin():
     h = mc.empirical_dos(top, "edge", 1000)
     assert h.bin_edges[-1] == 8.0
     assert int(np.sum(h.counts)) > 0
+
+
+# ---------------------------------------------------------------------------
+# Sturm-count DOS histogram
+# ---------------------------------------------------------------------------
+
+
+def _count(d, e, x):
+    """_count_at_or_below for one matrix and a list of points."""
+    d, e = np.asarray(d, float), np.asarray(e, float)
+    return mc._count_at_or_below(d[:, None], (e * e)[:, None],
+                                 np.asarray(x, float)[None, :])[0]
+
+
+def test_sturm_count_follows_lapack_at_zero_pivots():
+    # matrices whose eigenvalues are exact and whose pivots at these x are
+    # exactly 0, inner and last: the count of eigenvalues <= x must be
+    # LAPACK dstebz's, which counts the half-open range (-inf, x]
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    for d, e, x in (([0.0, 0.0], [1.0], [-1.0, 0.0, 1.0]),
+                    ([1.0, 1.0], [1.0], [0.0, 1.0, 2.0]),
+                    ([0.0, 0.0, 0.0], [1.0, 1.0], [-1.0, 0.0, 1.0]),
+                    ([2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.0],
+                     [0.0, 1.0, 2.0, 3.0, 4.0])):
+        lapack = [eigvalsh_tridiagonal(d, e, select="v",
+                                       select_range=(-10.0, xi),
+                                       lapack_driver="stebz").size
+                  for xi in x]
+        assert _count(d, e, x).tolist() == lapack, (d, x)
+    # the inner zero pivot at x = 0 (d[0] - 0 = 0) gives -inf next, not NaN
+    assert _count([0.0, 0.0, 0.0], [1.0, 1.0], [0.0]).tolist() == [2]
+
+
+def test_lambda_max_bisection_meets_lapack():
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    d, e = mc.TridiagonalSpectrumSampler(n=200, seed=3).draw(0, 20)
+    top = mc._lambda_max(d.T.copy(), e.T.copy(), (e * e).T.copy())
+    want = [eigvalsh_tridiagonal(a, b)[-1] for a, b in zip(d, e)]
+    assert np.max(np.abs(top - want)) < 1e-12
+
+
+@pytest.mark.parametrize("scaling, n, count", (
+    ("bulk", 2, 3000), ("bulk", 4, 3000), ("bulk", 32, 2000),
+    ("bulk", 33, 500), ("bulk", 200, 150), ("edge", 200, 150),
+    ("edge", 1000, 40)))
+def test_dos_histogram_matches_full_spectrum(scaling, n, count):
+    # on the same draws the counts equal the histogram of the full spectra,
+    # with the default bins and with bins that start above 0 (criteria 11
+    # and 12), on one thread or two
+    sampler = mc.TridiagonalSpectrumSampler(n=n, seed=19)
+    full = mc.sample_spectrum(sampler, count)
+    for edges in (None, np.linspace(0.2, 6.0, 30),
+                  np.linspace(0.3, 2.45, 36)):
+        want = mc.empirical_dos(full, scaling, n, bin_edges=edges)
+        got = mc.dos_histogram(sampler, count, scaling, bin_edges=edges)
+        two = mc.dos_histogram(sampler, count, scaling, bin_edges=edges,
+                               threads=2)
+        assert np.array_equal(got.bin_edges, want.bin_edges)
+        assert np.array_equal(got.counts, want.counts), (scaling, n, edges)
+        assert np.array_equal(two.counts, got.counts)
+        assert got.total_samples == want.total_samples
+
+
+def test_edge_dos_refuses_where_the_top_16_did():
+    # the block gives its top EDGE_TOP_K to full accuracy, so the edge
+    # count refuses exactly where empirical_dos refused the top-16 spectra:
+    # when a draw's 16th eigenvalue lies within the last bin edge
+    n, count = 1000, 60
+    sampler = mc.TridiagonalSpectrumSampler(n=n, seed=23)
+    with pytest.raises(ValueError, match="last bin edge 20"):
+        mc.dos_histogram(sampler, count, "edge",
+                         bin_edges=np.linspace(0.0, 20.0, 81))
+    top = mc.sample_spectrum(sampler, count, top_k=mc.EDGE_TOP_K)
+    reach = math.sqrt(2.0) * n ** (1.0 / 6.0) * np.min(top[:, 0] - top[:, -1])
+    assert 8.0 < reach < 20.0
+    inside = np.linspace(0.0, reach * (1.0 - 1e-9), 41)
+    beyond = np.linspace(0.0, reach * (1.0 + 1e-9), 41)
+    assert np.array_equal(
+        mc.dos_histogram(sampler, count, "edge", bin_edges=inside).counts,
+        mc.empirical_dos(top, "edge", n, bin_edges=inside).counts)
+    for estimate in (lambda: mc.empirical_dos(top, "edge", n,
+                                              bin_edges=beyond),
+                     lambda: mc.dos_histogram(sampler, count, "edge",
+                                              bin_edges=beyond)):
+        with pytest.raises(ValueError, match="last bin edge"):
+            estimate()
+
+
+def test_dos_histogram_rejects():
+    sampler = mc.TridiagonalSpectrumSampler(n=8, seed=1)
+    for bad in (dict(count=0), dict(scaling="raw"),
+                dict(bin_edges=np.array([0.0, 2.0, 1.0])),
+                dict(bin_edges=np.array([1.0]))):
+        kwargs = dict(count=10, scaling="bulk") | bad
+        with pytest.raises(ValueError):
+            mc.dos_histogram(sampler, **kwargs)
+    with pytest.raises(ValueError, match="at least 2 eigenvalues"):
+        mc.dos_histogram(mc.TridiagonalSpectrumSampler(n=1, seed=1), 10,
+                         "bulk")
 
 
 def test_histogram_weights():
