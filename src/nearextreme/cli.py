@@ -6,9 +6,11 @@ recording version, parameters and seed, so identical invocations produce
 byte-identical files.
 
 No pipeline module is imported at module level: each command imports the
-modules it calls, so that ``sample`` loads scipy.linalg only for the
-per-row solves of the gap above n = 32, and ``finite-n``, like parsing the
-arguments, loads no scipy at all.
+modules it calls.  Only two paths load scipy: ``check`` (scipy.integrate)
+and ``sample --quantity gap`` above n = 32 (scipy.linalg, for its per-row
+eigensolves).  Every other command, like parsing the arguments, loads no
+scipy at all: the edge commands evaluate Airy functions and solve the
+table's Newton systems with numpy alone.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .airy import ai_pair
+
 # Riemann zeta'(-1), cross-checked once against the Glaisher-Kinkelin
 # constant: zeta'(-1) = 1/12 - ln A.
 ZETA_PRIME_MINUS_ONE = -0.16542114370045092
@@ -100,14 +102,11 @@ class AiryProductTail:
     shift_b: float = 0.0
 
     def remainder(self, x_max: float, v_max: float) -> float:
-        from scipy.special import airy as _airy
-
         if v_max == 0.0:
             return 0.0
         a = x_max - self.shift_a
         d = self.shift_b - self.shift_a
-        ai_a, aip_a, _, _ = _airy(a)
-        ai_b, aip_b, _, _ = _airy(a - d)
+        (ai_a, ai_b), (aip_a, aip_b) = ai_pair([a, a - d])
         if d == 0.0:
             integral = aip_a**2 - a * ai_a**2
         else:

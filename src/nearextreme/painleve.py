@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import airy as _airy
 from .numerics import (AiryProductTail, ExponentialTail, Grid,
@@ -70,13 +69,46 @@ def _left_asymptote(x):
     return np.sqrt(-x / 2.0) * (1.0 + 1.0 / (8.0 * x**3))
 
 
+def _cyclic_reduction(a, b, c, d):
+    """x with a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] for every i,
+    a[0] = c[-1] = 0.  Each level eliminates the odd unknowns from the
+    even rows, which leaves a tridiagonal system of half the size."""
+    if b.size == 1:
+        return d / b
+    ae, be, ce, de = a[::2], b[::2].copy(), c[::2], d[::2].copy()
+    ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[1::2]
+    # even row j couples to odd rows j - 1 (for j >= 1) and j (for j < m)
+    m, k = bo.size, be.size - 1
+    below, above = -ae[1:] / bo[:k], -ce[:m] / bo
+    be[1:] += below * co[:k]
+    be[:m] += above * ao
+    de[1:] += below * do[:k]
+    de[:m] += above * do
+    xe = _cyclic_reduction(np.concatenate(([0.0], below * ao[:k])), be,
+                           np.concatenate((above * co, [0.0]))[:k + 1], de)
+    x = np.empty_like(d)
+    x[::2] = xe
+    x[1::2] = (do - ao * xe[:m] - co * np.append(xe[1:], 0.0)[:m]) / bo
+    return x
+
+
+def _solve_tridiagonal(ab, rhs):
+    """x with A x = rhs for the tridiagonal A stored as for
+    ``scipy.linalg.solve_banded((1, 1), ab, rhs)``: superdiagonal
+    ab[0, 1:], diagonal ab[1], subdiagonal ab[2, :-1].  Cyclic reduction
+    without pivoting, stable when A is diagonally dominant."""
+    return _cyclic_reduction(np.concatenate(([0.0], ab[2, :-1])), ab[1],
+                             np.concatenate((ab[0, 1:], [0.0])), rhs)
+
+
 def _newton_numerov(x: np.ndarray, q: np.ndarray):
     """Newton on Numerov's scheme for q'' = F = 2q^3 + x q on uniform nodes
     x, q[0] and q[-1] held fixed.  Returns q, the step count and the max
     residual of q[i+1] - 2q[i] + q[i-1] - h^2/12 (F[i+1] + 10F[i] + F[i-1])
-    at the returned q; the Jacobian is tridiagonal.  Newton stops after an
-    update below _LAST_UPDATE: the next one would be roundoff.  A
-    non-finite iterate raises RuntimeError."""
+    at the returned q.  The Jacobian is tridiagonal and diagonally dominant
+    (6q^2 + x > 0 on the table), so cyclic reduction solves it without
+    pivoting.  Newton stops after an update below _LAST_UPDATE: the next
+    one would be roundoff.  A non-finite iterate raises RuntimeError."""
     c = (x[1] - x[0]) ** 2 / 12.0
     q, ab = q.copy(), np.empty((3, x.size - 2))
     steps, size = 0, math.inf
@@ -94,7 +126,7 @@ def _newton_numerov(x: np.ndarray, q: np.ndarray):
         off = 1.0 - c * (6.0 * q * q + x)
         ab[0, 1:], ab[2, :-1] = off[2:-1], off[1:-2]
         ab[1] = 10.0 * off[1:-1] - 12.0
-        dq = solve_banded((1, 1), ab, res)
+        dq = _solve_tridiagonal(ab, res)
         q[1:-1] -= dq
         size = float(np.max(np.abs(dq)))
         steps += 1
@@ -118,7 +150,8 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
     x = domain.nodes()
     x_fine = np.linspace(x_min, x_max, 2 * domain.n_points - 1)
     guess = np.maximum(_airy.ai_values(x), np.sqrt(np.maximum(-x, 0.0) / 2.0))
-    guess[0], guess[-1] = _left_asymptote(x_min), _airy.airy(x_max).ai
+    edge = _airy.airy(x_max)
+    guess[0], guess[-1] = _left_asymptote(x_min), edge.ai
     q_h, steps_h, res_h = _newton_numerov(x, guess)
     q_fine, steps_fine, res_fine = _newton_numerov(
         x_fine, np.interp(x_fine, x, q_h))
@@ -128,7 +161,7 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
             f"Hastings-McLeod Newton solve did not converge on {domain} "
             f"(Numerov residual {residual:.3e})")
     q = (16.0 * q_fine[::2] - q_h) / 15.0
-    qp = _airy.airy(x_max).ai_prime - integral_from_right(
+    qp = edge.ai_prime - integral_from_right(
         x, (2.0 * q * q + x) * q)
 
     # R(x) = int_x^inf q^2 with the exact Airy-squared remainder
@@ -146,7 +179,7 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
 @functools.cache
 def default_table() -> PainleveTable:
     """The canonical table on DEFAULT_DOMAIN, solved once per process
-    (~15 ms)."""
+    (~20 ms)."""
     return solve_hastings_mcleod(DEFAULT_DOMAIN)
 
 
@@ -199,8 +232,8 @@ def tracy_widom_f2(table: PainleveTable, x: float) -> float:
     val, _ = quad(lambda u: (u - x) * hermite(grid, q, qp, u) ** 2, x, x_max,
                   epsabs=1e-13, epsrel=1e-12, limit=300)
     # remainder beyond x_max with the Airy model for q
-    rem, _ = quad(lambda u: (u - x) * _airy.ai_values(np.array(u)) ** 2
-                  * (q[-1] / _airy.airy(x_max).ai) ** 2,
+    scale = (q[-1] / _airy.airy(x_max).ai) ** 2
+    rem, _ = quad(lambda u: (u - x) * _airy.ai_values(u) ** 2 * scale,
                   x_max, x_max + 20.0, epsabs=1e-300, epsrel=1e-10)
     return math.exp(-(val + rem))
 

@@ -26,9 +26,43 @@ def test_large_x_asymptotic_form():
 
 
 def test_wronskian_is_one_over_pi():
+    # Ai and Ai' from the package, Bi and Bi' from scipy
+    from scipy.special import airy as scipy_airy
+
     for x in (-10.0, -5.0, 0.0, 5.0, 10.0):
-        assert airy.airy_wronskian(x) == pytest.approx(1.0 / math.pi,
-                                                       abs=1e-12)
+        v = airy.airy(x)
+        _, _, bi, bi_prime = scipy_airy(x)
+        assert v.ai * bi_prime - v.ai_prime * bi == pytest.approx(
+            1.0 / math.pi, abs=1e-12)
+
+
+def test_matches_40_digit_reference():
+    # the series region (x < 1) against the envelope sqrt(Ai^2 + Bi^2), and
+    # its derivative's; the trapezoid region relative, to within the
+    # rounding of exp(-zeta)
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate((np.linspace(-40.0, 60.0, 97), [0.999, 8.32]))
+    ai, aip = airy.ai_pair(x)
+    with mpmath.workdps(40):
+        for xi, v, d in zip(x, ai, aip):
+            u = mpmath.mpf(float(xi))
+            ref, ref_d = mpmath.airyai(u), mpmath.airyai(u, derivative=1)
+            if xi < 1.0:
+                scale = mpmath.sqrt(ref**2 + mpmath.airybi(u) ** 2)
+                scale_d = mpmath.sqrt(ref_d**2
+                                      + mpmath.airybi(u, derivative=1) ** 2)
+            else:
+                zeta = max(1.0, 2.0 / 3.0 * xi**1.5)
+                scale, scale_d = zeta * abs(ref), zeta * abs(ref_d)
+            assert abs(v - ref) <= 1e-13 * scale, xi
+            assert abs(d - ref_d) <= 1e-13 * scale_d, xi
+
+
+def test_raises_below_the_anchor_table():
+    assert math.isfinite(airy.airy(airy.X_MIN).ai)  # the lowest anchor
+    for x in (airy.X_MIN - 0.5, math.nan):
+        with pytest.raises(ValueError, match="covers x >= -60"):
+            airy.ai_values(np.array([0.0, x]))
 
 
 def test_airy_equation_finite_difference():

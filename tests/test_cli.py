@@ -116,50 +116,39 @@ def _scipy_modules_after(argv, tmp_path, module="nearextreme.cli"):
 
 
 def test_commands_import_only_what_they_use(tmp_path):
-    # start-up is most of a cheap command's wall time; each command loads
-    # only the scipy subpackages it calls, and the finite-N path none
-    assert _scipy_modules_after([], tmp_path) == set()
-    assert _scipy_modules_after([], tmp_path, "nearextreme.numerics") == set()
-    assert _scipy_modules_after([], tmp_path, "nearextreme.finite_n") == set()
+    # start-up is most of a cheap command's wall time; only `check` and the
+    # gap above n = 32 load scipy, and each only the subpackage it calls
+    for module in ("nearextreme.cli", "nearextreme.numerics",
+                   "nearextreme.finite_n", "nearextreme.painleve",
+                   "nearextreme.laxpair", "nearextreme.scaling"):
+        assert _scipy_modules_after([], tmp_path, module) == set(), module
     out = ["--out", str(tmp_path / "out.csv")]
-    assert _scipy_modules_after(["finite-n", "--n", "6", "--quantity", "gap"]
-                                + out, tmp_path) == set()
-    # no module evaluates a spline, so nothing loads scipy.interpolate or
-    # what it brings with it; the table and the psi solver load only
-    # scipy.special and scipy.linalg
-    no_spline = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
-                 "scipy.sparse", "scipy.spatial")
-    for module in ("nearextreme.painleve", "nearextreme.laxpair"):
-        loaded = _scipy_modules_after([], tmp_path, module)
-        assert not loaded & set(no_spline), (module, sorted(loaded))
-    # the DOS counts eigenvalues and loads no scipy; the gap solves for
-    # them with scipy.linalg, and loads nothing else
-    for scaling in ("bulk", "edge"):
-        assert _scipy_modules_after(
-            ["sample", "--n", "200", "--samples", "20", "--quantity", "dos",
-             "--scaling", scaling, "--threads", "1"] + out,
-            tmp_path) == set()
+    # the edge curves evaluate Airy functions and solve the table's Newton
+    # systems with numpy alone; the DOS samples count eigenvalues
+    for argv in (["finite-n", "--n", "6", "--quantity", "gap"],
+                 ["dos-edge"],
+                 ["gap-pdf", "--rmax", "2", "--step", "0.5"],
+                 ["tabulate-painleve"],
+                 ["tabulate-psi", "--r-tilde", "2"],
+                 ["asymptotics", "--rmax", "2", "--step", "0.5"],
+                 ["dos-bulk", "--step", "0.5"],
+                 ["sample", "--n", "200", "--samples", "20", "--quantity",
+                  "dos", "--scaling", "bulk", "--threads", "1"],
+                 ["sample", "--n", "200", "--samples", "20", "--quantity",
+                  "dos", "--scaling", "edge", "--threads", "1"]):
+        assert _scipy_modules_after(argv + out, tmp_path) == set(), argv
+    # the gap solves for eigenvalues with scipy.linalg, and loads nothing else
     gap = _scipy_modules_after(
         ["sample", "--n", "1000", "--samples", "20", "--quantity", "gap",
          "--threads", "1"] + out, tmp_path)
     public = {m.split(".")[1] for m in gap
               if "." in m and not m.split(".")[1].startswith("_")}
     assert public - {"version"} == {"linalg"}, sorted(public)
-    cases = (
-        (["dos-edge"], no_spline),
-        (["gap-pdf", "--rmax", "2", "--step", "0.5"], no_spline),
-        (["tabulate-painleve"], no_spline),
-        (["tabulate-psi", "--r-tilde", "2"], no_spline),
-        (["asymptotics", "--rmax", "2", "--step", "0.5"], no_spline),
-        (["dos-bulk", "--step", "0.5"], no_spline),
-        # check integrates with scipy.integrate.quad, but interpolates
-        # with nothing from scipy
-        (["check"], ("scipy.interpolate",)),
-    )
-    for argv, absent in cases:
-        loaded = _scipy_modules_after(argv + out, tmp_path)
-        assert "scipy" in loaded, argv  # the probe sees scipy at all
-        assert not loaded & set(absent), (argv, sorted(loaded & set(absent)))
+    # check integrates with scipy.integrate.quad, but interpolates with
+    # nothing from scipy
+    loaded = _scipy_modules_after(["check"] + out, tmp_path)
+    assert "scipy" in loaded  # the probe sees scipy at all
+    assert "scipy.interpolate" not in loaded, sorted(loaded)
 
 
 def test_python_m_runs_the_cli(tmp_path):

@@ -55,22 +55,55 @@ def test_table_matches_bvp_reference(table):
 def test_unconverged_newton_raises(monkeypatch):
     # a Newton update that is never usable leaves the Numerov residual
     # large (here NaN); the solver must refuse it, not tabulate it
-    monkeypatch.setattr(painleve, "solve_banded",
-                        lambda l_and_u, ab, b: np.full_like(b, np.nan))
+    monkeypatch.setattr(painleve, "_solve_tridiagonal",
+                        lambda ab, b: np.full_like(b, np.nan))
     with pytest.raises(RuntimeError, match="did not converge"):
         painleve.solve_hastings_mcleod(Grid(-10.0, 8.0, 1801))
 
 
 def test_non_finite_newton_iterate_raises():
     # a NaN in the guess (or an iterate that diverges) must raise the
-    # documented RuntimeError naming the domain, not scipy's ValueError
-    # from solve_banded's finiteness check
+    # documented RuntimeError naming the domain, not propagate into the
+    # Newton update
     x = np.linspace(-10.0, 8.0, 1801)
     guess = np.maximum(airy.ai_values(x), np.sqrt(np.maximum(-x, 0.0) / 2.0))
     guess[900] = math.nan
     with pytest.raises(RuntimeError,
                        match=r"\[-10, 8\] with 1801 nodes.*step 0"):
         painleve._newton_numerov(x, guess)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1801])
+def test_tridiagonal_solve_matches_dense(n):
+    # diagonally dominant (|diagonal| >= 2 >= |sub| + |super|), with the
+    # unused corners ab[0, 0] and ab[2, -1] filled, as solve_banded allows
+    rng = np.random.default_rng(n)
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[1] += 2.0 * np.sign(ab[1])
+    a = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    b = rng.normal(size=n)
+    x, ref = painleve._solve_tridiagonal(ab, b), np.linalg.solve(a, b)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tridiagonal_solve_on_the_numerov_jacobian(table):
+    # the first Newton system on the canonical grid (the Jacobian and the
+    # Numerov residual at the guess), against LAPACK's banded solver
+    from scipy.linalg import solve_banded
+
+    x, c = table.grid.nodes(), table.grid.h**2 / 12.0
+    q = np.maximum(airy.ai_values(x), np.sqrt(np.maximum(-x, 0.0) / 2.0))
+    q[0], q[-1] = painleve._left_asymptote(x[0]), airy.airy(x[-1]).ai
+    force = (2.0 * q * q + x) * q
+    res = (q[2:] - 2.0 * q[1:-1] + q[:-2]
+           - c * (force[2:] + 10.0 * force[1:-1] + force[:-2]))
+    off = 1.0 - c * (6.0 * q * q + x)
+    ab = np.zeros((3, x.size - 2))
+    ab[0, 1:], ab[2, :-1] = off[2:-1], off[1:-2]
+    ab[1] = 10.0 * off[1:-1] - 12.0
+    ref = solve_banded((1, 1), ab, res)
+    dq = painleve._solve_tridiagonal(ab, res)
+    assert np.max(np.abs(dq - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_table_rejects_nonfinite_and_missized(table):
