@@ -6,11 +6,10 @@ recording version, parameters and seed, so identical invocations produce
 byte-identical files.
 
 No pipeline module is imported at module level: each command imports the
-modules it calls.  Only two paths load scipy: ``check`` (scipy.integrate)
-and ``sample --quantity gap`` above n = 32 (scipy.linalg, for its per-row
-eigensolves).  Every other command, like parsing the arguments, loads no
-scipy at all: the edge commands evaluate Airy functions and solve the
-table's Newton systems with numpy alone.
+modules it calls.  No command loads scipy: the edge commands evaluate Airy
+functions and solve the table's Newton systems with numpy alone, every
+``sample`` quantity comes from Sturm counts, and ``check`` integrates by
+Gauss-Legendre sums.
 """
 
 from __future__ import annotations
@@ -46,16 +45,9 @@ def _write_csv(path, header_lines, columns, names):
 
 
 def _default_threads(args) -> int:
-    """--threads if given; else 1 on the per-row tridiagonal path (the gap
-    above n = montecarlo._DENSE_MAX_N), where threads give no gain, and the
-    CPU count on the dense batch and the Sturm counts, where they do."""
-    from . import montecarlo
-
-    if args.threads is not None:
-        return args.threads
-    if args.quantity == "gap" and args.n > montecarlo._DENSE_MAX_N:
-        return 1
-    return os.cpu_count() or 1
+    """--threads if given, else the CPU count: the Sturm counts of every
+    ``sample`` quantity split slab by slab over threads."""
+    return args.threads or os.cpu_count() or 1
 
 
 def _provenance(table) -> list[str]:
@@ -167,17 +159,12 @@ def cmd_sample(args) -> int:
 
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
-    header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}"]
-    if args.quantity == "gap":
-        # the top 2 eigenvalues, from the top-left block
-        samples = montecarlo.sample_spectrum(sampler, args.samples,
-                                             threads=threads, top_k=2)
-        header.append(montecarlo.solve_header(args.n, 2))
-        hist = montecarlo.empirical_gap(samples, args.n)
-    else:
-        hist = montecarlo.dos_histogram(sampler, args.samples, args.scaling,
-                                        threads=threads)
-        header.append(montecarlo.count_header(args.n, args.scaling))
+    # the gap is always in the edge variable
+    scaling = "edge" if args.quantity == "gap" else args.scaling
+    hist = montecarlo.count_histogram(sampler, args.samples, args.quantity,
+                                      scaling, threads=threads)
+    header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}",
+              montecarlo.count_header(args.n, scaling)]
     dens, err = hist.density(), hist.stderr()
     if args.quantity == "dos" and args.scaling == "edge":
         # the edge-scaled histogram estimates rho_edge / n
@@ -210,8 +197,6 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_check(args) -> int:
     """Run the invariant suite; nonzero exit on any failure."""
-    from scipy.integrate import quad
-
     from . import finite_n as fn
     from . import laxpair, painleve
 
@@ -249,18 +234,23 @@ def cmd_check(args) -> int:
 
     for y in (-1.0, 0.0, 2.0):
         sys_ = fn.build_ortho_system(y, 2)
-        a = fn.truncation_amplitude(y)
         h0 = math.sqrt(math.pi) * (1 + math.erf(y)) / 2
+        a = math.exp(-y * y) / (2 * h0)  # e^(-y^2) / (sqrt(pi) (1 + erf y))
         h1 = math.exp(-y * y) * (1 / a - 2 * a - 2 * y) / 4
         check(f"h0, h1, S0 closed forms at y = {y}",
               abs(sys_.h[0] - h0) < 1e-10 and abs(sys_.h[1] - h1) < 1e-9
               and abs(sys_.s_coef[0] + a) < 1e-10)
 
+    def integral(f, a, b):
+        """64-point Gauss-Legendre sum of f on [a, b]."""
+        x, w = np.polynomial.legendre.leggauss(64)
+        return 0.5 * (b - a) * float(w @ f(0.5 * (b - a) * x + 0.5 * (b + a)))
+
     sys4 = fn.build_ortho_system(0.5, 4)
-    norm, _ = quad(lambda x: fn.kernel(sys4, x, x), -8.0, 0.5, limit=200)
+    norm = integral(lambda x: fn.kernel(sys4, x, x), -8.0, 0.5)
     check("kernel normalization int K = N (N = 4)", abs(norm - 4) < 1e-6,
           f"({norm:.8f})")
-    dos_norm, _ = quad(lambda r: fn.dos_exact(r, 4), 0.0, 8.0, limit=200)
+    dos_norm = integral(lambda r: fn.dos_exact(r, 4), 0.0, 8.0)
     check("int dos_exact = 1 (N = 4)", abs(dos_norm - 1) < 1e-4,
           f"({dos_norm:.6f})")
 

@@ -7,19 +7,22 @@ instead of the O(n^3) of dense Hermitian sampling, which is what makes the
 2e5 x (n = 1000) validation runs feasible.  A dense reference sampler is
 kept for cross-checks at small n.
 
-A density-of-states histogram needs no eigenvalue but lambda_max: the
-number of eigenvalues at or below x is the number of non-positive pivots
-of the LDL^T factorisation of T - x I (Sturm counts; Barth, Martin &
-Wilkinson, Numer. Math. 9 (1967) 386), an O(m) recurrence that runs
-vectorised over draws and bin edges.  :func:`dos_histogram` bisects
-lambda_max on these counts, then counts once at lambda_max - r_j for
-every bin edge r_j; :func:`sample_spectrum` solves for the eigenvalues
-the gap needs.
+No histogram solves for an eigenvalue but lambda_max: the number of
+eigenvalues at or below x is the number of non-positive pivots of the
+LDL^T factorisation of T - x I (Sturm counts; Barth, Martin & Wilkinson,
+Numer. Math. 9 (1967) 386), an O(m) recurrence that runs vectorised over
+draws and bin edges.  :func:`count_histogram` takes the Gershgorin bound
+of each chunk while it fills a slab of draws, bisects lambda_max on the
+counts, and then counts once at lambda_max - r_j for every bin edge r_j
+(the DOS), or finds each draw's first gap by a binary search over the
+bin edges, a count at one edge per step (the gap).
+:func:`sample_spectrum` solves for eigenvalues; the tests use it as the
+reference.
 
 The top eigenvalues of the tridiagonal model live in its top-left corner,
 on a scale of n^(1/3) (the stochastic Airy limit; Dumitriu & Edelman,
 J. Math. Phys. 43 (2002) 5830; Edelman & Sutton, J. Stat. Phys. 127 (2007)
-1121).  So the gap (top 2) and the edge-scaled DOS are solved on each
+1121).  So the gap (top 2) and the edge-scaled DOS are counted on each
 draw's top-left block of size min(n, ceil(30 n^(1/3))) only: 300 at
 n = 1000, 647 at n = 10^4, the whole matrix up to n = 165.  On the same
 draws the top 16 of that block match the full spectrum's to <= 7.3e-12 at
@@ -53,7 +56,7 @@ _DENSE_MAX_N = 32
 _BLOCK_C = 30
 #: most eigenvalues per draw that the top-left block gives to full accuracy
 EDGE_TOP_K = 16
-# draws that dos_histogram holds at once, in slabs of whole chunks; all
+# draws that count_histogram holds at once, in slabs of whole chunks; all
 # 1e5 draws of n = 32 at once peak at 160 MB instead of 47 MB
 _SLAB_DRAWS = 8192
 # (draw, bin edge) pairs per tile of a Sturm count, few enough that its
@@ -132,23 +135,10 @@ def block_size(n: int, top_k: Optional[int]) -> int:
 _DRAW_HEADER = f"draw: {_N_CHUNKS} Philox chunks, full d/e draw"
 
 
-def solve_header(n: int, top_k: Optional[int]) -> str:
-    """CSV header line: the draw layout and the eigensolve branch that
-    :func:`sample_spectrum` takes for (n, top_k)."""
-    k = n if top_k is None else min(top_k, n)
-    m = block_size(n, top_k)
-    if n <= _DENSE_MAX_N:
-        solve = "dense batch"
-    elif m < n:
-        solve = f"per-row tridiagonal, top-left block m = {m} of n = {n}"
-    else:
-        solve = "per-row tridiagonal, full matrix"
-    return f"{_DRAW_HEADER}; eigensolve: {solve}; k = {k}"
-
-
 def count_header(n: int, scaling: str) -> str:
     """CSV header line: the draw layout and the matrix that
-    :func:`dos_histogram` counts on for (n, scaling)."""
+    :func:`count_histogram` counts on for (n, scaling); the gap counts on
+    the edge block."""
     m = block_size(n, EDGE_TOP_K) if scaling == "edge" else n
     on = f"top-left block m = {m} of n = {n}" if m < n else "full matrix"
     return (f"{_DRAW_HEADER}; eigensolve: Sturm counts below bisected "
@@ -222,17 +212,22 @@ def _count_at_or_below(d: np.ndarray, e2: np.ndarray,
     return count
 
 
-def _lambda_max(d: np.ndarray, e: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Each draw's largest eigenvalue (d, e2 as in
-    :func:`_count_at_or_below`, e the sub-diagonals), bisected on the
-    counts until the midpoint equals an end of the bracket."""
-    m = d.shape[0]
-    # bounds: the largest diagonal entry (a Rayleigh quotient) and Gershgorin
+def _gershgorin_top(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Each draw's Gershgorin upper bound max_i (d_i + e_(i-1) + e_i), one
+    draw per row: d (B, m) the diagonals, e (B, m - 1) the sub-diagonals."""
     radius = np.zeros_like(d)
-    radius[:-1] += e
-    radius[1:] += e
+    radius[:, :-1] += e
+    radius[:, 1:] += e
+    return (d + radius).max(axis=1)
+
+
+def _lambda_max(d: np.ndarray, e2: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each draw's largest eigenvalue (d, e2 as in
+    :func:`_count_at_or_below`), bisected on the counts from the bracket
+    [largest diagonal entry (a Rayleigh quotient), hi] until the midpoint
+    equals an end of the bracket; hi is :func:`_gershgorin_top`."""
+    m = d.shape[0]
     lo = d.max(axis=0)
-    hi = (d + radius).max(axis=0)
     while True:
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
@@ -242,33 +237,63 @@ def _lambda_max(d: np.ndarray, e: np.ndarray, e2: np.ndarray) -> np.ndarray:
         lo = np.where(full, lo, mid)
 
 
-def dos_histogram(sampler: TridiagonalSpectrumSampler, count: int,
-                  scaling: str, bin_edges: Optional[np.ndarray] = None,
-                  threads: int = 1) -> Histogram:
-    """The histogram that :func:`empirical_dos` makes from the full spectra
-    of the same draws, in bulk or edge variables, from eigenvalue counts.
+def _gap_edge(d: np.ndarray, e2: np.ndarray, top: np.ndarray,
+              r: np.ndarray) -> np.ndarray:
+    """Per draw (d, e2 as in :func:`_count_at_or_below`, top its
+    lambda_max), the last j in -1 .. K - 1 with lambda_2 <= top - r_j, for
+    K increasing r: the gap lies in [r_j, r_(j+1)).  lambda_2 <= x exactly
+    when at least m - 1 eigenvalues lie at or below x.  A binary search
+    between the virtual edges r_-1 = -inf (always met) and r_K = +inf
+    (never met) counts at one edge per draw and step."""
+    m = d.shape[0]
+    lo = np.full(top.shape, -1)
+    hi = np.full(top.shape, r.size)
+    while True:
+        open_ = hi - lo > 1
+        if not open_.any():
+            return lo
+        # lo < mid < hi where open; a closed draw's count is discarded
+        mid = (lo + hi) // 2
+        x = (top - r[mid])[:, None]
+        met = _count_at_or_below(d, e2, x)[:, 0] >= m - 1
+        lo = np.where(open_ & met, mid, lo)
+        hi = np.where(open_ & ~met, mid, hi)
+
+
+def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
+                    quantity: str, scaling: str = "edge",
+                    bin_edges: Optional[np.ndarray] = None,
+                    threads: int = 1) -> Histogram:
+    """The histogram that :func:`empirical_gap` (quantity "gap", in the
+    edge variable) or :func:`empirical_dos` (quantity "dos", in bulk or
+    edge variables) makes from the spectra of the same draws, from
+    eigenvalue counts.
 
     Per slab of whole chunks (about _SLAB_DRAWS draws), lambda_max of every
-    draw is bisected, then one count at lambda_max - r_j for all bin edges
-    r_j gives the eigenvalues at or below each; the bins are differences of
-    these.  An eigenvalue at distance exactly r_j thus falls in the bin
-    that starts at r_j, as in np.histogram (but for the last edge, which
-    np.histogram includes), and lambda_max itself is below no edge.  The
-    edge DOS counts on the top-left :func:`block_size` block and, as
-    :func:`empirical_dos` refuses top-EDGE_TOP_K spectra that do not reach
-    the last edge, refuses draws with EDGE_TOP_K or more eigenvalues above
-    it.
+    draw is bisected.  The DOS then counts once at lambda_max - r_j for all
+    bin edges r_j; the bins are differences of these counts.  The gap's bin
+    comes from :func:`_gap_edge`.  A distance of exactly r_j falls in the
+    bin that starts at r_j, as in np.histogram, but for the last edge,
+    which np.histogram includes; lambda_max itself is below no edge.  The
+    gap and the edge DOS count on the top-left :func:`block_size` block
+    and, as :func:`empirical_dos` refuses top-EDGE_TOP_K spectra that do
+    not reach the last edge, the edge DOS refuses draws with EDGE_TOP_K or
+    more eigenvalues above it.
     """
     n = sampler.n
     if n < 2:
         raise ValueError("need spectra with at least 2 eigenvalues")
-    if scaling == "bulk":
+    if quantity not in ("gap", "dos"):
+        raise ValueError("quantity must be 'gap' or 'dos'")
+    if scaling == "bulk" and quantity == "dos":
         r_per_x, default_hi, m = math.sqrt(n), 2.0 * math.sqrt(2.0), n
     elif scaling == "edge":
         r_per_x = 1.0 / (math.sqrt(2.0) * n ** (1.0 / 6.0))
-        default_hi, m = 8.0, block_size(n, EDGE_TOP_K)
+        default_hi = 8.0
+        m = block_size(n, 2 if quantity == "gap" else EDGE_TOP_K)
     else:
-        raise ValueError("scaling must be 'bulk' or 'edge'")
+        raise ValueError("scaling must be 'bulk' or 'edge' for the DOS, "
+                         "'edge' for the gap")
     if bin_edges is None:
         bin_edges = np.linspace(0.0, default_hi, 81)
     edges = np.asarray(bin_edges, float)
@@ -282,15 +307,21 @@ def dos_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     def run_slab(slab):
         # one draw per column, the counted block only
         size = sum(s for _, s in slab)
-        d, e = np.empty((m, size)), np.empty((m - 1, size))
+        d, e2 = np.empty((m, size)), np.empty((m - 1, size))
+        hi = np.empty(size)
         at = 0
         for chunk, s in slab:
             dc, ec = sampler.draw(chunk, s)
-            d[:, at:at + s] = dc[:, :m].T
-            e[:, at:at + s] = ec[:, :m - 1].T
+            dc, ec = dc[:, :m], ec[:, :m - 1]
+            d[:, at:at + s] = dc.T
+            e2[:, at:at + s] = (ec * ec).T
+            hi[at:at + s] = _gershgorin_top(dc, ec)
             at += s
-        e2 = e * e
-        top = _lambda_max(d, e, e2)
+        top = _lambda_max(d, e2, hi)
+        if quantity == "gap":
+            # index j + 1: 0 below the first edge, K at or past the last
+            j = _gap_edge(d, e2, top, r)
+            return np.bincount(j + 1, minlength=edges.size + 1), 0
         below = np.zeros(edges.size, np.int64)
         most_above = 0
         for s in range(0, size, tile):
@@ -306,6 +337,10 @@ def dos_histogram(sampler: TridiagonalSpectrumSampler, count: int,
 
     parts = _run(run_slab, [jobs[i:i + per_slab]
                             for i in range(0, len(jobs), per_slab)], threads)
+    tally = sum(t for t, _ in parts)
+    if quantity == "gap":
+        return Histogram(bin_edges=edges, counts=tally[1:-1],
+                         total_samples=count)
     # at n <= EDGE_TOP_K every eigenvalue is among the top EDGE_TOP_K
     if scaling == "edge" and n > EDGE_TOP_K and \
             max(above for _, above in parts) >= EDGE_TOP_K:
@@ -313,8 +348,7 @@ def dos_histogram(sampler: TridiagonalSpectrumSampler, count: int,
             f"{EDGE_TOP_K} or more eigenvalues lie within the last bin edge "
             f"{edges[-1]:g} of lambda_max in some draw; the edge DOS counts "
             f"only the top {EDGE_TOP_K} of the top-left block")
-    below = sum(b for b, _ in parts)
-    return Histogram(bin_edges=edges, counts=below[:-1] - below[1:],
+    return Histogram(bin_edges=edges, counts=tally[:-1] - tally[1:],
                      total_samples=count * (n - 1))
 
 
@@ -394,7 +428,8 @@ def empirical_gap(samples: np.ndarray, n: int,
 
 def __getattr__(name):
     # sample_spectrum's per-row solver, imported on first use so that
-    # importing this module, and the counts of dos_histogram, load no scipy
+    # importing this module, and the counts of count_histogram, load no
+    # scipy
     if name == "eigvalsh_tridiagonal":
         from scipy.linalg import eigvalsh_tridiagonal
         return eigvalsh_tridiagonal

@@ -219,8 +219,8 @@ def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
     ks = float(np.max(np.abs(emp - cdf(g[sel]))))
 
     edges = np.linspace(0.2, 6.0, dos_bins + 1)
-    hist = mc.dos_histogram(sampler, count, "edge", bin_edges=edges,
-                            threads=threads)
+    hist = mc.count_histogram(sampler, count, "dos", "edge", bin_edges=edges,
+                              threads=threads)
     rho = scaling.rho_edge_curve(hist.centers(), table)
     z = (hist.density() * n - rho) / (hist.stderr() * n)
     max_z = float(np.max(np.abs(z)))
@@ -256,7 +256,8 @@ def test_criterion_12_bulk_regime():
     n = 200
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=5)
     edges = np.linspace(0.3, 2.45, 36)
-    hist = mc.dos_histogram(sampler, 500, "bulk", bin_edges=edges, threads=4)
+    hist = mc.count_histogram(sampler, 500, "dos", "bulk", bin_edges=edges,
+                              threads=4)
     expect = np.array([scaling.rho_bulk_shifted(c) for c in hist.centers()])
     exp_counts = expect * np.diff(edges) * hist.total_samples
     stat = float(np.sum((hist.counts - exp_counts) ** 2 / exp_counts))

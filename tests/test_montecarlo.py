@@ -1,6 +1,6 @@
 """Tridiagonal GUE sampler, its eigensolve branches (dense batch, full
 tridiagonal, top-left block), empirical estimators, and the Sturm-count
-DOS histogram."""
+gap and DOS histograms."""
 
 import math
 import os
@@ -98,22 +98,6 @@ def test_block_thread_invariance():
         assert np.array_equal(a, b)
 
 
-def test_solve_header_names_the_branch():
-    # the per-row branches are asserted on the CLI's CSV headers
-    assert mc.solve_header(20, 2) == (
-        "draw: 64 Philox chunks, full d/e draw; eigensolve: dense batch; "
-        "k = 2")
-    assert mc.solve_header(1000, mc.EDGE_TOP_K).endswith(
-        "top-left block m = 300 of n = 1000; k = 16")
-    # the DOS counts on the whole matrix, or the edge block
-    assert mc.count_header(20, "edge") == (
-        "draw: 64 Philox chunks, full d/e draw; eigensolve: Sturm counts "
-        "below bisected lambda_max, full matrix")
-    assert mc.count_header(1000, "bulk").endswith(", full matrix")
-    assert mc.count_header(1000, "edge").endswith(
-        "lambda_max, top-left block m = 300 of n = 1000")
-
-
 # ---------------------------------------------------------------------------
 # dense reference sampler
 # ---------------------------------------------------------------------------
@@ -164,7 +148,7 @@ def test_truncated_dos_must_reach_last_bin():
 
 
 # ---------------------------------------------------------------------------
-# Sturm-count DOS histogram
+# Sturm-count gap and DOS histograms
 # ---------------------------------------------------------------------------
 
 
@@ -199,7 +183,8 @@ def test_lambda_max_bisection_meets_lapack():
     from scipy.linalg import eigvalsh_tridiagonal
 
     d, e = mc.TridiagonalSpectrumSampler(n=200, seed=3).draw(0, 20)
-    top = mc._lambda_max(d.T.copy(), e.T.copy(), (e * e).T.copy())
+    top = mc._lambda_max(d.T.copy(), (e * e).T.copy(),
+                         mc._gershgorin_top(d, e))
     want = [eigvalsh_tridiagonal(a, b)[-1] for a, b in zip(d, e)]
     assert np.max(np.abs(top - want)) < 1e-12
 
@@ -217,13 +202,35 @@ def test_dos_histogram_matches_full_spectrum(scaling, n, count):
     for edges in (None, np.linspace(0.2, 6.0, 30),
                   np.linspace(0.3, 2.45, 36)):
         want = mc.empirical_dos(full, scaling, n, bin_edges=edges)
-        got = mc.dos_histogram(sampler, count, scaling, bin_edges=edges)
-        two = mc.dos_histogram(sampler, count, scaling, bin_edges=edges,
-                               threads=2)
+        got = mc.count_histogram(sampler, count, "dos", scaling,
+                                 bin_edges=edges)
+        two = mc.count_histogram(sampler, count, "dos", scaling,
+                                 bin_edges=edges, threads=2)
         assert np.array_equal(got.bin_edges, want.bin_edges)
         assert np.array_equal(got.counts, want.counts), (scaling, n, edges)
         assert np.array_equal(two.counts, got.counts)
         assert got.total_samples == want.total_samples
+
+
+@pytest.mark.parametrize("n, count, threads", (
+    (2, 3000, 1), (10, 3000, 1), (32, 2000, 2), (40, 1000, 1),
+    (200, 300, 1), (1000, 60, 1)))
+def test_gap_histogram_matches_top_two(n, count, threads):
+    # on the same draws the binary search on counts gives the histogram of
+    # the solved top-2 gaps, integer for integer, with the default bins and
+    # with bins that do not start at 0 or that start below it, where the
+    # virtual edges at either end hold the gaps outside the bins
+    sampler = mc.TridiagonalSpectrumSampler(n=n, seed=29)
+    top = mc.sample_spectrum(sampler, count, top_k=2)
+    for edges in (None, np.linspace(0.5, 3.0, 11), np.linspace(-1.0, 2.0, 7)):
+        want = mc.empirical_gap(top, n, bin_edges=edges)
+        got = mc.count_histogram(sampler, count, "gap", bin_edges=edges,
+                                 threads=threads)
+        assert np.array_equal(got.bin_edges, want.bin_edges)
+        assert np.array_equal(got.counts, want.counts), (n, edges)
+        assert got.total_samples == want.total_samples == count
+    # some draws fall outside each window of the non-default bins
+    assert 0 < int(got.counts.sum()) < count
 
 
 def test_edge_dos_refuses_where_the_top_16_did():
@@ -233,35 +240,39 @@ def test_edge_dos_refuses_where_the_top_16_did():
     n, count = 1000, 60
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=23)
     with pytest.raises(ValueError, match="last bin edge 20"):
-        mc.dos_histogram(sampler, count, "edge",
-                         bin_edges=np.linspace(0.0, 20.0, 81))
+        mc.count_histogram(sampler, count, "dos", "edge",
+                           bin_edges=np.linspace(0.0, 20.0, 81))
     top = mc.sample_spectrum(sampler, count, top_k=mc.EDGE_TOP_K)
     reach = math.sqrt(2.0) * n ** (1.0 / 6.0) * np.min(top[:, 0] - top[:, -1])
     assert 8.0 < reach < 20.0
     inside = np.linspace(0.0, reach * (1.0 - 1e-9), 41)
     beyond = np.linspace(0.0, reach * (1.0 + 1e-9), 41)
     assert np.array_equal(
-        mc.dos_histogram(sampler, count, "edge", bin_edges=inside).counts,
+        mc.count_histogram(sampler, count, "dos", "edge",
+                           bin_edges=inside).counts,
         mc.empirical_dos(top, "edge", n, bin_edges=inside).counts)
     for estimate in (lambda: mc.empirical_dos(top, "edge", n,
                                               bin_edges=beyond),
-                     lambda: mc.dos_histogram(sampler, count, "edge",
-                                              bin_edges=beyond)):
+                     lambda: mc.count_histogram(sampler, count, "dos",
+                                                "edge", bin_edges=beyond)):
         with pytest.raises(ValueError, match="last bin edge"):
             estimate()
 
 
 def test_dos_histogram_rejects():
+    # the gap is in the edge variable only
     sampler = mc.TridiagonalSpectrumSampler(n=8, seed=1)
-    for bad in (dict(count=0), dict(scaling="raw"),
+    for bad in (dict(count=0), dict(scaling="raw"), dict(quantity="raw"),
+                dict(quantity="gap", scaling="bulk"),
                 dict(bin_edges=np.array([0.0, 2.0, 1.0])),
                 dict(bin_edges=np.array([1.0]))):
-        kwargs = dict(count=10, scaling="bulk") | bad
+        kwargs = dict(count=10, quantity="dos", scaling="bulk") | bad
         with pytest.raises(ValueError):
-            mc.dos_histogram(sampler, **kwargs)
-    with pytest.raises(ValueError, match="at least 2 eigenvalues"):
-        mc.dos_histogram(mc.TridiagonalSpectrumSampler(n=1, seed=1), 10,
-                         "bulk")
+            mc.count_histogram(sampler, **kwargs)
+    for quantity in ("gap", "dos"):
+        with pytest.raises(ValueError, match="at least 2 eigenvalues"):
+            mc.count_histogram(mc.TridiagonalSpectrumSampler(n=1, seed=1),
+                               10, quantity)
 
 
 def test_histogram_weights():
