@@ -154,7 +154,6 @@ def psi_residuals(psi: PsiPair) -> dict:
     """Per-node residual diagnostics for one PsiPair:
 
     - ``schrod``: f'' - (x + 2q^2 - r) f  (second-difference form)
-    - ``fg_relation``: q g + r int_x^inf q f
     - ``conserved``: d/dx [ (r + R/q^2) f^2 - 2 (q'/q) f g
       + (1 + q^2/r) g^2 ] + f^2  (the conserved combination; r != 0)
 
@@ -172,12 +171,7 @@ def psi_residuals(psi: PsiPair) -> dict:
            - f[:-4]) / (12.0 * h**2)
     schrod = fdd - (x[2:-2] + 2.0 * q[2:-2] ** 2 - r) * f[2:-2]
     scale = max(1.0, float(np.max(np.abs(f))))
-    fg = q * gv + r * psi.qf_integral
-    out = {
-        "schrod": float(np.max(np.abs(schrod))) / scale,
-        "fg_relation": float(np.max(np.abs(fg))) / scale,
-        "g_at_xmax": float(abs(gv[-1])),
-    }
+    out = {"schrod": float(np.max(np.abs(schrod))) / scale}
 
     if r != 0.0:
         ok = _diagnostic_window(table)

@@ -12,10 +12,12 @@ eigenvalues at or below x is the number of non-positive pivots of the
 LDL^T factorisation of T - x I (Sturm counts; Barth, Martin & Wilkinson,
 Numer. Math. 9 (1967) 386), an O(m) recurrence that runs vectorised over
 draws and bin edges.  :func:`count_histogram` takes the Gershgorin bound
-of each chunk while it fills a slab of draws, bisects lambda_max on the
+of each chunk while it fills a slab of draws, finds lambda_max on the
 counts, and then counts once at lambda_max - r_j for every bin edge r_j
 (the DOS), or finds each draw's first gap by a binary search over the
-bin edges, a count at one edge per step (the gap).
+bin edges, a count at one edge per step (the gap).  lambda_max is the
+float that a bisection on the counts ends on, reached by bisection,
+Newton steps and a shorter bisection (:func:`_lambda_max`).
 :func:`sample_spectrum` solves for eigenvalues; the tests use it as the
 reference.
 
@@ -60,7 +62,8 @@ EDGE_TOP_K = 16
 # 1e5 draws of n = 32 at once peak at 160 MB instead of 47 MB
 _SLAB_DRAWS = 8192
 # (draw, bin edge) pairs per tile of a Sturm count, few enough that its
-# work arrays stay in cache (1.7 times as fast as a whole slab at n = 32)
+# work arrays stay in cache (1.8 times as fast as a whole slab at n = 32;
+# 2**14 and 2**16 are 10-25 % slower there)
 _TILE = 2**15
 
 
@@ -154,9 +157,9 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     result has shape (count, k) instead of (count, n).  The draws are
     deterministic in (n, seed, count) and depend neither on the thread
     count nor on `top_k`.  Up to n = 32 a chunk is solved as one batch of
-    dense matrices; above, row by row with the tridiagonal solver, which
-    then computes only the k largest eigenvalues of the top-left
-    :func:`block_size` block.
+    dense matrices; above, row by row with scipy's tridiagonal solver
+    (scipy is needed for n > 32, and only here), which then computes only
+    the k largest eigenvalues of the top-left :func:`block_size` block.
     """
     n = sampler.n
     k = n if top_k is None else min(top_k, n)
@@ -190,7 +193,11 @@ def _count_at_or_below(d: np.ndarray, e2: np.ndarray,
     """How many eigenvalues of each draw's tridiagonal matrix lie at or
     below each x: the non-positive pivots of the LDL^T factorisation of
     T - x I.  d (m, B) and e2 (m - 1, B) hold the diagonals and squared
-    sub-diagonals of B draws, one per column; x is (B, K).
+    sub-diagonals of B draws, one per column; x is (K, B), K points per
+    draw, so that the rows d[i] and e2[i - 1] broadcast along the
+    contiguous rows of x.  The result is (K, B).  The signs are tallied
+    in a byte counter, which is flushed into the int32 result every 255
+    rows, before it can overflow.
 
     Inner pivots count by sign bit, with no pivmin guard: IEEE arithmetic
     turns a zero pivot into an infinite next one of the opposite sign,
@@ -198,16 +205,21 @@ def _count_at_or_below(d: np.ndarray, e2: np.ndarray,
     Dhillon & Ren, ETNA 3 (1995) 116).  A zero last pivot means that x is
     an eigenvalue, which counts, as in LAPACK's dstebz.
     """
-    q = d[0, :, None] - x
+    q = d[0] - x
     t = np.empty_like(q)
     neg = np.empty(q.shape, bool)
+    tally = np.zeros(q.shape, np.uint8)
     count = np.zeros(q.shape, np.int32)
     with np.errstate(divide="ignore"):  # a zero pivot's infinite successor
         for i in range(1, d.shape[0]):
-            count += np.signbit(q, out=neg)
-            np.divide(e2[i - 1, :, None], q, out=t)
-            np.subtract(d[i, :, None], x, out=q)
+            tally += np.signbit(q, out=neg).view(np.uint8)
+            np.divide(e2[i - 1], q, out=t)
+            np.subtract(d[i], x, out=q)
             q -= t
+            if i % 255 == 0:
+                count += tally
+                tally.fill(0)
+    count += tally
     count += q <= 0.0
     return count
 
@@ -221,20 +233,99 @@ def _gershgorin_top(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (d + radius).max(axis=1)
 
 
-def _lambda_max(d: np.ndarray, e2: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each draw's largest eigenvalue (d, e2 as in
-    :func:`_count_at_or_below`), bisected on the counts from the bracket
-    [largest diagonal entry (a Rayleigh quotient), hi] until the midpoint
-    equals an end of the bracket; hi is :func:`_gershgorin_top`."""
+def _bisect(d: np.ndarray, e2: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            isolate: bool = False):
+    """Bisect each draw's bracket (lo, hi] (d, e2 as in
+    :func:`_count_at_or_below`) on the counts: the midpoint becomes hi
+    where all m eigenvalues lie at or below it, lo elsewhere.  This goes on
+    until every draw's midpoint equals an end of its bracket or, with
+    `isolate`, is isolated: one of its midpoints had a count of m - 1, so
+    that lambda_max alone lies in (lo, hi].  Returns lo, hi and which
+    draws are isolated."""
     m = d.shape[0]
-    lo = d.max(axis=0)
+    isolated = np.zeros(lo.shape, bool)
     while True:
         mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            return hi
-        full = _count_at_or_below(d, e2, mid[:, None])[:, 0] == m
+        if np.all(isolated | (mid == lo) | (mid == hi)):
+            return lo, hi, isolated
+        below = _count_at_or_below(d, e2, mid[None])[0]
+        full = below == m
         hi = np.where(full, mid, hi)
         lo = np.where(full, lo, mid)
+        if isolate:
+            isolated |= below == m - 1
+
+
+def _newton_bracket(d: np.ndarray, e2: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray, isolated: np.ndarray):
+    """(lo, hi) narrowed to [x - 4 ulp, x + 4 ulp] around lambda_max's
+    Newton iterate x in every isolated draw where one two-point count
+    confirms it: fewer than m eigenvalues at or below the lower end, all m
+    at or below the upper; the other draws keep (lo, hi).
+
+    Newton runs from hi on det(T - x I) = prod q_i, the LDL^T pivots: with
+    q'_0 = -1 and q'_i = -1 + (e2_(i-1) / q_(i-1)^2) q'_(i-1), the sum
+    G = sum q'_i / q_i equals sum_k 1 / (x - lambda_k), and the step 1 / G
+    descends monotonically onto lambda_max for a real-rooted polynomial.
+    Each step is clamped at lo, and a draw stops once its step is no
+    longer more than 2 ulp or no longer lowers x.  The ulp is that of the
+    larger of |hi| and the largest |d_i|, the scale of the pivots'
+    roundoff, so that a lambda_max near 0 is not held to a finer one."""
+    m = d.shape[0]
+    ulp = np.spacing(np.maximum(np.abs(hi),
+                                np.maximum(d.max(axis=0), -d.min(axis=0))))
+    x = hi.copy()
+    moving = isolated.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while moving.any():
+            q = d[0] - x
+            w = -1.0 / q  # q'_i / q_i
+            g = w.copy()
+            t = np.empty_like(q)
+            for i in range(1, m):
+                np.divide(e2[i - 1], q, out=t)
+                np.subtract(d[i], x, out=q)
+                q -= t
+                w *= t
+                w -= 1.0
+                w /= q
+                g += w
+            step = 1.0 / g
+            lower = np.maximum(x - step, lo)
+            moving &= (step > 2.0 * ulp) & (lower < x)
+            x = np.where(moving, lower, x)
+    ends = np.stack([np.maximum(lo, x - 4.0 * ulp),
+                     np.minimum(hi, x + 4.0 * ulp)])
+    below = _count_at_or_below(d, e2, ends)
+    ok = isolated & (below[0] < m) & (below[1] == m)
+    return np.where(ok, ends[0], lo), np.where(ok, ends[1], hi)
+
+
+def _lambda_max(d: np.ndarray, e2: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each draw's largest eigenvalue (d, e2 as in
+    :func:`_count_at_or_below`): the smallest float at which the count
+    reaches m, bisected from the bracket [largest diagonal entry (a
+    Rayleigh quotient), hi], where hi is :func:`_gershgorin_top`.
+
+    A bisection to the last ulp takes about 52 sweeps over the slab; three
+    stages reach the same float in about 20, because the count is
+    monotone in x in IEEE arithmetic in this evaluation order (Demmel,
+    Dhillon & Ren), so any method that ends on the smallest float with
+    count m ends on the bisection's:
+
+    1. :func:`_bisect` with `isolate`, until every draw is isolated or its
+       bracket's ends are adjacent floats (a top pair that never
+       separates ends there, as in a plain bisection): 7-13 sweeps;
+    2. :func:`_newton_bracket` in the isolated draws: 5-8 Newton sweeps
+       and one confirming count of an 8-ulp bracket;
+    3. :func:`_bisect` until the midpoint equals an end of the bracket in
+       every draw: 3-4 sweeps (up to 13 at n = 2, where lambda_max can
+       lie near 0 on the pivots' scale), or the rest of the bisection for
+       a draw whose Newton bracket was not confirmed.
+    """
+    lo, hi, isolated = _bisect(d, e2, d.max(axis=0), hi, isolate=True)
+    lo, hi = _newton_bracket(d, e2, lo, hi, isolated)
+    return _bisect(d, e2, lo, hi)[1]
 
 
 def _gap_edge(d: np.ndarray, e2: np.ndarray, top: np.ndarray,
@@ -254,8 +345,8 @@ def _gap_edge(d: np.ndarray, e2: np.ndarray, top: np.ndarray,
             return lo
         # lo < mid < hi where open; a closed draw's count is discarded
         mid = (lo + hi) // 2
-        x = (top - r[mid])[:, None]
-        met = _count_at_or_below(d, e2, x)[:, 0] >= m - 1
+        x = (top - r[mid])[None]
+        met = _count_at_or_below(d, e2, x)[0] >= m - 1
         lo = np.where(open_ & met, mid, lo)
         hi = np.where(open_ & ~met, mid, hi)
 
@@ -269,8 +360,8 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     edge variables) makes from the spectra of the same draws, from
     eigenvalue counts.
 
-    Per slab of whole chunks (about _SLAB_DRAWS draws), lambda_max of every
-    draw is bisected.  The DOS then counts once at lambda_max - r_j for all
+    Per slab of whole chunks (about _SLAB_DRAWS draws), :func:`_lambda_max`
+    finds lambda_max of every draw.  The DOS then counts once at lambda_max - r_j for all
     bin edges r_j; the bins are differences of these counts.  The gap's bin
     comes from :func:`_gap_edge`.  A distance of exactly r_j falls in the
     bin that starts at r_j, as in np.histogram, but for the last edge,
@@ -327,12 +418,12 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
         for s in range(0, size, tile):
             cols = slice(s, s + tile)
             k = _count_at_or_below(d[:, cols], e2[:, cols],
-                                   top[cols, None] - r)
+                                   top[cols] - r[:, None])
             # lambda_max lies below no edge, though the count at the
             # bisected lambda_max (r = 0) includes it
             np.minimum(k, m - 1, out=k)
-            below += k.sum(axis=0)
-            most_above = max(most_above, m - int(k[:, -1].min()))
+            below += k.sum(axis=1)
+            most_above = max(most_above, m - int(k[-1].min()))
         return below, most_above
 
     parts = _run(run_slab, [jobs[i:i + per_slab]

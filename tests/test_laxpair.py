@@ -33,8 +33,6 @@ def test_psi_invariants(table, r):
     psi = laxpair.solve_psi(r, table)
     res = laxpair.psi_residuals(psi)
     assert res["schrod"] < 1e-5
-    assert res["fg_relation"] < 1e-5
-    assert res["g_at_xmax"] < 1e-8
     assert res["conserved"] < 1e-4
 
 

@@ -156,7 +156,37 @@ def _count(d, e, x):
     """_count_at_or_below for one matrix and a list of points."""
     d, e = np.asarray(d, float), np.asarray(e, float)
     return mc._count_at_or_below(d[:, None], (e * e)[:, None],
-                                 np.asarray(x, float)[None, :])[0]
+                                 np.asarray(x, float)[:, None])[:, 0]
+
+
+def _scalar_count(d, e2, x):
+    """The Sturm count at one point, one float operation at a time in the
+    order of _count_at_or_below: sign bits of the inner pivots, and a last
+    pivot <= 0."""
+    q, count = d[0] - x, 0
+    for i in range(1, len(d)):
+        count += math.copysign(1.0, q) < 0.0
+        q = (d[i] - x) - e2[i - 1] / q
+    return count + (q <= 0.0)
+
+
+@pytest.mark.parametrize("m", (2, 255, 256, 300, 1000))
+def test_count_kernel_matches_a_scalar_loop(m):
+    # K = 7 points on each of B = 3 draws, from below the spectrum to its
+    # Gershgorin bound, so that counts above 255 test the flush of the
+    # byte counter at m >= 256
+    d, e = mc.TridiagonalSpectrumSampler(n=m, seed=m).draw(0, 3)
+    top = mc._gershgorin_top(d, e)
+    x = np.linspace(-top, top, 7)
+    d, e2 = d.T.copy(), (e * e).T.copy()
+    got = mc._count_at_or_below(d, e2, x)
+    want = [[_scalar_count(d[:, b], e2[:, b], x[k, b]) for b in range(3)]
+            for k in range(7)]
+    assert got.shape == (7, 3)
+    assert got.tolist() == want
+    assert got[-1].tolist() == [m] * 3
+    if m > 255:
+        assert got.max() > 255
 
 
 def test_sturm_count_follows_lapack_at_zero_pivots():
@@ -187,6 +217,74 @@ def test_lambda_max_bisection_meets_lapack():
                          mc._gershgorin_top(d, e))
     want = [eigvalsh_tridiagonal(a, b)[-1] for a, b in zip(d, e)]
     assert np.max(np.abs(top - want)) < 1e-12
+
+
+def _bisected_lambda_max(d, e2, hi):
+    """The plain bisection on the counts from [largest diagonal entry, hi]
+    until the midpoint meets an end of the bracket in every draw."""
+    m, lo = d.shape[0], d.max(axis=0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return hi
+        full = mc._count_at_or_below(d, e2, mid[None])[0] == m
+        hi = np.where(full, mid, hi)
+        lo = np.where(full, lo, mid)
+
+
+@pytest.mark.parametrize("n", (2, 3, 12, 32, 200, 1000))
+def test_lambda_max_is_the_bisection_bit_for_bit(n):
+    # at n = 1000 on the block the edge DOS and the gap count on
+    m = mc.block_size(n, 2)
+    for seed in (1, 2, 3):
+        d, e = mc.TridiagonalSpectrumSampler(n=n, seed=seed).draw(0, 600)
+        d, e = d[:, :m], e[:, :m - 1]
+        hi = mc._gershgorin_top(d, e)
+        d, e2 = d.T.copy(), (e * e).T.copy()
+        assert np.array_equal(mc._lambda_max(d, e2, hi),
+                              _bisected_lambda_max(d, e2, hi)), (n, seed)
+
+
+def _stages(c, between=False):
+    """Two mirrored copies of one n = 8 block, coupled at their first rows
+    by c, so that lambda_1 - lambda_2 is about 2 c v_1^2; hi is their
+    Gershgorin bound, or with `between` the midpoint of lambda_2 and
+    lambda_1.  Returns lambda_1 - lambda_2, whether the draw was isolated,
+    the bracket widths after isolation and after the Newton stage, the ulp
+    of hi after isolation, and lambda_max - hi."""
+    db, eb = mc.TridiagonalSpectrumSampler(n=8, seed=4).draw(0, 1)
+    d = np.concatenate([db[0, ::-1], db[0]])
+    e = np.concatenate([eb[0, ::-1], [c], eb[0]])
+    low, high = np.linalg.eigvalsh(
+        np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[-2:]
+    hi = mc._gershgorin_top(d[None], e[None])
+    if between:
+        hi[0] = 0.5 * (low + high)
+    d, e2 = d[:, None].copy(), (e * e)[:, None].copy()
+    lo0, hi0, isolated = mc._bisect(d, e2, d.max(axis=0), hi, isolate=True)
+    lo1, hi1 = mc._newton_bracket(d, e2, lo0, hi0, isolated)
+    top = mc._lambda_max(d, e2, hi)
+    assert np.array_equal(top, _bisected_lambda_max(d, e2, hi))
+    return (high - low, bool(isolated[0]), float(hi0[0] - lo0[0]),
+            float(hi1[0] - lo1[0]), float(np.spacing(hi0[0])),
+            float(top[0] - hi[0]))
+
+
+def test_lambda_max_paths_on_a_close_top_pair():
+    # every path ends where the plain bisection does (asserted in _stages).
+    # A split of about 1e-13: isolated, and the Newton bracket of 8 ulp is
+    # confirmed
+    split, isolated, before, after, ulp, _ = _stages(1.3e-12)
+    assert 5e-14 < split < 2e-13 and isolated
+    assert before > 8 * ulp >= after > 0
+    # a pair that never splits in floats: the adjacency exit
+    split, isolated, before, after, ulp, _ = _stages(1e-30)
+    assert split < 1e-15 and not isolated and before == after == ulp
+    # a bound hi below lambda_max, which a Gershgorin bound rounded down
+    # could give: the confirming count fails, the draw keeps its bracket
+    # and ends on hi
+    _, isolated, before, after, ulp, past_hi = _stages(0.5, between=True)
+    assert isolated and before == after > 8 * ulp and past_hi == 0.0
 
 
 @pytest.mark.parametrize("scaling, n, count", (
