@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +36,6 @@ _POWERS = np.arange(_DEGREE + 1)
 
 #: trapezoid nodes for x >= 1
 _NODES = np.arange(64)
-
-
-@dataclass(frozen=True)
-class AiryValues:
-    ai: float
-    ai_prime: float
 
 
 def _coefficients(a, y, y_prime):
@@ -121,22 +114,6 @@ def ai_pair(x):
     ai[right], aip[right] = _ai_trapezoid(x[right])
     ai[~right], aip[~right] = _ai_series(x[~right])
     return ai, aip
-
-
-def airy(x: float) -> AiryValues:
-    """Ai and Ai' at x."""
-    ai, aip = ai_pair(x)
-    return AiryValues(ai=float(ai), ai_prime=float(aip))
-
-
-def ai_values(x: np.ndarray) -> np.ndarray:
-    """Vectorized Ai."""
-    return ai_pair(x)[0][()]
-
-
-def ai_prime_values(x: np.ndarray) -> np.ndarray:
-    """Vectorized Ai'."""
-    return ai_pair(x)[1][()]
 
 
 def edge_density(x) -> float:

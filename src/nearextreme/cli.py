@@ -107,7 +107,7 @@ def cmd_dos_edge(args) -> int:
 
     t = painleve.default_table()
     r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
-    return _write_edge_curve(args, t, r, scaling.rho_edge_curve(r, t),
+    return _write_edge_curve(args, t, r, scaling.rho_edge_scaling(r, t),
                              np.sqrt(r) / math.pi)
 
 
@@ -118,7 +118,7 @@ def cmd_gap_pdf(args) -> int:
     r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
     large = np.zeros_like(r)
     large[r > 0] = scaling.gap_tail_asymptotic(r[r > 0])
-    return _write_edge_curve(args, t, r, scaling.p_typ_curve(r, t), large)
+    return _write_edge_curve(args, t, r, scaling.p_typ(r, t), large)
 
 
 def cmd_dos_bulk(args) -> int:
@@ -275,7 +275,9 @@ def _checked(convert, ok, rule: str):
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "finite, > 0")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf,
                               "finite, >= 0")
+_finite_float = _checked(float, math.isfinite, "finite")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,20 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
             "tabulate (x, q, q', R, F2)", rmax=None)
     sp = command("tabulate-psi", cmd_tabulate_psi,
                  "tabulate (x, f, g) at one r", rmax=None)
-    sp.add_argument("--r-tilde", type=float, required=True)
+    sp.add_argument("--r-tilde", type=_finite_float, required=True)
     command("dos-edge", cmd_dos_edge, "edge scaling density of states")
     command("gap-pdf", cmd_gap_pdf, "scaled first-gap PDF", rmax=8.0)
     sp = command("dos-bulk", cmd_dos_bulk, "shifted semicircle bulk density",
                  rmax=None)
     sp.add_argument("--step", type=_positive_float, default=0.02)
     sp = command("finite-n", cmd_finite_n, "exact finite-N curves", rmax=4.0)
-    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--n", type=_positive_int, default=4)
     sp.add_argument("--quantity", choices=("dos", "gap", "cdf"),
                     default="dos")
     sp = command("sample", cmd_sample, "Monte Carlo histograms", rmax=None)
     sp.add_argument("--n", type=_positive_int, default=1000)
     sp.add_argument("--samples", type=_positive_int, default=200000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.add_argument("--quantity", choices=("dos", "gap"), default="gap")
     sp.add_argument("--scaling", choices=("bulk", "edge"), default="edge")
     command("asymptotics", cmd_asymptotics, "asymptotic formula tables")

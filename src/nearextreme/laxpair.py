@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import airy as _airy
+from .airy import ai_pair
 from .numerics import (AiryProductTail, derivative, hermite,
                        integral_from_right)
 # not called here: perfbench/tracing.py looks up `laxpair.integrate_ode` by
@@ -75,7 +75,7 @@ def _numerov_down(x: np.ndarray, q2: np.ndarray,
     a = 1.0 - h * h / 12.0 * ((x + 2.0 * q2)[:, None] - r)
     c = 12.0 / a - 10.0
     u = np.empty_like(a)
-    u[-2:] = SEED_AMPLITUDE * _airy.ai_values(x[-2:, None] - r) * a[-2:]
+    u[-2:] = SEED_AMPLITUDE * ai_pair(x[-2:, None] - r)[0] * a[-2:]
     for i in range(x.size - 2, 0, -1):
         np.multiply(c[i], u[i], out=u[i - 1])
         u[i - 1] -= u[i + 1]
@@ -120,7 +120,7 @@ def solve_psi_batch(r_values, table: PainleveTable):
     f -= f_h / 15.0
 
     qf = q[:, None] * f
-    remainder = [AiryProductTail(0.0, ri).remainder(x_max, v)
+    remainder = [AiryProductTail(ri).remainder(x_max, v)
                  for ri, v in zip(r, qf[-1])]
     qf_integral = integral_from_right(x, qf) + np.array(remainder)
     return f, qf_integral
@@ -133,7 +133,7 @@ def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
     f, qf_integral = (v[:, 0] for v in solve_psi_batch([r_tilde], table))
     grid = table.grid
     x, q = grid.nodes(), table.q
-    fp = (SEED_AMPLITUDE * _airy.ai_prime_values(grid.x_max - r_tilde)
+    fp = (SEED_AMPLITUDE * ai_pair(grid.x_max - r_tilde)[1]
           - integral_from_right(x, (x + 2.0 * q * q - r_tilde) * f))
     g_vals = -r_tilde * qf_integral / q
     # zero-tail convention: g vanishes at the right end of the table

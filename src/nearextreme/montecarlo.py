@@ -128,8 +128,9 @@ def _run(work, jobs: list, threads: int) -> list:
 
 
 def block_size(n: int, top_k: Optional[int]) -> int:
-    """Size of the top-left block each draw is solved on: n, unless at
-    most EDGE_TOP_K eigenvalues are kept."""
+    """Size of the top-left block each draw is solved on: n if top_k is
+    None or above EDGE_TOP_K, else min(n, ceil(_BLOCK_C n^(1/3))), the same
+    block for every top_k <= EDGE_TOP_K."""
     if top_k is None or top_k > EDGE_TOP_K:
         return n
     return min(n, math.ceil(_BLOCK_C * n ** (1.0 / 3.0)))
@@ -381,15 +382,15 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     elif scaling == "edge":
         r_per_x = 1.0 / (math.sqrt(2.0) * n ** (1.0 / 6.0))
         default_hi = 8.0
-        m = block_size(n, 2 if quantity == "gap" else EDGE_TOP_K)
+        m = block_size(n, EDGE_TOP_K)
     else:
         raise ValueError("scaling must be 'bulk' or 'edge' for the DOS, "
                          "'edge' for the gap")
     if bin_edges is None:
         bin_edges = np.linspace(0.0, default_hi, 81)
     edges = np.asarray(bin_edges, float)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) >= 0):
-        raise ValueError("bin edges must increase monotonically")
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ValueError("bin edges must increase strictly")
     r = edges * r_per_x
     jobs = _jobs(count)
     per_slab = max(1, _SLAB_DRAWS // jobs[0][1])

@@ -1,4 +1,5 @@
-"""Shared numerical infrastructure: grids, tail-aware integration, ODE driver.
+"""Shared numerical infrastructure: grids, right-anchored integration, the
+Airy tail remainder, ODE driver.
 
 A function on a uniform :class:`Grid` is a plain array of its node values,
 defined on the grid only.  It has three rules: :func:`derivative`, five-point
@@ -8,8 +9,10 @@ from values and known slopes, which raises off the grid; and
 *from the right end inward* so that small tail values retain full relative
 accuracy even when the integrand grows by many orders of magnitude toward the
 left; a global antiderivative difference would lose them to cancellation.
-:func:`cumulative_tail_integral` adds the part beyond x_max, a tail model's
-closed-form remainder passed by the caller.
+The part beyond x_max is a closed-form remainder that the caller adds:
+``AiryProductTail(shift).remainder(x_max, g[-1])`` for an integrand that
+follows Ai(x) Ai(x - shift) there, ``g[-1] / rate`` for one that decays
+like exp(-rate x).
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ class DivergedSolutionError(RuntimeError):
     def __init__(self, message: str, last_x: float):
         super().__init__(message)
         self.last_x = last_x
-
-
-class TruncationError(ValueError):
-    """Tail integral requested without a tail model on a non-negligible tail."""
 
 
 @dataclass(frozen=True)
@@ -71,41 +70,22 @@ class Grid:
                                  f"{self.n_points} finite values")
 
 
-# ---------------------------------------------------------------------------
-# Tail models: the analytic remainder int_{x_max}^inf of an integrand whose
-# behaviour beyond the grid is known.  They are passed to
-# cumulative_tail_integral; an array on a grid carries none.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExponentialTail:
-    """f(x) ~ f(x_max) * exp(-rate * (x - x_max)) beyond the grid."""
-
-    rate: float
-
-    def remainder(self, x_max: float, v_max: float) -> float:
-        return v_max / self.rate
-
-
 @dataclass(frozen=True)
 class AiryProductTail:
-    """f(x) ~ c * Ai(x - shift_a) * Ai(x - shift_b), c matched at x_max.
+    """f(x) ~ c * Ai(x) * Ai(x - shift) beyond the grid, c matched at x_max.
 
-    The remainder uses the closed form the Airy Wronskian gives: with
-    a = x_max - shift_a and d = shift_b - shift_a,
+    :meth:`remainder` is int_{x_max}^inf f, in the closed form the Airy
+    Wronskian gives: with a = x_max and d = shift,
     int_a^inf Ai(u) Ai(u - d) du = (Ai(a) Ai'(a - d) - Ai'(a) Ai(a - d)) / d,
     which is Ai'(a)^2 - a Ai(a)^2 at d = 0 (the default, f ~ c Ai(x)^2).
     """
 
-    shift_a: float = 0.0
-    shift_b: float = 0.0
+    shift: float = 0.0
 
     def remainder(self, x_max: float, v_max: float) -> float:
         if v_max == 0.0:
             return 0.0
-        a = x_max - self.shift_a
-        d = self.shift_b - self.shift_a
+        a, d = x_max, self.shift
         (ai_a, ai_b), (aip_a, aip_b) = ai_pair([a, a - d])
         if d == 0.0:
             integral = aip_a**2 - a * ai_a**2
@@ -163,22 +143,6 @@ def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     dg = derivative(x, g)
     cum += h * h / 12.0 * (dg - dg[-1])
     return cum
-
-
-def cumulative_tail_integral(x: np.ndarray, values: np.ndarray,
-                             tail=None) -> np.ndarray:
-    """G(x) = int_x^{x_max} g(u) du + ``tail``'s remainder beyond x_max, at
-    every node of the uniform grid x, g = ``values``; G keeps relative
-    accuracy where it is small (:func:`integral_from_right`).  Without a
-    tail the integrand must have decayed at x_max."""
-    cum = integral_from_right(x, values)
-    if tail is None:
-        if abs(values[-1]) > 1e-13 * np.max(np.abs(values)):
-            raise TruncationError(
-                "integrand has not decayed at x_max and no tail model was "
-                "given; attach an explicit tail descriptor")
-        return cum
-    return cum + tail.remainder(float(x[-1]), values[-1])
 
 
 def integrate_ode(rhs: Callable, x_start: float, x_end: float,

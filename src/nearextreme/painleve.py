@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import airy as _airy
-from .numerics import (AiryProductTail, ExponentialTail, Grid,
-                       ZETA_PRIME_MINUS_ONE, cumulative_tail_integral,
+from .airy import ai_pair
+from .numerics import (AiryProductTail, Grid, ZETA_PRIME_MINUS_ONE,
                        derivative, hermite, integral_from_right)
 
 # Left tail amplitude of F2: tau2 = 2^(1/24) exp(zeta'(-1))
@@ -92,15 +91,6 @@ def _cyclic_reduction(a, b, c, d):
     return x
 
 
-def _solve_tridiagonal(ab, rhs):
-    """x with A x = rhs for the tridiagonal A stored as for
-    ``scipy.linalg.solve_banded((1, 1), ab, rhs)``: superdiagonal
-    ab[0, 1:], diagonal ab[1], subdiagonal ab[2, :-1].  Cyclic reduction
-    without pivoting, stable when A is diagonally dominant."""
-    return _cyclic_reduction(np.concatenate(([0.0], ab[2, :-1])), ab[1],
-                             np.concatenate((ab[0, 1:], [0.0])), rhs)
-
-
 def _newton_numerov(x: np.ndarray, q: np.ndarray):
     """Newton on Numerov's scheme for q'' = F = 2q^3 + x q on uniform nodes
     x, q[0] and q[-1] held fixed.  Returns q, the step count and the max
@@ -110,7 +100,7 @@ def _newton_numerov(x: np.ndarray, q: np.ndarray):
     pivoting.  Newton stops after an update below _LAST_UPDATE: the next
     one would be roundoff.  A non-finite iterate raises RuntimeError."""
     c = (x[1] - x[0]) ** 2 / 12.0
-    q, ab = q.copy(), np.empty((3, x.size - 2))
+    q = q.copy()
     steps, size = 0, math.inf
     while True:
         force = (2.0 * q * q + x) * q
@@ -123,10 +113,13 @@ def _newton_numerov(x: np.ndarray, q: np.ndarray):
                 f"update {size:.3e})")
         if size <= _LAST_UPDATE or steps == 100:
             return q, steps, float(np.max(np.abs(res)))
+        # row i (node i + 1) takes off[i], 10 off[i + 1] - 12 and
+        # off[i + 2] times the updates at nodes i, i + 1 and i + 2; the end
+        # nodes are held fixed, so off[0] and off[-1] drop out
         off = 1.0 - c * (6.0 * q * q + x)
-        ab[0, 1:], ab[2, :-1] = off[2:-1], off[1:-2]
-        ab[1] = 10.0 * off[1:-1] - 12.0
-        dq = _solve_tridiagonal(ab, res)
+        diagonal = 10.0 * off[1:-1] - 12.0
+        off[0] = off[-1] = 0.0
+        dq = _cyclic_reduction(off[:-2], diagonal, off[2:], res)
         q[1:-1] -= dq
         size = float(np.max(np.abs(dq)))
         steps += 1
@@ -149,9 +142,9 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
 
     x = domain.nodes()
     x_fine = np.linspace(x_min, x_max, 2 * domain.n_points - 1)
-    guess = np.maximum(_airy.ai_values(x), np.sqrt(np.maximum(-x, 0.0) / 2.0))
-    edge = _airy.airy(x_max)
-    guess[0], guess[-1] = _left_asymptote(x_min), edge.ai
+    guess = np.maximum(ai_pair(x)[0], np.sqrt(np.maximum(-x, 0.0) / 2.0))
+    ai_max, aip_max = ai_pair(x_max)
+    guess[0], guess[-1] = _left_asymptote(x_min), ai_max
     q_h, steps_h, res_h = _newton_numerov(x, guess)
     q_fine, steps_fine, res_fine = _newton_numerov(
         x_fine, np.interp(x_fine, x, q_h))
@@ -161,16 +154,17 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
             f"Hastings-McLeod Newton solve did not converge on {domain} "
             f"(Numerov residual {residual:.3e})")
     q = (16.0 * q_fine[::2] - q_h) / 15.0
-    qp = edge.ai_prime - integral_from_right(
-        x, (2.0 * q * q + x) * q)
+    qp = aip_max - integral_from_right(x, (2.0 * q * q + x) * q)
 
     # R(x) = int_x^inf q^2 with the exact Airy-squared remainder
-    R = cumulative_tail_integral(x, q * q, AiryProductTail())
+    q2 = q * q
+    R = (integral_from_right(x, q2)
+         + AiryProductTail().remainder(x_max, q2[-1]))
 
     # log F2(x) = -int_x^inf R(u) du; R decays like Ai(x)^2, for which a
     # local exponential rate 2 sqrt(x_max) is accurate at the boundary.
-    f2 = np.exp(-cumulative_tail_integral(
-        x, R, ExponentialTail(rate=2.0 * math.sqrt(x_max))))
+    f2 = np.exp(-(integral_from_right(x, R)
+                  + R[-1] / (2.0 * math.sqrt(x_max))))
 
     return PainleveTable(grid=domain, q=q, q_prime=qp, R=R, f2=f2,
                          newton_steps=steps_h + steps_fine, residual=residual)
@@ -232,8 +226,8 @@ def tracy_widom_f2(table: PainleveTable, x: float) -> float:
     val, _ = quad(lambda u: (u - x) * hermite(grid, q, qp, u) ** 2, x, x_max,
                   epsabs=1e-13, epsrel=1e-12, limit=300)
     # remainder beyond x_max with the Airy model for q
-    scale = (q[-1] / _airy.airy(x_max).ai) ** 2
-    rem, _ = quad(lambda u: (u - x) * _airy.ai_values(u) ** 2 * scale,
+    scale = (q[-1] / ai_pair(x_max)[0]) ** 2
+    rem, _ = quad(lambda u: (u - x) * ai_pair(u)[0] ** 2 * scale,
                   x_max, x_max + 20.0, epsabs=1e-300, epsrel=1e-10)
     return math.exp(-(val + rem))
 

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from .numerics import (ExponentialTail, ZETA_PRIME_MINUS_ONE,
-                       cumulative_tail_integral, integral_from_right)
+from .numerics import ZETA_PRIME_MINUS_ONE, integral_from_right
 # solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
 from .laxpair import solve_psi, solve_psi_batch  # noqa: F401
 from .painleve import PainleveTable
@@ -51,9 +50,11 @@ def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
     return _CBRT2 / math.pi * total
 
 
-def _nonnegative_curve(r_values, sign: float,
-                       table: PainleveTable) -> np.ndarray:
-    r = np.atleast_1d(np.asarray(r_values, dtype=float))
+def _nonnegative_curve(r_tilde, sign: float, table: PainleveTable):
+    """The edge integral at sign * r for every r_tilde >= 0, in one batched
+    psi solve; an array in gives an array out, a scalar a float.  A value
+    below -NEGATIVE_TOL raises RuntimeError."""
+    r = np.atleast_1d(np.asarray(r_tilde, dtype=float))
     if np.any(r < 0):
         raise ValueError("r_tilde must be >= 0")
     values = edge_integral(sign * r, table)
@@ -63,31 +64,20 @@ def _nonnegative_curve(r_values, sign: float,
         raise RuntimeError(
             f"edge integral at r_tilde = {r[i]:g} is {values[i]:.3e}, below "
             f"-{NEGATIVE_TOL:g}: a density cannot be negative")
-    return values
+    return float(values[0]) if np.ndim(r_tilde) == 0 else values
 
 
-def rho_edge_curve(r_values, table: PainleveTable) -> np.ndarray:
-    """:func:`rho_edge_scaling` at every r in ``r_values``, in one batched
-    psi solve."""
-    return _nonnegative_curve(r_values, 1.0, table)
-
-
-def p_typ_curve(r_values, table: PainleveTable) -> np.ndarray:
-    """:func:`p_typ` at every r in ``r_values``, in one batched psi
-    solve."""
-    return _nonnegative_curve(r_values, -1.0, table)
-
-
-def rho_edge_scaling(r_tilde: float, table: PainleveTable) -> float:
+def rho_edge_scaling(r_tilde, table: PainleveTable):
     """Scaled mean density of eigenvalues at distance r_tilde below the
-    maximum (density-of-states branch)."""
-    return float(rho_edge_curve(r_tilde, table)[0])
+    maximum (density-of-states branch), at a scalar or at every r of an
+    array."""
+    return _nonnegative_curve(r_tilde, 1.0, table)
 
 
-def p_typ(r_tilde: float, table: PainleveTable) -> float:
+def p_typ(r_tilde, table: PainleveTable):
     """Scaled PDF of the first gap (gap branch, negative spectral
-    parameter)."""
-    return float(p_typ_curve(r_tilde, table)[0])
+    parameter), at a scalar or at every r of an array."""
+    return _nonnegative_curve(r_tilde, -1.0, table)
 
 
 def rho_bulk_shifted(x_hat):
@@ -120,9 +110,11 @@ def h_t_functions(table: PainleveTable):
     eliminating q'' through the Painleve II equation."""
     g = table.grid.nodes()
     q, qp, R = table.q, table.q_prime, table.R
-    x_max = table.grid.x_max
-    tail_int = cumulative_tail_integral(
-        g, q**4 + g * q * q, ExponentialTail(rate=2.0 * math.sqrt(x_max)))
+    # int_x^inf (q^4 + u q^2) du, whose integrand decays like Ai(x)^2: an
+    # exponential of rate 2 sqrt(x_max) beyond the grid
+    tail = q**4 + g * q * q
+    tail_int = (integral_from_right(g, tail)
+                + tail[-1] / (2.0 * math.sqrt(table.grid.x_max)))
     H = -0.5 * q * q * R + R**3 / 6.0 + tail_int
     T = -qp * R - q**3 / 2.0 - R * R * q / 2.0 - g * q
     return H, T
@@ -150,7 +142,7 @@ def gap_normalization(table: PainleveTable, r_switch: float = 10.0,
     from scipy.integrate import quad
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     r = 0.5 * r_switch * (x + 1.0)
-    main = 0.5 * r_switch * float(np.dot(w, p_typ_curve(r, table)))
+    main = 0.5 * r_switch * float(np.dot(w, p_typ(r, table)))
     tail, _ = quad(gap_tail_asymptotic, r_switch, 60.0,
                    epsabs=1e-300, epsrel=1e-10, limit=200)
     return main + tail

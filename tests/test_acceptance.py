@@ -204,7 +204,7 @@ def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
     samples = mc.sample_spectrum(sampler, count, threads=threads, top_k=2)
 
     r_grid = np.arange(0.0, 6.5 + 1e-9, 0.05)
-    p_curve = scaling.p_typ_curve(r_grid, table)
+    p_curve = scaling.p_typ(r_grid, table)
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (p_curve[1:] + p_curve[:-1]) * np.diff(r_grid))])
     cdf = CubicSpline(r_grid, cum)
@@ -218,7 +218,7 @@ def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
     edges = np.linspace(0.2, 6.0, dos_bins + 1)
     hist = mc.count_histogram(sampler, count, "dos", "edge", bin_edges=edges,
                               threads=threads)
-    rho = scaling.rho_edge_curve(hist.centers(), table)
+    rho = scaling.rho_edge_scaling(hist.centers(), table)
     z = (hist.density() * n - rho) / (hist.stderr() * n)
     max_z = float(np.max(np.abs(z)))
     return ks, max_z

@@ -9,20 +9,20 @@ from nearextreme import airy
 
 
 def test_values_at_zero_from_gamma():
-    v = airy.airy(0.0)
-    assert v.ai == pytest.approx(3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0),
-                                 rel=1e-12)
-    assert v.ai_prime == pytest.approx(
+    ai, aip = airy.ai_pair(0.0)
+    assert ai == pytest.approx(3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0),
+                               rel=1e-12)
+    assert aip == pytest.approx(
         -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0), rel=1e-12)
-    assert v.ai == pytest.approx(0.3550280539, abs=1e-9)
-    assert v.ai_prime == pytest.approx(-0.2588194038, abs=1e-9)
+    assert ai == pytest.approx(0.3550280539, abs=1e-9)
+    assert aip == pytest.approx(-0.2588194038, abs=1e-9)
 
 
 def test_large_x_asymptotic_form():
     x = 10.0
     asym = math.exp(-2.0 / 3.0 * x**1.5) / (2.0 * math.sqrt(math.pi)
                                             * x**0.25)
-    assert airy.airy(x).ai == pytest.approx(asym, rel=0.01)
+    assert airy.ai_pair(x)[0] == pytest.approx(asym, rel=0.01)
 
 
 def test_wronskian_is_one_over_pi():
@@ -30,9 +30,9 @@ def test_wronskian_is_one_over_pi():
     from scipy.special import airy as scipy_airy
 
     for x in (-10.0, -5.0, 0.0, 5.0, 10.0):
-        v = airy.airy(x)
+        ai, aip = airy.ai_pair(x)
         _, _, bi, bi_prime = scipy_airy(x)
-        assert v.ai * bi_prime - v.ai_prime * bi == pytest.approx(
+        assert ai * bi_prime - aip * bi == pytest.approx(
             1.0 / math.pi, abs=1e-12)
 
 
@@ -59,32 +59,32 @@ def test_matches_40_digit_reference():
 
 
 def test_raises_below_the_anchor_table():
-    assert math.isfinite(airy.airy(airy.X_MIN).ai)  # the lowest anchor
+    assert math.isfinite(airy.ai_pair(airy.X_MIN)[0])  # the lowest anchor
     for x in (airy.X_MIN - 0.5, math.nan):
         with pytest.raises(ValueError, match="covers x >= -60"):
-            airy.ai_values(np.array([0.0, x]))
+            airy.ai_pair(np.array([0.0, x]))
 
 
 def test_airy_equation_finite_difference():
     h = 1e-4
     for x in (-6.0, -1.5, 0.0, 2.0, 7.0):
-        v = airy.ai_values(np.array([x - h, x, x + h]))
+        v = airy.ai_pair(np.array([x - h, x, x + h]))[0]
         second = (v[0] - 2.0 * v[1] + v[2]) / h**2
         assert second == pytest.approx(x * v[1], abs=1e-6 * (1 + abs(v[1])))
 
 
 def test_vectorized_consistency():
+    # an array in gives the same values as one scalar call per element
     x = np.linspace(-8.0, 8.0, 33)
-    ai = airy.ai_values(x)
-    aip = airy.ai_prime_values(x)
+    ai, aip = airy.ai_pair(x)
     for i, xi in enumerate(x):
-        v = airy.airy(float(xi))
-        assert ai[i] == v.ai and aip[i] == v.ai_prime
+        a, d = airy.ai_pair(float(xi))
+        assert ai[i] == a and aip[i] == d
 
 
 def test_edge_density_values():
     assert airy.edge_density(0.0) == pytest.approx(
-        airy.airy(0.0).ai_prime ** 2, rel=1e-12)
+        airy.ai_pair(0.0)[1] ** 2, rel=1e-12)
     assert airy.edge_density(0.0) == pytest.approx(0.0669875, abs=1e-6)
 
 

@@ -49,7 +49,8 @@ def test_unknown_command_exits_2():
     ["gap-pdf", "--rmax", "inf"], ["sample", "--threads", "0"],
     ["sample", "--threads", "-1"], ["sample", "--n", "0"],
     ["sample", "--n", "-5"], ["sample", "--samples", "0"],
-    ["sample", "--samples", "-1"]))
+    ["sample", "--samples", "-1"], ["finite-n", "--n", "0"],
+    ["tabulate-psi", "--r-tilde", "nan"], ["sample", "--seed", "-1"]))
 def test_bad_numeric_flags_exit_2(argv, capsys):
     # rejected while parsing, before any table is solved or draw made
     assert run(argv) == 2

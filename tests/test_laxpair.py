@@ -8,8 +8,7 @@ import pytest
 
 from nearextreme import airy, laxpair, painleve, scaling
 from nearextreme.laxpair import SEED_AMPLITUDE
-from nearextreme.numerics import (AiryProductTail, Grid,
-                                  cumulative_tail_integral, hermite,
+from nearextreme.numerics import (AiryProductTail, Grid, hermite,
                                   integral_from_right, integrate_ode)
 
 
@@ -92,18 +91,19 @@ def rk45_reference(r, table):
     x_max, the edge integral from it by the right-anchored quadrature."""
     grid, q = table.grid, table.q
     x = grid.nodes()
-    seed = airy.airy(grid.x_max - r)
+    ai, aip = airy.ai_pair(grid.x_max - r)
 
     def q2(u):
         return hermite(grid, q, table.q_prime, u) ** 2
 
     _, y = integrate_ode(lambda u, v: [v[1], (u + 2.0 * q2(u) - r) * v[0]],
                          table.grid.x_max, table.grid.x_min,
-                         [SEED_AMPLITUDE * seed.ai,
-                          SEED_AMPLITUDE * seed.ai_prime],
+                         [SEED_AMPLITUDE * ai, SEED_AMPLITUDE * aip],
                          rel_tol=1e-12, abs_tol=1e-300, t_eval=x[::-1])
     f = y[0][::-1]
-    big_i = cumulative_tail_integral(x, q * f, AiryProductTail(0.0, r))
+    qf = q * f
+    big_i = (integral_from_right(x, qf)
+             + AiryProductTail(r).remainder(grid.x_max, qf[-1]))
     integral = integral_from_right(x, (f**2 - big_i**2) * table.f2)[0]
     return f, 2.0 ** (1.0 / 3.0) / math.pi * float(integral)
 
@@ -121,8 +121,8 @@ def test_error_budget_grid_halving(table):
     # the table solved on h/2 (its own Newton solve, psi on h/2 and h/4)
     # moves both curves by far less than 1e-7 (measured 1.7e-10, 1.9e-10)
     fine = painleve.solve_hastings_mcleod(Grid(-12.0, 20.0, 12801))
-    for curve, r_max in ((scaling.rho_edge_curve, 12.0),
-                         (scaling.p_typ_curve, 8.0)):
+    for curve, r_max in ((scaling.rho_edge_scaling, 12.0),
+                         (scaling.p_typ, 8.0)):
         r = np.linspace(0.0, r_max, 49)[1:]
         a, b = curve(r, table), curve(r, fine)
         assert np.max(np.abs(a - b) / b) < 1e-7

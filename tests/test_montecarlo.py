@@ -363,6 +363,9 @@ def test_dos_histogram_rejects():
     for bad in (dict(count=0), dict(scaling="raw"), dict(quantity="raw"),
                 dict(quantity="gap", scaling="bulk"),
                 dict(bin_edges=np.array([0.0, 2.0, 1.0])),
+                dict(bin_edges=np.array([0.0, 1.0, 1.0, 2.0])),
+                dict(quantity="gap", scaling="edge",
+                     bin_edges=np.array([0.0, 1.0, 1.0, 2.0])),
                 dict(bin_edges=np.array([1.0]))):
         kwargs = dict(count=10, quantity="dos", scaling="bulk") | bad
         with pytest.raises(ValueError):

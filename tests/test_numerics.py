@@ -1,5 +1,6 @@
 """Infrastructure tests: grids, Hermite interpolation, five-point
-derivatives, tail-aware integration, the RK45 integrator and zeta'(-1)."""
+derivatives, right-anchored integration with closed-form tail remainders,
+the RK45 integrator and zeta'(-1)."""
 
 import math
 
@@ -7,9 +8,7 @@ import numpy as np
 import pytest
 
 from nearextreme.numerics import (AiryProductTail, DivergedSolutionError,
-                                  ExponentialTail, Grid, TruncationError,
-                                  ZETA_PRIME_MINUS_ONE,
-                                  cumulative_tail_integral, derivative,
+                                  Grid, ZETA_PRIME_MINUS_ONE, derivative,
                                   hermite, integral_from_right, integrate_ode)
 
 
@@ -116,7 +115,7 @@ def test_derivative_exact_on_quartics():
 
 
 # ---------------------------------------------------------------------------
-# tail models and the right-anchored cumulative integral
+# the right-anchored cumulative integral and tail remainders
 # ---------------------------------------------------------------------------
 
 
@@ -144,8 +143,10 @@ def test_integral_from_right_fourth_order():
 
 
 def test_cumulative_tail_exponential():
+    # beyond the grid, the exponential remainder g(x_max) / rate
     x = Grid(0.0, 30.0, 3001).nodes()
-    G = cumulative_tail_integral(x, np.exp(-x), ExponentialTail(rate=1.0))
+    g, rate = np.exp(-x), 1.0
+    G = integral_from_right(x, g) + g[-1] / rate
     # relative accuracy must hold even where the integral is ~1e-13
     rel = np.abs(G - np.exp(-x)) / np.exp(-x)
     assert np.max(rel) < 1e-9
@@ -155,12 +156,13 @@ def test_cumulative_tail_airy_squared():
     from nearextreme import airy
 
     x = Grid(-2.0, 6.0, 801).nodes()
-    G = cumulative_tail_integral(x, airy.ai_values(x) ** 2, AiryProductTail())
+    g = airy.ai_pair(x)[0] ** 2
+    G = integral_from_right(x, g) + AiryProductTail().remainder(x[-1], g[-1])
     # closed form: int_a^inf Ai^2 = Ai'(a)^2 - a Ai(a)^2, at the nodes a
     for i in (0, 200, 500):
         a = x[i]
-        v = airy.airy(a)
-        exact = v.ai_prime**2 - a * v.ai**2
+        ai, aip = airy.ai_pair(a)
+        exact = aip**2 - a * ai**2
         assert G[i] == pytest.approx(exact, rel=1e-9)
 
 
@@ -175,14 +177,8 @@ def test_airy_product_tail_closed_form(r):
     ref, _ = quad(lambda u: v_max * sp_airy(u)[0] * sp_airy(u - r)[0] / m0,
                   x_max, x_max + 30.0, epsabs=1e-300, epsrel=1e-13,
                   limit=200)
-    got = AiryProductTail(0.0, r).remainder(x_max, v_max)
+    got = AiryProductTail(r).remainder(x_max, v_max)
     assert got == pytest.approx(ref, rel=1e-10)
-
-
-def test_cumulative_tail_requires_tail_model():
-    x = Grid(0.0, 1.0, 11).nodes()
-    with pytest.raises(TruncationError):
-        cumulative_tail_integral(x, np.ones(11))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +198,9 @@ def test_integrate_ode_downward_airy():
     # Maclaurin value Ai(0) = 3^(-2/3)/Gamma(2/3)
     from nearextreme import airy
 
-    seed = airy.airy(8.0)
+    seed = airy.ai_pair(8.0)
     _, y = integrate_ode(lambda x, v: [v[1], x * v[0]], 8.0, 0.0,
-                         [seed.ai, seed.ai_prime], rel_tol=1e-12,
+                         [float(v) for v in seed], rel_tol=1e-12,
                          abs_tol=1e-300, t_eval=np.array([8.0, 0.0]))
     ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     assert y[0][-1] == pytest.approx(ai0, rel=1e-9)

@@ -7,9 +7,7 @@ import pytest
 from scipy.integrate import solve_bvp
 
 from nearextreme import airy, painleve
-from nearextreme.numerics import (AiryProductTail, ExponentialTail, Grid,
-                                  cumulative_tail_integral,
-                                  integral_from_right)
+from nearextreme.numerics import AiryProductTail, Grid, integral_from_right
 
 
 def bvp_reference(domain):
@@ -21,19 +19,21 @@ def bvp_reference(domain):
     x0 = np.linspace(x_min, x_max, 1601)
     w = 0.5 * (1.0 + np.tanh(-x0 / 2.0))
     left = painleve._left_asymptote(np.where(x0 < 0, x0, -1.0))
-    guess = w * np.where(x0 < 0, left, 0.0) + (1.0 - w) * airy.ai_values(x0)
+    guess = w * np.where(x0 < 0, left, 0.0) + (1.0 - w) * airy.ai_pair(x0)[0]
     sol = solve_bvp(
         lambda x, y: np.vstack([y[1], 2.0 * y[0] ** 3 + x * y[0]]),
         lambda ya, yb: np.array([ya[0] - painleve._left_asymptote(x_min),
-                                 yb[0] - airy.airy(x_max).ai]),
+                                 yb[0] - airy.ai_pair(x_max)[0]]),
         x0, np.vstack([guess, np.gradient(guess, x0)]), tol=1e-10,
         max_nodes=500000)
     assert sol.status == 0, sol.message
     x = domain.nodes()
     q, qp = sol.sol(x)
-    R = cumulative_tail_integral(x, q * q, AiryProductTail())
-    logf2 = cumulative_tail_integral(
-        x, R, ExponentialTail(rate=2.0 * math.sqrt(x_max)))
+    q2 = q * q
+    R = (integral_from_right(x, q2)
+         + AiryProductTail().remainder(x_max, q2[-1]))
+    logf2 = (integral_from_right(x, R)
+             + R[-1] / (2.0 * math.sqrt(x_max)))
     return q, qp, R, np.exp(-logf2)
 
 
@@ -55,8 +55,8 @@ def test_table_matches_bvp_reference(table):
 def test_unconverged_newton_raises(monkeypatch):
     # a Newton update that is never usable leaves the Numerov residual
     # large (here NaN); the solver must refuse it, not tabulate it
-    monkeypatch.setattr(painleve, "_solve_tridiagonal",
-                        lambda ab, b: np.full_like(b, np.nan))
+    monkeypatch.setattr(painleve, "_cyclic_reduction",
+                        lambda a, b, c, d: np.full_like(d, np.nan))
     with pytest.raises(RuntimeError, match="did not converge"):
         painleve.solve_hastings_mcleod(Grid(-10.0, 8.0, 1801))
 
@@ -66,7 +66,8 @@ def test_non_finite_newton_iterate_raises():
     # documented RuntimeError naming the domain, not propagate into the
     # Newton update
     x = np.linspace(-10.0, 8.0, 1801)
-    guess = np.maximum(airy.ai_values(x), np.sqrt(np.maximum(-x, 0.0) / 2.0))
+    guess = np.maximum(airy.ai_pair(x)[0],
+                       np.sqrt(np.maximum(-x, 0.0) / 2.0))
     guess[900] = math.nan
     with pytest.raises(RuntimeError,
                        match=r"\[-10, 8\] with 1801 nodes.*step 0"):
@@ -75,14 +76,16 @@ def test_non_finite_newton_iterate_raises():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1801])
 def test_tridiagonal_solve_matches_dense(n):
-    # diagonally dominant (|diagonal| >= 2 >= |sub| + |super|), with the
-    # unused corners ab[0, 0] and ab[2, -1] filled, as solve_banded allows
+    # diagonally dominant (|diagonal| >= 2 >= |sub| + |super|); the
+    # corners sub[0] and sup[-1] lie outside the matrix and are 0
     rng = np.random.default_rng(n)
-    ab = rng.uniform(-1.0, 1.0, (3, n))
-    ab[1] += 2.0 * np.sign(ab[1])
-    a = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    sub, diagonal, sup = rng.uniform(-1.0, 1.0, (3, n))
+    diagonal += 2.0 * np.sign(diagonal)
+    sub[0] = sup[-1] = 0.0
+    a = np.diag(diagonal) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
     b = rng.normal(size=n)
-    x, ref = painleve._solve_tridiagonal(ab, b), np.linalg.solve(a, b)
+    x = painleve._cyclic_reduction(sub, diagonal, sup, b)
+    ref = np.linalg.solve(a, b)
     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -92,8 +95,8 @@ def test_tridiagonal_solve_on_the_numerov_jacobian(table):
     from scipy.linalg import solve_banded
 
     x, c = table.grid.nodes(), table.grid.h**2 / 12.0
-    q = np.maximum(airy.ai_values(x), np.sqrt(np.maximum(-x, 0.0) / 2.0))
-    q[0], q[-1] = painleve._left_asymptote(x[0]), airy.airy(x[-1]).ai
+    q = np.maximum(airy.ai_pair(x)[0], np.sqrt(np.maximum(-x, 0.0) / 2.0))
+    q[0], q[-1] = painleve._left_asymptote(x[0]), airy.ai_pair(x[-1])[0]
     force = (2.0 * q * q + x) * q
     res = (q[2:] - 2.0 * q[1:-1] + q[:-2]
            - c * (force[2:] + 10.0 * force[1:-1] + force[:-2]))
@@ -102,7 +105,9 @@ def test_tridiagonal_solve_on_the_numerov_jacobian(table):
     ab[0, 1:], ab[2, :-1] = off[2:-1], off[1:-2]
     ab[1] = 10.0 * off[1:-1] - 12.0
     ref = solve_banded((1, 1), ab, res)
-    dq = painleve._solve_tridiagonal(ab, res)
+    sub, sup = off[:-2].copy(), off[2:].copy()
+    sub[0] = sup[-1] = 0.0
+    dq = painleve._cyclic_reduction(sub, ab[1], sup, res)
     assert np.max(np.abs(dq - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -171,13 +176,14 @@ def test_r_is_log_derivative_of_independent_f2(table):
 
 
 def test_q_matches_airy_on_the_right(table):
-    assert table.at(6.0)[0] == pytest.approx(airy.airy(6.0).ai, abs=1e-9)
-    assert airy.airy(6.0).ai == pytest.approx(9.9477e-6, abs=1e-9)
+    ai_6 = airy.ai_pair(6.0)[0]
+    assert table.at(6.0)[0] == pytest.approx(ai_6, abs=1e-9)
+    assert ai_6 == pytest.approx(9.9477e-6, abs=1e-9)
     # q = Ai(x) (1 + O(Ai^2)), so on [6, x_max - 0.1] the relative gap to
     # Ai is the solver's error alone (the collocation BVP left 1.9e-6)
     x = table.grid.nodes()
     keep = (x >= 6.0) & (x <= table.grid.x_max - 0.1)
-    assert np.max(np.abs(table.q[keep] / airy.ai_values(x[keep]) - 1.0)) \
+    assert np.max(np.abs(table.q[keep] / airy.ai_pair(x[keep])[0] - 1.0)) \
         <= 1e-10
 
 

@@ -71,12 +71,21 @@ def test_negative_density_raises(table):
     from dataclasses import replace
 
     bad = replace(table, f2=-table.f2)
-    for single, curve in ((scaling.rho_edge_scaling, scaling.rho_edge_curve),
-                          (scaling.p_typ, scaling.p_typ_curve)):
+    for func in (scaling.rho_edge_scaling, scaling.p_typ):
         with pytest.raises(RuntimeError, match="r_tilde = 2"):
-            single(2.0, bad)
+            func(2.0, bad)
         with pytest.raises(RuntimeError, match="r_tilde = 1"):
-            curve([0.0, 1.0, 2.0], bad)
+            func([0.0, 1.0, 2.0], bad)
+
+
+def test_edge_curves_scalar_and_array(table):
+    # a scalar gives a float, an array the same values in one batched solve
+    r = np.array([0.5, 2.0, 5.0])
+    for func in (scaling.rho_edge_scaling, scaling.p_typ):
+        got = func(r, table)
+        assert isinstance(func(2.0, table), float)
+        assert got.shape == r.shape
+        assert np.array_equal(got, [func(ri, table) for ri in r])
 
 
 def test_rho_edge_rejects_negative(table):
