@@ -34,8 +34,9 @@ _STEP, _BOTTOM, _TOP, _DEGREE = 0.25, -240, 4, 30
 X_MIN = _BOTTOM * _STEP
 _POWERS = np.arange(_DEGREE + 1)
 
-#: trapezoid nodes for x >= 1
+#: trapezoid nodes for x >= 1, and the values of x evaluated at a time
 _NODES = np.arange(64)
+_ROWS = 512
 
 
 def _coefficients(a, y, y_prime):
@@ -111,7 +112,9 @@ def ai_pair(x):
         raise ValueError(f"Airy evaluator covers x >= {X_MIN:g}")
     ai, aip = np.empty_like(x), np.empty_like(x)
     right = x >= 1.0
-    ai[right], aip[right] = _ai_trapezoid(x[right])
+    # _ROWS values at a time, so that the (rows, 64) work arrays stay small
+    blocks = np.split(x[right], range(_ROWS, np.count_nonzero(right), _ROWS))
+    ai[right], aip[right] = np.hstack([_ai_trapezoid(b) for b in blocks])
     ai[~right], aip[~right] = _ai_series(x[~right])
     return ai, aip
 

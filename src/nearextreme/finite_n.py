@@ -206,6 +206,8 @@ def rule_header(n: int, r: np.ndarray | None = None) -> str:
 def gap_pdf_exact(r: float | np.ndarray, n: int) -> float | np.ndarray:
     """PDF of the first gap d = lambda_1 - lambda_2 at matrix size n:
     p_gap(r) = (N - 1) * dos_exact(-r), for a scalar or an array r."""
+    if not 2 <= n <= MAX_MATRIX_SIZE:
+        raise ValueError(f"gap_pdf_exact needs n in [2, {MAX_MATRIX_SIZE}]")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("gap distance must be >= 0")

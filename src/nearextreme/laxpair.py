@@ -41,6 +41,12 @@ PSI_SCHEME = ("Numerov downward from x_max on h and h/2, "
 # residual diagnostics (q'/q, R/q^2 are roundoff-dominated there)
 _Q_FLOOR = 1e-4
 
+# rows of Numerov coefficients built at a time
+_BLOCK = 512
+#: columns (spectral parameters) at a time of the work after the march,
+#: which runs over every column at once, since its cost is per node
+COLUMN_CHUNK = 4
+
 
 @dataclass(frozen=True)
 class PsiPair:
@@ -63,23 +69,42 @@ class PsiPair:
                               qf_integral=self.qf_integral)
 
 
-def _numerov_down(x: np.ndarray, q2: np.ndarray,
-                  r: np.ndarray) -> np.ndarray:
+def _numerov_down(x: np.ndarray, q2: np.ndarray, r: np.ndarray,
+                  stride: int = 1) -> np.ndarray:
     """f'' = (x + 2q^2 - r) f on the uniform nodes x, one column per r,
-    marched downward from the Airy seed at the top two nodes.
+    marched downward from the Airy seed at the top two nodes; f at every
+    stride-th node from x[0] (stride 1 or 2).
 
     With A = 1 - h^2 V / 12 and u = A f, Numerov's recurrence reads
-    u[i-1] = (12 / A[i] - 10) u[i] - u[i+1].
+    u[i-1] = (12 / A[i] - 10) u[i] - u[i+1].  u is kept at the returned
+    nodes only, the others in two spare rows (each is read in the next two
+    steps only), and A is built _BLOCK rows at a time.
     """
-    h = x[1] - x[0]
-    a = 1.0 - h * h / 12.0 * ((x + 2.0 * q2)[:, None] - r)
-    c = 12.0 / a - 10.0
-    u = np.empty_like(a)
-    u[-2:] = SEED_AMPLITUDE * ai_pair(x[-2:, None] - r)[0] * a[-2:]
-    for i in range(x.size - 2, 0, -1):
-        np.multiply(c[i], u[i], out=u[i - 1])
-        u[i - 1] -= u[i + 1]
-    u /= a
+    h, n = x[1] - x[0], x.size
+    u = np.empty(((n - 1) // stride + 1, r.size))
+    spare = np.empty((2, r.size))
+
+    def coefficient(rows: slice) -> np.ndarray:
+        return 1.0 - h * h / 12.0 * ((x[rows] + 2.0 * q2[rows])[:, None] - r)
+
+    def row(i: int) -> np.ndarray:
+        return u[i // stride] if i % stride == 0 else spare[i // 2 % 2]
+
+    top = slice(n - 2, n)
+    seed = SEED_AMPLITUDE * ai_pair(x[top, None] - r)[0] * coefficient(top)
+    row(n - 2)[...], row(n - 1)[...] = seed
+    # one block writes u at nodes hi - 2 down to lo - 1; rows[j] is node
+    # lo - 1 + j, and c[j] belongs to node lo + j
+    for hi in range(n - 1, 1, -_BLOCK):
+        lo = max(hi - _BLOCK, 1)
+        c = 12.0 / coefficient(slice(lo, hi)) - 10.0
+        rows = [row(i) for i in range(lo - 1, hi + 1)]
+        for j in range(hi - lo - 1, -1, -1):
+            np.multiply(c[j], rows[j + 1], out=rows[j])
+            rows[j] -= rows[j + 2]
+    for k in range(0, u.shape[0], _BLOCK):
+        u[k:k + _BLOCK] /= coefficient(
+            slice(k * stride, (k + _BLOCK - 1) * stride + 1, stride))
     return u
 
 
@@ -97,6 +122,8 @@ def solve_psi_batch(r_values, table: PainleveTable):
     f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the combination by ~4e-9.
     q at the half-grid midpoints is the cubic Hermite interpolant of the
     table's q and q'.
+    The solve holds two such arrays, f on h and on h/2 (its even rows);
+    the rest runs COLUMN_CHUNK columns at a time.
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     grid = table.grid
@@ -115,14 +142,19 @@ def solve_psi_batch(r_values, table: PainleveTable):
     x_half = np.linspace(grid.x_min, x_max, 2 * grid.n_points - 1)
     q_half = hermite(grid, q, table.q_prime, x_half)
     f_h = _numerov_down(x, q * q, r)
-    f = _numerov_down(x_half, q_half * q_half, r)[::2]
-    f *= 16.0 / 15.0
-    f -= f_h / 15.0
-
-    qf = q[:, None] * f
-    remainder = [AiryProductTail(ri).remainder(x_max, v)
-                 for ri, v in zip(r, qf[-1])]
-    qf_integral = integral_from_right(x, qf) + np.array(remainder)
+    f = _numerov_down(x_half, q_half * q_half, r, stride=2)
+    # once a column chunk of f_h has entered the Richardson combination,
+    # its storage takes that chunk of I
+    qf_integral = f_h
+    for j in range(0, r.size, COLUMN_CHUNK):
+        cols = slice(j, j + COLUMN_CHUNK)
+        fc = f[:, cols]
+        fc *= 16.0 / 15.0
+        fc -= f_h[:, cols] / 15.0
+        qf = q[:, None] * fc
+        remainder = [AiryProductTail(ri).remainder(x_max, v)
+                     for ri, v in zip(r[cols], qf[-1])]
+        qf_integral[:, cols] = integral_from_right(x, qf) + np.array(remainder)
     return f, qf_integral
 
 

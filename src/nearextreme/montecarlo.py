@@ -39,9 +39,9 @@ so the block changes no draw.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,11 +76,15 @@ class TridiagonalSpectrumSampler:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
+    @functools.cached_property
+    def _children(self) -> list:
+        """The _N_CHUNKS spawned seed sequences, spawned once per sampler."""
+        return np.random.SeedSequence(self.seed).spawn(_N_CHUNKS)
+
     def draw(self, chunk: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         """`size` draws from chunk `chunk`'s own spawned Philox stream: all
         diagonals, shape (size, n), then all sub-diagonals (size, n - 1)."""
-        children = np.random.SeedSequence(self.seed).spawn(_N_CHUNKS)
-        rng = np.random.Generator(np.random.Philox(children[chunk]))
+        rng = np.random.Generator(np.random.Philox(self._children[chunk]))
         n = self.n
         d = rng.normal(0.0, math.sqrt(0.5), (size, n))
         shape = np.arange(n - 1, 0, -1, dtype=float)
@@ -122,6 +126,8 @@ def _jobs(count: int) -> list[tuple[int, int]]:
 def _run(work, jobs: list, threads: int) -> list:
     """work(job) for every job, in order, on `threads` threads."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(work, jobs))
     return [work(j) for j in jobs]

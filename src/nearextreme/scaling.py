@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import ZETA_PRIME_MINUS_ONE, integral_from_right
 # solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
-from .laxpair import solve_psi, solve_psi_batch  # noqa: F401
+from .laxpair import COLUMN_CHUNK, solve_psi, solve_psi_batch  # noqa: F401
 from .painleve import PainleveTable
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -30,23 +30,28 @@ GAP_TAIL_AMPLITUDE = (2.0 ** (-91.0 / 48.0)
 NEGATIVE_TOL = 1e-12
 
 
-#: most spectral parameters per batched psi solve; each solve holds a few
-#: (2 n_points - 1) x chunk float arrays, so this bounds memory for any grid
+#: most spectral parameters per batched psi solve; each solve holds two
+#: n_points x chunk float arrays (f on h and on h/2), so this bounds memory
+#: for any grid
 R_CHUNK = 64
 
 
 def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
     """(2^(1/3)/pi) int (f^2 - I^2) F2 dx over the table grid at every
     signed spectral parameter in ``r_signed``, where I(x) = int_x^inf q f.
-    The psi functions are solved R_CHUNK columns at a time."""
+    The psi functions are solved R_CHUNK columns at a time, the integrand
+    built COLUMN_CHUNK at a time."""
     r = np.atleast_1d(np.asarray(r_signed, dtype=float))
     x = table.grid.nodes()
     f2 = table.f2[:, None]
     total = np.empty(r.size)
     for start in range(0, r.size, R_CHUNK):
         f, qf_integral = solve_psi_batch(r[start:start + R_CHUNK], table)
-        total[start:start + R_CHUNK] = integral_from_right(
-            x, (f**2 - qf_integral**2) * f2)[0]
+        for j in range(0, f.shape[1], COLUMN_CHUNK):
+            cols = slice(j, j + COLUMN_CHUNK)
+            total[start + j:start + j + COLUMN_CHUNK] = integral_from_right(
+                x, (f[:, cols]**2 - qf_integral[:, cols]**2) * f2)[0]
+        del f, qf_integral  # before the next chunk's solve allocates
     return _CBRT2 / math.pi * total
 
 

@@ -82,6 +82,16 @@ def test_vectorized_consistency():
         assert ai[i] == a and aip[i] == d
 
 
+def test_row_blocks_match_scalar_calls():
+    # x >= 1 is evaluated in blocks of rows: a few thousand points cross
+    # several block boundaries and equal one scalar call per point
+    x = np.linspace(1.0, 40.0, 3001)
+    assert x.size > 4 * airy._ROWS
+    ai, aip = airy.ai_pair(x)
+    one = np.array([airy.ai_pair(float(v)) for v in x])
+    assert np.array_equal(ai, one[:, 0]) and np.array_equal(aip, one[:, 1])
+
+
 def test_edge_density_values():
     assert airy.edge_density(0.0) == pytest.approx(
         airy.ai_pair(0.0)[1] ** 2, rel=1e-12)

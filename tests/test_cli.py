@@ -203,6 +203,13 @@ def test_sample_n1_exits_1(capsys):
         assert "at least 2 eigenvalues" in err
 
 
+def test_finite_n_gap_n1_exits_1(capsys):
+    # the gap needs two eigenvalues; the refusal names the gap function
+    assert run(["finite-n", "--n", "1", "--quantity", "gap"]) == 1
+    assert capsys.readouterr().err == (
+        "error: gap_pdf_exact needs n in [2, 12]\n")
+
+
 def test_finite_n_cdf_roundtrip(tmp_path):
     out = tmp_path / "cdf.csv"
     assert run(["finite-n", "--n", "1", "--quantity", "cdf",

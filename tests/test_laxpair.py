@@ -117,6 +117,33 @@ def test_batched_solver_matches_rk45(table):
         assert edge[k] == pytest.approx(edge_ref, rel=1e-7)
 
 
+def whole_array_march(x, q2, r):
+    """Numerov downward on every node at once, A and 12/A - 10 built on the
+    whole grid: the recurrence that _numerov_down runs in blocks."""
+    h = x[1] - x[0]
+    a = 1.0 - h * h / 12.0 * ((x + 2.0 * q2)[:, None] - r)
+    c = 12.0 / a - 10.0
+    u = np.empty_like(a)
+    u[-2:] = SEED_AMPLITUDE * airy.ai_pair(x[-2:, None] - r)[0] * a[-2:]
+    for i in range(x.size - 2, 0, -1):
+        u[i - 1] = c[i] * u[i] - u[i + 1]
+    return u / a
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_strided_march_keeps_even_rows_exactly(table, sign):
+    # the half-grid march keeps only its even rows and builds its
+    # coefficients block by block; neither may change a float
+    grid = table.grid
+    x = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
+    q = hermite(grid, table.q, table.q_prime, x)
+    r = sign * np.array([0.0, 0.5, 3.0, 7.5, 12.0])
+    full = laxpair._numerov_down(x, q * q, r)
+    assert np.array_equal(full, whole_array_march(x, q * q, r))
+    assert np.array_equal(laxpair._numerov_down(x, q * q, r, stride=2),
+                          full[::2])
+
+
 def test_error_budget_grid_halving(table):
     # the table solved on h/2 (its own Newton solve, psi on h/2 and h/4)
     # moves both curves by far less than 1e-7 (measured 1.7e-10, 1.9e-10)

@@ -12,6 +12,18 @@ from scipy.stats import chi2, ks_2samp
 from nearextreme import montecarlo as mc
 
 
+def test_draw_uses_the_spawned_child_streams():
+    # chunk c draws from child c of SeedSequence(seed), spawned once per
+    # sampler; every draw restarts its chunk's stream
+    sampler = mc.TridiagonalSpectrumSampler(n=6, seed=9)
+    children = np.random.SeedSequence(9).spawn(64)
+    for chunk in (0, 37, 63):
+        rng = np.random.Generator(np.random.Philox(children[chunk]))
+        d = rng.normal(0.0, math.sqrt(0.5), (4, 6))
+        for _ in range(2):
+            assert np.array_equal(sampler.draw(chunk, 4)[0], d)
+
+
 def test_sampler_validation():
     with pytest.raises(ValueError):
         mc.TridiagonalSpectrumSampler(n=0, seed=1)

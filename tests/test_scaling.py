@@ -1,11 +1,12 @@
 """Scaling functions: edge DOS, gap PDF, bulk semicircle, asymptotics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nearextreme import scaling
+from nearextreme import painleve, scaling
 
 # Tracy-Widom GUE mean and variance (Bornemann, Math. Comp. 79 (2010)
 # 871-915), literature values held apart from the Painleve table
@@ -63,6 +64,31 @@ def test_edge_integral_chunking_is_invisible(table):
     split = np.concatenate([scaling.edge_integral(r[:5], table),
                             scaling.edge_integral(r[5:], table)])
     assert np.array_equal(whole, split)
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of the memory traced while fn() runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_edge_curve_memory(table):
+    # the psi solve holds f on h and on h/2 and works on a few columns at
+    # a time: 4.7 MiB at the 33 gap points of `gap-pdf --rmax 8 --step
+    # 0.25`, against 13.2 MiB for a whole half-grid march and integrand
+    r = np.arange(0.0, 8.125, 0.25)
+    scaling.p_typ(r, table)
+    assert traced_peak_mib(lambda: scaling.p_typ(r, table)) < 6.0
+
+
+def test_table_memory():
+    # the table's Airy guess runs in row blocks: 2.3 MiB, against 7.8 MiB
+    # for all of its nodes at once
+    assert traced_peak_mib(painleve.solve_hastings_mcleod) < 3.5
 
 
 def test_negative_density_raises(table):
