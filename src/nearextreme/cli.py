@@ -25,23 +25,23 @@ from . import __version__
 
 
 def _open_out(path):
+    """A context manager for writing: the file at ``path``, or stdout (left
+    open) if path is None or "-"."""
+    import contextlib
+
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _write_csv(path, header_lines, columns, names):
-    fh, close = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         fh.write(f"# nearextreme {__version__}\n")
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(names) + "\n")
         for row in zip(*columns):
             fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _default_threads(args) -> int:
@@ -132,11 +132,15 @@ def cmd_dos_bulk(args) -> int:
 
 
 def cmd_finite_n(args) -> int:
+    if args.quantity == "cdf" and args.rmax is not None:
+        args.parser.error("argument --rmax: --quantity cdf tabulates "
+                          "y in [-4, 6] and takes only --step")
     from . import finite_n as fn
 
     n = args.n
-    x = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
-    header = [f"n = {n}, rmax = {args.rmax}, step = {args.step}"]
+    rmax = 4.0 if args.rmax is None else args.rmax
+    x = np.arange(0.0, rmax + 0.5 * args.step, args.step)
+    header = [f"n = {n}, rmax = {rmax}, step = {args.step}"]
     if args.quantity == "gap":
         vals = fn.gap_pdf_exact(x, n)
         header.append(fn.rule_header(n, -x))
@@ -155,16 +159,17 @@ def cmd_finite_n(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.quantity == "gap" and args.scaling == "bulk":
+        args.parser.error("argument --scaling: the gap is always in the "
+                          "edge variable")
     from . import montecarlo
 
     threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
-    # the gap is always in the edge variable
-    scaling = "edge" if args.quantity == "gap" else args.scaling
     hist = montecarlo.count_histogram(sampler, args.samples, args.quantity,
-                                      scaling, threads=threads)
+                                      args.scaling, threads=threads)
     header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}",
-              montecarlo.count_header(args.n, scaling)]
+              montecarlo.count_header(args.n, args.scaling)]
     dens, err = hist.density(), hist.stderr()
     if args.quantity == "dos" and args.scaling == "edge":
         # the edge-scaled histogram estimates rho_edge / n
@@ -196,69 +201,65 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Run the invariant suite; nonzero exit on any failure."""
+    """Run the invariant suite, report to --out; nonzero exit on a failure."""
     from . import finite_n as fn
     from . import laxpair, painleve
-
-    failures = []
-
-    def check(name, ok, detail=""):
-        status = "ok" if ok else "FAIL"
-        print(f"[{status}] {name} {detail}")
-        if not ok:
-            failures.append(name)
-
-    t = painleve.default_table()
-    for line in _provenance(t):
-        print(f"# {line}")
-    tr = painleve.table_residuals(t)
-    check("q positive", tr["q_min"] > 0)
-    res = tr["painleve_ii"]
-    check("Painleve II residual < 1e-6", res < 1e-6, f"({res:.2e})")
-    rid = tr["r_identity"]
-    check("R identity < 1e-8", rid < 1e-8, f"({rid:.2e})")
-    check("F2 monotone in (0,1], F2(x_max) = 1", tr["f2_monotone"])
-    rf2 = tr["r_log_derivative"]
-    check("R = F2'/F2 < 1e-6", rf2 < 1e-6, f"({rf2:.2e})")
-
-    a2 = painleve.a2_integral(t)
-    check("a2 = 1/2 within 1e-4", abs(a2 - 0.5) < 1e-4, f"({a2:.8f})")
-
-    for r in (2.0, 5.0, -2.0, -5.0):
-        psi = laxpair.solve_psi(r, t)
-        shifted = laxpair.solve_psi(r + 1e-4, t)
-        res = laxpair.lax_residuals(psi, shifted)
-        check(f"Lax residuals at r = {r}",
-              res["b_residual"] < 1e-5 and res["a_residual"] < 1e-3,
-              f"(B {res['b_residual']:.2e}, A {res['a_residual']:.2e})")
-
-    for y in (-1.0, 0.0, 2.0):
-        sys_ = fn.build_ortho_system(y, 2)
-        h0 = math.sqrt(math.pi) * (1 + math.erf(y)) / 2
-        a = math.exp(-y * y) / (2 * h0)  # e^(-y^2) / (sqrt(pi) (1 + erf y))
-        h1 = math.exp(-y * y) * (1 / a - 2 * a - 2 * y) / 4
-        check(f"h0, h1, S0 closed forms at y = {y}",
-              abs(sys_.h[0] - h0) < 1e-10 and abs(sys_.h[1] - h1) < 1e-9
-              and abs(sys_.s_coef[0] + a) < 1e-10)
 
     def integral(f, a, b):
         """64-point Gauss-Legendre sum of f on [a, b]."""
         x, w = np.polynomial.legendre.leggauss(64)
         return 0.5 * (b - a) * float(w @ f(0.5 * (b - a) * x + 0.5 * (b + a)))
 
-    sys4 = fn.build_ortho_system(0.5, 4)
-    norm = integral(lambda x: fn.kernel(sys4, x, x), -8.0, 0.5)
-    check("kernel normalization int K = N (N = 4)", abs(norm - 4) < 1e-6,
-          f"({norm:.8f})")
-    dos_norm = integral(lambda r: fn.dos_exact(r, 4), 0.0, 8.0)
-    check("int dos_exact = 1 (N = 4)", abs(dos_norm - 1) < 1e-4,
-          f"({dos_norm:.6f})")
+    failures = []
+    with _open_out(args.out) as fh:
+        def check(name, ok, detail=""):
+            status = "ok" if ok else "FAIL"
+            print(f"[{status}] {name} {detail}", file=fh)
+            if not ok:
+                failures.append(name)
 
-    if failures:
-        print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
-        return 1
-    print("all checks passed")
-    return 0
+        t = painleve.default_table()
+        for line in _provenance(t):
+            print(f"# {line}", file=fh)
+        tr = painleve.table_residuals(t)
+        check("q positive", tr["q_min"] > 0)
+        res = tr["painleve_ii"]
+        check("Painleve II residual < 1e-6", res < 1e-6, f"({res:.2e})")
+        rid = tr["r_identity"]
+        check("R identity < 1e-8", rid < 1e-8, f"({rid:.2e})")
+        check("F2 monotone in (0,1], F2(x_max) = 1", tr["f2_monotone"])
+        rf2 = tr["r_log_derivative"]
+        check("R = F2'/F2 < 1e-6", rf2 < 1e-6, f"({rf2:.2e})")
+
+        a2 = painleve.a2_integral(t)
+        check("a2 = 1/2 within 1e-4", abs(a2 - 0.5) < 1e-4, f"({a2:.8f})")
+
+        for r in (2.0, 5.0, -2.0, -5.0):
+            res = laxpair.lax_residuals(laxpair.solve_psi(r, t))
+            check(f"Lax residuals at r = {r}",
+                  res["b_residual"] < 1e-5 and res["a_residual"] < 1e-3,
+                  f"(B {res['b_residual']:.2e}, A {res['a_residual']:.2e})")
+
+        for y in (-1.0, 0.0, 2.0):
+            sys_ = fn.build_ortho_system(y, 2)
+            h0 = math.sqrt(math.pi) * (1 + math.erf(y)) / 2
+            a = math.exp(-y * y) / (2 * h0)  # e^(-y^2)/(sqrt(pi)(1 + erf y))
+            h1 = math.exp(-y * y) * (1 / a - 2 * a - 2 * y) / 4
+            check(f"h0, h1, S0 closed forms at y = {y}",
+                  abs(sys_.h[0] - h0) < 1e-10 and abs(sys_.h[1] - h1) < 1e-9
+                  and abs(sys_.s_coef[0] + a) < 1e-10)
+
+        sys4 = fn.build_ortho_system(0.5, 4)
+        norm = integral(lambda x: fn.kernel(sys4, x, x), -8.0, 0.5)
+        check("kernel normalization int K = N (N = 4)", abs(norm - 4) < 1e-6,
+              f"({norm:.8f})")
+        dos_norm = integral(lambda r: fn.dos_exact(r, 4), 0.0, 8.0)
+        check("int dos_exact = 1 (N = 4)", abs(dos_norm - 1) < 1e-4,
+              f"({dos_norm:.6f})")
+
+        print(f"{len(failures)} check(s) failed: {', '.join(failures)}"
+              if failures else "all checks passed", file=fh)
+    return 1 if failures else 0
 
 
 def _checked(convert, ok, rule: str):
@@ -289,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, text, rmax=12.0):
         """A subcommand running ``func``, with --out and --threads, and
-        --rmax and --step unless ``rmax`` is None."""
+        --rmax and --step unless ``rmax`` is None; ``func`` refuses a flag
+        it would ignore through ``args.parser.error``."""
         sp = sub.add_parser(name, help=text)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, parser=sp)
         sp.add_argument("--out", default=None, help="output CSV (default stdout)")
         sp.add_argument("--threads", type=_positive_int, default=None)
         if rmax is not None:
@@ -309,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("dos-bulk", cmd_dos_bulk, "shifted semicircle bulk density",
                  rmax=None)
     sp.add_argument("--step", type=_positive_float, default=0.02)
-    sp = command("finite-n", cmd_finite_n, "exact finite-N curves", rmax=4.0)
+    sp = command("finite-n", cmd_finite_n, "exact finite-N curves", rmax=None)
+    sp.add_argument("--rmax", type=_nonnegative_float,
+                    help="dos and gap only (default 4.0)")
+    sp.add_argument("--step", type=_positive_float, default=0.05)
     sp.add_argument("--n", type=_positive_int, default=4)
     sp.add_argument("--quantity", choices=("dos", "gap", "cdf"),
                     default="dos")
@@ -328,10 +333,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

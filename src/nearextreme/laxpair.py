@@ -41,6 +41,9 @@ PSI_SCHEME = ("Numerov downward from x_max on h and h/2, "
 # residual diagnostics (q'/q, R/q^2 are roundoff-dominated there)
 _Q_FLOOR = 1e-4
 
+#: spectral-parameter step of the centred r-difference in lax_residuals
+LAX_DELTA = 1e-4
+
 # rows of Numerov coefficients built at a time
 _BLOCK = 512
 #: columns (spectral parameters) at a time of the work after the march,
@@ -51,22 +54,16 @@ COLUMN_CHUNK = 4
 @dataclass(frozen=True)
 class PsiPair:
     """Lax-pair solution at one spectral parameter: one array each, one
-    value per node of the table grid.
-
-    ``qf_integral`` tabulates I(x) = int_x^inf q f, from which
-    g = -r_tilde * I / q.
-    """
+    value per node of the table grid."""
 
     r_tilde: float
     f: np.ndarray
     g: np.ndarray
     table: PainleveTable
     f_prime: np.ndarray
-    qf_integral: np.ndarray
 
     def __post_init__(self):
-        self.table.grid.check(f=self.f, g=self.g, f_prime=self.f_prime,
-                              qf_integral=self.qf_integral)
+        self.table.grid.check(f=self.f, g=self.g, f_prime=self.f_prime)
 
 
 def _numerov_down(x: np.ndarray, q2: np.ndarray, r: np.ndarray,
@@ -171,8 +168,7 @@ def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
     # zero-tail convention: g vanishes at the right end of the table
     g_vals[-1] = 0.0
 
-    return PsiPair(r_tilde=r_tilde, f=f, g=g_vals, table=table, f_prime=fp,
-                   qf_integral=qf_integral)
+    return PsiPair(r_tilde=r_tilde, f=f, g=g_vals, table=table, f_prime=fp)
 
 
 def _diagnostic_window(table: PainleveTable) -> np.ndarray:
@@ -229,20 +225,18 @@ def small_r_expansion(table: PainleveTable):
     return f0, f1, f2
 
 
-def lax_residuals(psi: PsiPair, psi_shifted: PsiPair) -> dict:
+def lax_residuals(psi: PsiPair) -> dict:
     """Max-norm residuals of the two linear systems the pair satisfies.
 
     x-system (checked exactly, node by node):
         df/dx = (q'/q) f - g
         dg/dx = r f - (q'/q) g
-    r-system (d/dr via finite difference between the two solves):
+    r-system (d/dr by a centred difference between the pairs solved here
+    at r +- LAX_DELTA):
         df/dr = -(q'/q) f + (1 + q^2/r) g
         dg/dr = (-r - R/q^2) f + (q'/q) g
     """
-    if psi.table is not psi_shifted.table:
-        raise ValueError("both pairs must live on the same table")
     r = psi.r_tilde
-    delta = psi_shifted.r_tilde - r
     if r == 0.0:
         raise ValueError("r-system coefficients are singular at r = 0")
 
@@ -257,10 +251,11 @@ def lax_residuals(psi: PsiPair, psi_shifted: PsiPair) -> dict:
     res_bg = gp - r * f + (qp / q) * gv
     b_res = max(np.max(np.abs(res_bf[ok])), np.max(np.abs(res_bg[ok])))
 
-    # centered difference: the mirror pair at r - delta is solved here
-    psi_minus = solve_psi(r - delta, table)
-    dfdr = (psi_shifted.f - psi_minus.f) / (2.0 * delta)
-    dgdr = (psi_shifted.g - psi_minus.g) / (2.0 * delta)
+    # the step as rounded, so that r + delta is exactly r + LAX_DELTA
+    delta = (r + LAX_DELTA) - r
+    plus, minus = (solve_psi(r + s, table) for s in (delta, -delta))
+    dfdr = (plus.f - minus.f) / (2.0 * delta)
+    dgdr = (plus.g - minus.g) / (2.0 * delta)
     res_af = dfdr + (qp / q) * f - (1.0 + q**2 / r) * gv
     res_ag = dgdr - (-r - R / q**2) * f - (qp / q) * gv
     a_res = max(np.max(np.abs(res_af[ok])), np.max(np.abs(res_ag[ok])))

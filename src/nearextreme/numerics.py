@@ -33,14 +33,6 @@ QUADRATURE_SCHEME = ("trapezoid from x_max down, end correction h^2/12 "
                      "(g'(x) - g'(x_max)), g' by five-point differences")
 
 
-class DivergedSolutionError(RuntimeError):
-    """ODE integration blew up; carries the last x reached."""
-
-    def __init__(self, message: str, last_x: float):
-        super().__init__(message)
-        self.last_x = last_x
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [x_min, x_max] with n_points nodes."""
@@ -163,8 +155,8 @@ def integrate_ode(rhs: Callable, x_start: float, x_end: float,
                     dense_output=t_eval is None)
     if not sol.success:
         last = sol.t[-1] if sol.t.size else x_start
-        raise DivergedSolutionError(
-            f"ODE integration failed: {sol.message}", last_x=float(last))
+        raise RuntimeError(
+            f"ODE integration failed at x = {last:g}: {sol.message}")
     return sol.t, sol.y
 
 

@@ -140,14 +140,12 @@ def gap_tail_asymptotic(r_tilde):
     return float(out) if out.ndim == 0 else out
 
 
-def gap_normalization(table: PainleveTable, r_switch: float = 10.0,
-                      n_nodes: int = 48) -> float:
-    """int_0^inf p_typ: Gauss-Legendre over [0, r_switch] plus the
+def gap_normalization(table: PainleveTable) -> float:
+    """int_0^inf p_typ: 48-point Gauss-Legendre over [0, 10] plus the
     asymptotic-tail remainder beyond."""
     from scipy.integrate import quad
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    r = 0.5 * r_switch * (x + 1.0)
-    main = 0.5 * r_switch * float(np.dot(w, p_typ(r, table)))
-    tail, _ = quad(gap_tail_asymptotic, r_switch, 60.0,
+    x, w = np.polynomial.legendre.leggauss(48)
+    main = 5.0 * float(np.dot(w, p_typ(5.0 * (x + 1.0), table)))
+    tail, _ = quad(gap_tail_asymptotic, 10.0, 60.0,
                    epsabs=1e-300, epsrel=1e-10, limit=200)
     return main + tail

@@ -57,6 +57,17 @@ def test_bad_numeric_flags_exit_2(argv, capsys):
     assert f"argument {argv[1]}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ["sample", "--quantity", "gap", "--scaling", "bulk"],
+    ["finite-n", "--quantity", "cdf", "--rmax", "1"]))
+def test_ignored_flag_combinations_exit_2(argv, capsys):
+    # the gap is always in the edge variable, and the CDF of lambda_max
+    # has its own y range: a flag the command would ignore is refused
+    # before any work starts
+    assert run(argv) == 2
+    assert f"error: argument {argv[3]}: " in capsys.readouterr().err
+
+
 def test_asymptotics_empty_range_exits_1(capsys):
     # the tables start at r = max(step, 0.5); an empty range is an error,
     # not a header-only CSV
@@ -97,14 +108,15 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
-def _scipy_modules_after(argv, tmp_path, module="nearextreme.cli"):
-    """The scipy modules a fresh interpreter holds after importing
+def _modules_after(argv, tmp_path, module="nearextreme.cli",
+                   package="scipy"):
+    """The modules of ``package`` a fresh interpreter holds after importing
     ``module`` and, if ``argv`` is given, running that CLI command (whose
     own output, if any, comes first on stdout)."""
     code = (f"import sys; import {module} as mod; "
             "rc = mod.run(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
             "print(rc, *sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            f"if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
                          cwd=tmp_path, capture_output=True, text=True,
                          timeout=300)
@@ -120,7 +132,11 @@ def test_commands_import_only_what_they_use(tmp_path):
     for module in ("nearextreme.cli", "nearextreme.numerics",
                    "nearextreme.finite_n", "nearextreme.painleve",
                    "nearextreme.laxpair", "nearextreme.scaling"):
-        assert _scipy_modules_after([], tmp_path, module) == set(), module
+        assert _modules_after([], tmp_path, module) == set(), module
+    # `import nearextreme.cli` alone, the start-up that perfbench/run.py
+    # times, loads no pipeline module: each command imports its own
+    assert _modules_after([], tmp_path, package="nearextreme") == {
+        "nearextreme", "nearextreme.cli"}
     out = ["--out", str(tmp_path / "out.csv")]
     # the edge curves evaluate Airy functions and solve the table's Newton
     # systems with numpy alone; every sample quantity counts eigenvalues,
@@ -141,7 +157,7 @@ def test_commands_import_only_what_they_use(tmp_path):
                  ["sample", "--n", "1000", "--samples", "20", "--quantity",
                   "gap", "--threads", "1"],
                  ["check"]):
-        assert _scipy_modules_after(argv + out, tmp_path) == set(), argv
+        assert _modules_after(argv + out, tmp_path) == set(), argv
 
 
 def test_python_m_runs_the_cli(tmp_path):
@@ -363,8 +379,32 @@ def test_asymptotics(tmp_path):
         math.sqrt(rows[-1, 0]) / math.pi, rel=1e-9)
 
 
-def test_check_suite_passes(capsys):
+def test_check_suite_passes(tmp_path, capsys):
     assert run(["check"]) == 0
     outp = capsys.readouterr().out
     assert "[FAIL]" not in outp
     assert "all checks passed" in outp
+    # --out takes the same report, and stdout gets none of it
+    out = tmp_path / "check.txt"
+    assert run(["check", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == outp
+
+
+def test_check_reports_failures(monkeypatch, capsys):
+    # a table with F2 negated fails the three checks that read F2, and
+    # check names them and exits 1
+    from dataclasses import replace
+
+    from nearextreme import painleve
+
+    t = painleve.default_table()
+    monkeypatch.setattr(painleve, "default_table",
+                        lambda: replace(t, f2=-t.f2))
+    with np.errstate(invalid="ignore"):  # log F2 is NaN
+        assert run(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[FAIL] ") for line in lines) == 3
+    assert lines[-1] == ("3 check(s) failed: F2 monotone in (0,1], "
+                         "F2(x_max) = 1, R = F2'/F2 < 1e-6, "
+                         "a2 = 1/2 within 1e-4")

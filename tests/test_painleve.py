@@ -61,6 +61,14 @@ def test_unconverged_newton_raises(monkeypatch):
         painleve.solve_hastings_mcleod(Grid(-10.0, 8.0, 1801))
 
 
+def test_numerov_residual_above_bound_raises(monkeypatch):
+    # Newton stopped at its guess leaves a finite Numerov residual far
+    # above 1e-12; the solver must refuse it, not tabulate it
+    monkeypatch.setattr(painleve, "_LAST_UPDATE", math.inf)
+    with pytest.raises(RuntimeError, match="Numerov residual"):
+        painleve.solve_hastings_mcleod(Grid(-10.0, 8.0, 1801))
+
+
 def test_non_finite_newton_iterate_raises():
     # a NaN in the guess (or an iterate that diverges) must raise the
     # documented RuntimeError naming the domain, not propagate into the
@@ -251,6 +259,12 @@ def test_f2_left_tail_asymptote(table):
     val = painleve.tracy_widom_f2(table, -8.0)
     asym = painleve.tracy_widom_f2_asymptote(-8.0)
     assert val == pytest.approx(asym, rel=0.01)
+
+
+def test_f2_left_of_the_table_is_the_asymptote(table):
+    x = table.grid.x_min - 0.5
+    assert painleve.tracy_widom_f2(table, x) == \
+        painleve.tracy_widom_f2_asymptote(x)
 
 
 def test_f2_asymptote_array_equals_scalar_calls():
