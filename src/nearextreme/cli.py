@@ -45,8 +45,7 @@ def _write_csv(path, header_lines, columns, names):
 
 
 def _default_threads(args) -> int:
-    """--threads if given, else the CPU count: the Sturm counts of every
-    ``sample`` quantity split slab by slab over threads."""
+    """--threads if given, else the CPU count, for sample's Sturm counts."""
     return args.threads or os.cpu_count() or 1
 
 
@@ -204,11 +203,7 @@ def cmd_check(args) -> int:
     """Run the invariant suite, report to --out; nonzero exit on a failure."""
     from . import finite_n as fn
     from . import laxpair, painleve
-
-    def integral(f, a, b):
-        """64-point Gauss-Legendre sum of f on [a, b]."""
-        x, w = np.polynomial.legendre.leggauss(64)
-        return 0.5 * (b - a) * float(w @ f(0.5 * (b - a) * x + 0.5 * (b + a)))
+    from .numerics import gauss_legendre
 
     failures = []
     with _open_out(args.out) as fh:
@@ -242,18 +237,18 @@ def cmd_check(args) -> int:
 
         for y in (-1.0, 0.0, 2.0):
             sys_ = fn.build_ortho_system(y, 2)
-            h0 = math.sqrt(math.pi) * (1 + math.erf(y)) / 2
-            a = math.exp(-y * y) / (2 * h0)  # e^(-y^2)/(sqrt(pi)(1 + erf y))
+            a = fn.truncation_amplitude(y)
+            h0 = math.exp(-y * y) / (2 * a)
             h1 = math.exp(-y * y) * (1 / a - 2 * a - 2 * y) / 4
             check(f"h0, h1, S0 closed forms at y = {y}",
                   abs(sys_.h[0] - h0) < 1e-10 and abs(sys_.h[1] - h1) < 1e-9
                   and abs(sys_.s_coef[0] + a) < 1e-10)
 
         sys4 = fn.build_ortho_system(0.5, 4)
-        norm = integral(lambda x: fn.kernel(sys4, x, x), -8.0, 0.5)
+        norm = gauss_legendre(lambda x: fn.kernel(sys4, x, x), (-8, 0.5), 64)
         check("kernel normalization int K = N (N = 4)", abs(norm - 4) < 1e-6,
               f"({norm:.8f})")
-        dos_norm = integral(lambda r: fn.dos_exact(r, 4), 0.0, 8.0)
+        dos_norm = gauss_legendre(lambda r: fn.dos_exact(r, 4), (0, 8), 64)
         check("int dos_exact = 1 (N = 4)", abs(dos_norm - 1) < 1e-4,
               f"({dos_norm:.6f})")
 
@@ -289,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, func, text, rmax=12.0):
-        """A subcommand running ``func``, with --out and --threads, and
-        --rmax and --step unless ``rmax`` is None; ``func`` refuses a flag
-        it would ignore through ``args.parser.error``."""
+        """A subcommand running ``func``, with --out, --threads where the
+        benchmark passes it (only sample reads it), and --rmax and --step
+        unless ``rmax`` is None; ``func`` refuses flags it would ignore."""
         sp = sub.add_parser(name, help=text)
         sp.set_defaults(func=func, parser=sp)
         sp.add_argument("--out", default=None, help="output CSV (default stdout)")
-        sp.add_argument("--threads", type=_positive_int, default=None)
+        if name in ("dos-edge", "gap-pdf", "finite-n", "sample"):
+            sp.add_argument("--threads", type=_positive_int, default=None)
         if rmax is not None:
             sp.add_argument("--rmax", type=_nonnegative_float, default=rmax)
             sp.add_argument("--step", type=_positive_float, default=0.05)
@@ -315,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmax", type=_nonnegative_float,
                     help="dos and gap only (default 4.0)")
     sp.add_argument("--step", type=_positive_float, default=0.05)
-    sp.add_argument("--n", type=_positive_int, default=4)
+    sp.add_argument("--n", type=_positive_int, default=4,
+                    help="matrix size: 2..12 for dos and gap, 1..12 for cdf")
     sp.add_argument("--quantity", choices=("dos", "gap", "cdf"),
                     default="dos")
     sp = command("sample", cmd_sample, "Monte Carlo histograms", rmax=None)

@@ -26,11 +26,9 @@ _GL_NODES = 160
 
 
 def truncation_amplitude(y: float) -> float:
-    """a(y) = e^(-y^2) / (sqrt(pi) (1 + erf y)), written through the
-    scaled complementary error function for stability at negative y."""
-    from scipy.special import erfcx
-
-    return 1.0 / (math.sqrt(math.pi) * erfcx(-y))
+    """a(y) = e^(-y^2) / (sqrt(pi) erfc(-y)), for y >= -26: below, e^(-y^2)
+    underflows, as the weight does in :func:`_stieltjes`."""
+    return math.exp(-y * y) / (math.sqrt(math.pi) * math.erfc(-y))
 
 
 @functools.cache

@@ -164,9 +164,9 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     result has shape (count, k) instead of (count, n).  The draws are
     deterministic in (n, seed, count) and depend neither on the thread
     count nor on `top_k`.  Up to n = 32 a chunk is solved as one batch of
-    dense matrices; above, row by row with scipy's tridiagonal solver
-    (scipy is needed for n > 32, and only here), which then computes only
-    the k largest eigenvalues of the top-left :func:`block_size` block.
+    dense matrices; above, row by row by scipy's tridiagonal solver (scipy
+    is needed there), for the k largest eigenvalues of the top-left
+    :func:`block_size` block.
     """
     n = sampler.n
     k = n if top_k is None else min(top_k, n)

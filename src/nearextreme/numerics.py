@@ -1,5 +1,5 @@
 """Shared numerical infrastructure: grids, right-anchored integration, the
-Airy tail remainder, ODE driver.
+Airy tail remainder, composite Gauss-Legendre sums, ODE driver.
 
 A function on a uniform :class:`Grid` is a plain array of its node values,
 defined on the grid only.  It has three rules: :func:`derivative`, five-point
@@ -135,6 +135,15 @@ def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     dg = derivative(x, g)
     cum += h * h / 12.0 * (dg - dg[-1])
     return cum
+
+
+def gauss_legendre(f: Callable, ends, n_nodes: int) -> float:
+    """int f by the n_nodes-point Gauss-Legendre rule on each cell [ends[j],
+    ends[j + 1]] (exact for degree < 2 n_nodes); f takes a 1-D array."""
+    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    half, lo = 0.5 * np.diff(ends), np.asarray(ends[:-1], dtype=float)
+    u = np.outer(half, t + 1.0) + lo[:, None]
+    return float(half @ (f(u.ravel()).reshape(u.shape) @ w))
 
 
 def integrate_ode(rhs: Callable, x_start: float, x_end: float,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import ai_pair
-from .numerics import (AiryProductTail, Grid, ZETA_PRIME_MINUS_ONE,
-                       derivative, hermite, integral_from_right)
+from .numerics import (AiryProductTail, Grid, ZETA_PRIME_MINUS_ONE, derivative,
+                       gauss_legendre, hermite, integral_from_right)
 
 # Left tail amplitude of F2: tau2 = 2^(1/24) exp(zeta'(-1))
 TAU_2 = 2.0 ** (1.0 / 24.0) * math.exp(ZETA_PRIME_MINUS_ONE)
@@ -209,27 +209,25 @@ def tracy_widom_f2_asymptote(x):
 
 
 def tracy_widom_f2(table: PainleveTable, x: float) -> float:
-    """F2(x) = exp(-int_x^inf (u - x) q(u)^2 du).
-
-    Evaluated by direct tail-aware quadrature (independently of the
-    tabulated f2 field, which integrates R instead).  Left of the table
-    domain the asymptotic closed form takes over.
-    """
-    from scipy.integrate import quad
-
-    x_max = table.grid.x_max
-    if x < table.grid.x_min:
+    """F2(x) = exp(-int_x^inf (u - x) q(u)^2 du) from q and q' alone (the
+    tabulated f2 integrates R instead).  With q the cubic Hermite
+    interpolant the integrand is of degree 7 on each cell, so 4-point
+    Gauss-Legendre per cell (the first cut at x) is exact.  Beyond a =
+    x_max, q = c Ai with c matched at a: int_a^inf Ai^2 = Ai'^2 - a Ai^2
+    and int_a^inf u Ai^2 = -(a^2 Ai^2 - a Ai'^2 + Ai Ai') / 3 at a (the
+    bracket's derivative is 3 u Ai^2).  Left of the table the asymptote."""
+    grid, q, qp, a = table.grid, table.q, table.q_prime, table.grid.x_max
+    if x < grid.x_min:
         return tracy_widom_f2_asymptote(x)
-    if x >= x_max:
+    if x >= a:
         return 1.0
-    grid, q, qp = table.grid, table.q, table.q_prime
-    val, _ = quad(lambda u: (u - x) * hermite(grid, q, qp, u) ** 2, x, x_max,
-                  epsabs=1e-13, epsrel=1e-12, limit=300)
-    # remainder beyond x_max with the Airy model for q
-    scale = (q[-1] / ai_pair(x_max)[0]) ** 2
-    rem, _ = quad(lambda u: (u - x) * ai_pair(u)[0] ** 2 * scale,
-                  x_max, x_max + 20.0, epsabs=1e-300, epsrel=1e-10)
-    return math.exp(-(val + rem))
+    i = min(int((x - grid.x_min) / grid.h), grid.n_points - 2)
+    val = gauss_legendre(lambda u: (u - x) * hermite(grid, q, qp, u) ** 2,
+                         np.concatenate(([x], grid.nodes()[i + 1:])), 4)
+    ai, aip = ai_pair(a)
+    tail = (-(a * a * ai * ai - a * aip * aip + ai * aip) / 3.0
+            - x * (aip * aip - a * ai * ai)) * (q[-1] / ai) ** 2
+    return math.exp(-(val + tail))
 
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)

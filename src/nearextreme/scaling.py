@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .numerics import ZETA_PRIME_MINUS_ONE, integral_from_right
+from .numerics import (ZETA_PRIME_MINUS_ONE, gauss_legendre,
+                       integral_from_right)
 # solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
 from .laxpair import COLUMN_CHUNK, solve_psi, solve_psi_batch  # noqa: F401
 from .painleve import PainleveTable
@@ -141,11 +142,7 @@ def gap_tail_asymptotic(r_tilde):
 
 
 def gap_normalization(table: PainleveTable) -> float:
-    """int_0^inf p_typ: 48-point Gauss-Legendre over [0, 10] plus the
-    asymptotic-tail remainder beyond."""
-    from scipy.integrate import quad
-    x, w = np.polynomial.legendre.leggauss(48)
-    main = 5.0 * float(np.dot(w, p_typ(5.0 * (x + 1.0), table)))
-    tail, _ = quad(gap_tail_asymptotic, 10.0, 60.0,
-                   epsabs=1e-300, epsrel=1e-10, limit=200)
-    return main + tail
+    """int_0^inf p_typ: 48-point Gauss-Legendre sums of p_typ over [0, 10]
+    and of its asymptotic tail over [10, 60] (beyond, below 1e-230)."""
+    return (gauss_legendre(lambda r: p_typ(r, table), (0, 10), 48)
+            + gauss_legendre(gap_tail_asymptotic, (10, 60), 48))

@@ -68,6 +68,24 @@ def test_ignored_flag_combinations_exit_2(argv, capsys):
     assert f"error: argument {argv[3]}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ["tabulate-painleve"], ["tabulate-psi", "--r-tilde", "2"], ["dos-bulk"],
+    ["asymptotics"], ["check"]))
+def test_threads_only_where_accepted(argv, capsys):
+    # only sample reads --threads; dos-edge, gap-pdf and finite-n accept
+    # it, and every other command refuses it as unrecognized
+    assert run(argv + ["--threads", "1"]) == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
+def test_benchmark_commands_accept_threads():
+    # perfbench/run.py appends --threads 1 to its dos-edge, gap-pdf,
+    # finite-n and sample ops
+    parse = cli.build_parser().parse_args
+    for name in ("dos-edge", "gap-pdf", "finite-n", "sample"):
+        assert parse([name, "--threads", "1"]).threads == 1
+
+
 def test_asymptotics_empty_range_exits_1(capsys):
     # the tables start at r = max(step, 0.5); an empty range is an error,
     # not a header-only CSV
@@ -158,6 +176,28 @@ def test_commands_import_only_what_they_use(tmp_path):
                   "gap", "--threads", "1"],
                  ["check"]):
         assert _modules_after(argv + out, tmp_path) == set(), argv
+
+
+def test_public_formulas_run_without_scipy(tmp_path):
+    # F2, the gap normalisation, the truncation amplitude and the check
+    # suite need numpy alone: an interpreter in which scipy cannot be
+    # imported runs them all
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from nearextreme import cli, finite_n, painleve, scaling\n"
+            "t = painleve.default_table()\n"
+            "for x in (-11.9, -3.0, 0.0, 5.0):\n"
+            "    assert 0.0 < painleve.tracy_widom_f2(t, x) < 1.0\n"
+            "assert abs(scaling.gap_normalization(t) - 1.0) < 1e-3\n"
+            "assert finite_n.truncation_amplitude(-1.0) > 0.0\n"
+            "assert cli.run(['check', '--out', 'check.txt']) == 0\n"
+            "print('ok')")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+    assert (tmp_path / "check.txt").read_text().endswith(
+        "all checks passed\n")
 
 
 def test_python_m_runs_the_cli(tmp_path):

@@ -63,6 +63,18 @@ def closed_forms(y):
     return pi2, pi3, (h0, h1, h2, h3)
 
 
+def test_truncation_amplitude_matches_erfcx():
+    # against 1 / (sqrt(pi) erfcx(-y)) on the stated domain y >= -26: to
+    # roundoff at half-integers, where y^2 is exact, and elsewhere within
+    # the rounding of y^2, which e^(-y^2) turns into about y^2 ulps
+    from scipy.special import erfcx
+
+    for y in np.linspace(-26.0, 13.0, 391):
+        ref = 1.0 / (math.sqrt(math.pi) * erfcx(-y))
+        rel = 1e-15 if (2 * y) % 1 == 0 else 1e-15 + 4e-16 * y * y
+        assert fn.truncation_amplitude(y) == pytest.approx(ref, rel=rel), y
+
+
 @pytest.mark.parametrize("y", (-1.0, 0.0, 0.7, 2.0))
 def test_first_norms_and_polynomials(y):
     sys = fn.build_ortho_system(y, 4)

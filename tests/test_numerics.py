@@ -1,6 +1,6 @@
 """Infrastructure tests: grids, Hermite interpolation, five-point
 derivatives, right-anchored integration with closed-form tail remainders,
-the RK45 integrator and zeta'(-1)."""
+composite Gauss-Legendre sums, the RK45 integrator and zeta'(-1)."""
 
 import math
 
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from nearextreme.numerics import (AiryProductTail, Grid, ZETA_PRIME_MINUS_ONE,
-                                  derivative, hermite, integral_from_right,
-                                  integrate_ode)
+                                  derivative, gauss_legendre, hermite,
+                                  integral_from_right, integrate_ode)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +187,17 @@ def test_airy_product_tail_of_a_zero_value():
     for r in (-8.0, 0.0, 8.0):
         for x_max in (10.0, 200.0):
             assert AiryProductTail(r).remainder(x_max, 0.0) == 0.0
+
+
+def test_gauss_legendre_exact_per_cell():
+    # n nodes per cell integrate degree 2n - 1 exactly on uneven cells, and
+    # so a piecewise polynomial with its breaks at the cell ends
+    ends = (-1.5, -0.2, 0.0, 2.5)
+    got = gauss_legendre(lambda u: u**7 - 3.0 * u**2, ends, 4)
+    assert got == pytest.approx((2.5**8 - 1.5**8) / 8 - (2.5**3 + 1.5**3),
+                                rel=1e-14)
+    assert gauss_legendre(np.abs, ends, 1) == pytest.approx(
+        (1.5**2 + 2.5**2) / 2, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

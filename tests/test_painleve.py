@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_bvp
+from scipy.integrate import quad, solve_bvp
 
 from nearextreme import airy, painleve
-from nearextreme.numerics import AiryProductTail, Grid, integral_from_right
+from nearextreme.numerics import (AiryProductTail, Grid, hermite,
+                                  integral_from_right)
 
 
 def bvp_reference(domain):
@@ -273,6 +274,39 @@ def test_f2_asymptote_array_equals_scalar_calls():
     got = painleve.tracy_widom_f2_asymptote(x)
     assert isinstance(painleve.tracy_widom_f2_asymptote(-8.0), float)
     assert np.max(np.abs(got - stacked) / stacked) <= 1e-13
+
+
+def test_f2_matches_adaptive_quadrature(table):
+    # the per-cell Gauss-Legendre sums and the closed-form Airy tail
+    # against adaptive quadrature of the same Hermite interpolant and of
+    # the Airy model for q beyond x_max; -1.7710868 (the TW2 mean) lies
+    # between two nodes, so there the first cell is cut at x
+    grid, q, qp = table.grid, table.q, table.q_prime
+    x_max = grid.x_max
+    scale = (q[-1] / airy.ai_pair(x_max)[0]) ** 2
+    for x in (-11.9, -8.0, -6.0, -3.0, -1.77, -1.7710868, -1.0, 0.0, 2.0,
+              5.0):
+        val, _ = quad(lambda u: (u - x) * hermite(grid, q, qp, u) ** 2,
+                      x, x_max, epsabs=1e-13, epsrel=1e-12, limit=300)
+        rem, _ = quad(lambda u: (u - x) * airy.ai_pair(u)[0] ** 2 * scale,
+                      x_max, x_max + 20.0, epsabs=1e-300, epsrel=1e-10)
+        assert painleve.tracy_widom_f2(table, x) == pytest.approx(
+            math.exp(-(val + rem)), rel=1e-11), x
+
+
+def test_f2_of_an_airy_table_in_closed_form():
+    # with q = Ai, int_x^inf (u - x) Ai^2 = (2 x^2 Ai^2 - 2 x Ai'^2 - Ai Ai')/3
+    # at x; on [-4, 2] the part beyond x_max is most of it near x = 2, so
+    # this checks the closed-form tail as well as the per-cell sums (the
+    # Hermite interpolant of Ai is off by 3e-12 relative in F2 at x = -4)
+    grid = Grid(-4.0, 2.0, 1201)
+    ai, aip = airy.ai_pair(grid.nodes())
+    t = painleve.PainleveTable(grid, ai, aip, ai, ai, 0, 0.0)
+    for x in (-4.0, -1.3, 0.0, 1.0, 1.99):
+        a, ap = airy.ai_pair(x)
+        exponent = (2.0 * x * x * a * a - 2.0 * x * ap * ap - a * ap) / 3.0
+        got = painleve.tracy_widom_f2(t, x)
+        assert got == pytest.approx(math.exp(-exponent), rel=1e-11), x
 
 
 def test_f2_quadrature_matches_table_field(table):
