@@ -136,23 +136,20 @@ def cmd_finite_n(args) -> int:
                           "y in [-4, 6] and takes only --step")
     from . import finite_n as fn
 
-    n = args.n
-    rmax = 4.0 if args.rmax is None else args.rmax
-    x = np.arange(0.0, rmax + 0.5 * args.step, args.step)
-    header = [f"n = {n}, rmax = {rmax}, step = {args.step}"]
-    if args.quantity == "gap":
-        vals = fn.gap_pdf_exact(x, n)
-        header.append(fn.rule_header(n, -x))
-        names = ["r", "gap_pdf"]
-    elif args.quantity == "dos":
-        vals = fn.dos_exact(x, n)
-        header.append(fn.rule_header(n, x))
-        names = ["r", "dos"]
-    else:  # cdf
+    n, quantity = args.n, args.quantity
+    if quantity == "cdf":
         x = np.arange(-4.0, 6.0 + 0.5 * args.step, args.step)
         vals = fn.cdf_lambda_max(x, n)
-        header = [f"n = {n}", fn.rule_header(n), "columns: y, cdf_lambda_max"]
+        header = [f"n = {n}", fn.rule_header(n, quantity),
+                  "columns: y, cdf_lambda_max"]
         names = ["y", "F_N"]
+    else:
+        rmax = 4.0 if args.rmax is None else args.rmax
+        x = np.arange(0.0, rmax + 0.5 * args.step, args.step)
+        vals = (fn.gap_pdf_exact if quantity == "gap" else fn.dos_exact)(x, n)
+        header = [f"n = {n}, rmax = {rmax}, step = {args.step}",
+                  fn.rule_header(n, quantity, x)]
+        names = ["r", "gap_pdf" if quantity == "gap" else "dos"]
     _write_csv(args.out, header, [x, vals], names)
     return 0
 

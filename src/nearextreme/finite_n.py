@@ -191,13 +191,15 @@ def dos_exact(r: float | np.ndarray, n: int) -> float | np.ndarray:
     return float(total) if r_arr.ndim == 0 else total
 
 
-def rule_header(n: int, r: np.ndarray | None = None) -> str:
-    """CSV header line naming the Gauss rule and, for dos_exact at the
-    distances r (the gap PDF at s takes r = -s), its node-set window."""
+def rule_header(n: int, quantity: str, r: np.ndarray | None = None) -> str:
+    """CSV header line naming the Gauss rule and, for the quantity "dos" or
+    "gap" at the distances r, the window of the node set that serves it (the
+    gap PDF at r is dos_exact at -r)."""
     line = (f"rule: Gauss-Legendre, {_GL_NODES} nodes, inner products on "
             "[min(-13, y - 2), min(y, 13)]")
-    if r is not None:
-        line += "; y integral on [{:.6g}, {:.6g}]".format(*_node_set(r, n)[:2])
+    if quantity != "cdf":
+        window = _node_set(-r if quantity == "gap" else r, n)[:2]
+        line += "; y integral on [{:.6g}, {:.6g}]".format(*window)
     return line
 
 

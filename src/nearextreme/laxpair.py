@@ -5,7 +5,8 @@ f solves the Schrodinger-type equation d^2f/dx^2 = (x + 2q^2 - r) f with
 f ~ 2^(-1/6) sqrt(pi) Ai(x - r) for x -> +inf; g follows from the integral
 relation q g = -r int_x^inf q f.  Positive r is the density-of-states
 branch (f oscillates for x < r), negative r the first-gap branch (f decays
-everywhere).
+everywhere).  The density-of-states branch is bounded by the seed alone,
+x - r >= airy.X_MIN at the top two nodes: r <= 79.995 on the default table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import ai_pair
+from .airy import X_MIN, ai_pair
 from .numerics import (AiryProductTail, derivative, hermite,
                        integral_from_right)
 # not called here: perfbench/tracing.py looks up `laxpair.integrate_ode` by
@@ -28,9 +29,6 @@ SEED_AMPLITUDE = 2.0 ** (-1.0 / 6.0) * math.sqrt(math.pi)
 
 #: gap-branch r below which f underflows double precision
 GAP_R_MAX = 30.0
-
-#: minimal Airy-decay margin x_max - r for the oscillatory branch
-DOS_MARGIN = 4.0
 
 #: how f is computed, recorded in the CSV headers
 PSI_SCHEME = ("Numerov downward from x_max on h and h/2, "
@@ -124,17 +122,16 @@ def solve_psi_batch(r_values, table: PainleveTable):
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     grid = table.grid
-    x_max = grid.x_max
-    if np.any(r > x_max - DOS_MARGIN):
+    x, x_max = grid.nodes(), grid.x_max
+    if np.any(r > x[-2] - X_MIN):  # the seed's lowest point is x[-2] - r
         raise ValueError(
-            f"r_tilde={r.max()} leaves less than {DOS_MARGIN} of Airy decay "
-            f"below x_max={x_max}")
+            f"the density of states reaches r_tilde = {x[-2] - X_MIN:g}, not "
+            f"{r.max():g}: its Airy seed needs x - r_tilde >= {X_MIN:g}")
     if np.any(r < -GAP_R_MAX):
         raise ValueError(
-            f"gap branch limited to r_tilde >= -{GAP_R_MAX}: f underflows "
-            "double precision; use the asymptotic formulas instead")
+            f"the gap PDF reaches r_tilde = {GAP_R_MAX:g}, not {-r.min():g}: "
+            "f underflows double precision; use gap_tail_asymptotic instead")
 
-    x = grid.nodes()
     q = table.q
     x_half = np.linspace(grid.x_min, x_max, 2 * grid.n_points - 1)
     q_half = hermite(grid, q, table.q_prime, x_half)

@@ -9,10 +9,10 @@ from values and known slopes, which raises off the grid; and
 *from the right end inward* so that small tail values retain full relative
 accuracy even when the integrand grows by many orders of magnitude toward the
 left; a global antiderivative difference would lose them to cancellation.
-The part beyond x_max is a closed-form remainder that the caller adds:
-``AiryProductTail(shift).remainder(x_max, g[-1])`` for an integrand that
-follows Ai(x) Ai(x - shift) there, ``g[-1] / rate`` for one that decays
-like exp(-rate x).
+The part beyond x_max is a closed-form remainder that the caller adds, by
+one tail rule: there q is Ai and f its Airy seed, so each remainder is a
+moment of Ai^2 (:func:`_airy_tail_moments`), or for an integrand following
+Ai(x) Ai(x - shift), ``AiryProductTail(shift).remainder(x_max, g[-1])``.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ class Grid:
                                  f"{self.n_points} finite values")
 
 
+def _airy_tail_moments(a):
+    """(int_a^inf Ai^2, int_a^inf u Ai^2), each of a's shape: by Ai'' = u Ai,
+    Ai^2 = -(Ai'^2 - u Ai^2)' and 3 u Ai^2 = (u^2 Ai^2 - u Ai'^2 + Ai Ai')'."""
+    ai, aip = ai_pair(a)
+    return (aip**2 - a * ai**2,
+            -(a * a * ai * ai - a * aip * aip + ai * aip) / 3.0)
+
+
 @dataclass(frozen=True)
 class AiryProductTail:
     """f(x) ~ c * Ai(x) * Ai(x - shift) beyond the grid, c matched at x_max.
@@ -69,7 +77,7 @@ class AiryProductTail:
     :meth:`remainder` is int_{x_max}^inf f, in the closed form the Airy
     Wronskian gives: with a = x_max and d = shift,
     int_a^inf Ai(u) Ai(u - d) du = (Ai(a) Ai'(a - d) - Ai'(a) Ai(a - d)) / d,
-    which is Ai'(a)^2 - a Ai(a)^2 at d = 0 (the default, f ~ c Ai(x)^2).
+    and :func:`_airy_tail_moments` at d = 0 (the default, f ~ c Ai(x)^2).
     """
 
     shift: float = 0.0
@@ -79,10 +87,8 @@ class AiryProductTail:
             return 0.0
         a, d = x_max, self.shift
         (ai_a, ai_b), (aip_a, aip_b) = ai_pair([a, a - d])
-        if d == 0.0:
-            integral = aip_a**2 - a * ai_a**2
-        else:
-            integral = (ai_a * aip_b - aip_a * ai_b) / d
+        integral = (_airy_tail_moments(a)[0] if d == 0.0
+                    else (ai_a * aip_b - aip_a * ai_b) / d)
         return float(v_max * integral / (ai_a * ai_b))
 
 

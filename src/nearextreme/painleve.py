@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import ai_pair
-from .numerics import (AiryProductTail, Grid, ZETA_PRIME_MINUS_ONE, derivative,
-                       gauss_legendre, hermite, integral_from_right)
+from .numerics import (AiryProductTail, Grid, ZETA_PRIME_MINUS_ONE,
+                       _airy_tail_moments, derivative, gauss_legendre,
+                       hermite, integral_from_right)
 
 # Left tail amplitude of F2: tau2 = 2^(1/24) exp(zeta'(-1))
 TAU_2 = 2.0 ** (1.0 / 24.0) * math.exp(ZETA_PRIME_MINUS_ONE)
 
-#: the one table domain: x_max = 20 leaves DOS_MARGIN of Airy decay above
-#: every r_tilde <= 16 of the density-of-states branch
+#: the one table domain: beyond x_max = 20, q is Ai to a relative 2 q^2 ~
+#: 1e-53, and the density of states reaches r_tilde = x_max - airy.X_MIN
 DEFAULT_DOMAIN = Grid(-12.0, 20.0, 6401)
 
 # Newton converges quadratically here: an update of size d is followed by
@@ -161,10 +162,10 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
     R = (integral_from_right(x, q2)
          + AiryProductTail().remainder(x_max, q2[-1]))
 
-    # log F2(x) = -int_x^inf R(u) du; R decays like Ai(x)^2, for which a
-    # local exponential rate 2 sqrt(x_max) is accurate at the boundary.
-    f2 = np.exp(-(integral_from_right(x, R)
-                  + R[-1] / (2.0 * math.sqrt(x_max))))
+    # log F2(x) = -int_x^inf R(u) du; beyond x_max, R(u) = int_u^inf Ai^2,
+    # whose integral from x_max is int_{x_max}^inf (u - x_max) Ai^2
+    m0, m1 = _airy_tail_moments(x_max)
+    f2 = np.exp(-(integral_from_right(x, R) + (m1 - x_max * m0)))
 
     return PainleveTable(grid=domain, q=q, q_prime=qp, R=R, f2=f2,
                          newton_steps=steps_h + steps_fine, residual=residual)
@@ -212,22 +213,19 @@ def tracy_widom_f2(table: PainleveTable, x: float) -> float:
     """F2(x) = exp(-int_x^inf (u - x) q(u)^2 du) from q and q' alone (the
     tabulated f2 integrates R instead).  With q the cubic Hermite
     interpolant the integrand is of degree 7 on each cell, so 4-point
-    Gauss-Legendre per cell (the first cut at x) is exact.  Beyond a =
-    x_max, q = c Ai with c matched at a: int_a^inf Ai^2 = Ai'^2 - a Ai^2
-    and int_a^inf u Ai^2 = -(a^2 Ai^2 - a Ai'^2 + Ai Ai') / 3 at a (the
-    bracket's derivative is 3 u Ai^2).  Left of the table the asymptote."""
-    grid, q, qp, a = table.grid, table.q, table.q_prime, table.grid.x_max
+    Gauss-Legendre per cell (the first cut at x) is exact.  Beyond x_max,
+    q = Ai, and the rest is int_{x_max}^inf (u - x) Ai^2 in closed form.
+    Left of the table the asymptote."""
+    grid, q, qp = table.grid, table.q, table.q_prime
     if x < grid.x_min:
         return tracy_widom_f2_asymptote(x)
-    if x >= a:
+    if x >= grid.x_max:
         return 1.0
     i = min(int((x - grid.x_min) / grid.h), grid.n_points - 2)
     val = gauss_legendre(lambda u: (u - x) * hermite(grid, q, qp, u) ** 2,
                          np.concatenate(([x], grid.nodes()[i + 1:])), 4)
-    ai, aip = ai_pair(a)
-    tail = (-(a * a * ai * ai - a * aip * aip + ai * aip) / 3.0
-            - x * (aip * aip - a * ai * ai)) * (q[-1] / ai) ** 2
-    return math.exp(-(val + tail))
+    m0, m1 = _airy_tail_moments(grid.x_max)
+    return math.exp(-(val + (m1 - x * m0)))
 
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)

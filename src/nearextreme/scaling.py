@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .numerics import (ZETA_PRIME_MINUS_ONE, gauss_legendre,
-                       integral_from_right)
+from .numerics import (ZETA_PRIME_MINUS_ONE, _airy_tail_moments,
+                       gauss_legendre, integral_from_right)
 # solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
 from .laxpair import COLUMN_CHUNK, solve_psi, solve_psi_batch  # noqa: F401
 from .painleve import PainleveTable
@@ -38,10 +38,11 @@ R_CHUNK = 64
 
 
 def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
-    """(2^(1/3)/pi) int (f^2 - I^2) F2 dx over the table grid at every
-    signed spectral parameter in ``r_signed``, where I(x) = int_x^inf q f.
-    The psi functions are solved R_CHUNK columns at a time, the integrand
-    built COLUMN_CHUNK at a time."""
+    """(2^(1/3)/pi) int (f^2 - I^2) F2 dx at every signed spectral parameter
+    in ``r_signed``, I(x) = int_x^inf q f: on the table grid from psi solves
+    of R_CHUNK columns and integrands of COLUMN_CHUNK; beyond x_max, where f
+    is its Airy seed and I^2 and 1 - F2 are O(q(x_max)^2), it is
+    int_b^inf Ai^2, b = x_max - r (as (2^(1/3)/pi) SEED_AMPLITUDE^2 = 1)."""
     r = np.atleast_1d(np.asarray(r_signed, dtype=float))
     x = table.grid.nodes()
     f2 = table.f2[:, None]
@@ -53,7 +54,8 @@ def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
             total[start + j:start + j + COLUMN_CHUNK] = integral_from_right(
                 x, (f[:, cols]**2 - qf_integral[:, cols]**2) * f2)[0]
         del f, qf_integral  # before the next chunk's solve allocates
-    return _CBRT2 / math.pi * total
+    return (_CBRT2 / math.pi * total
+            + _airy_tail_moments(table.grid.x_max - r)[0])
 
 
 def _nonnegative_curve(r_tilde, sign: float, table: PainleveTable):
@@ -116,11 +118,9 @@ def h_t_functions(table: PainleveTable):
     eliminating q'' through the Painleve II equation."""
     g = table.grid.nodes()
     q, qp, R = table.q, table.q_prime, table.R
-    # int_x^inf (q^4 + u q^2) du, whose integrand decays like Ai(x)^2: an
-    # exponential of rate 2 sqrt(x_max) beyond the grid
-    tail = q**4 + g * q * q
-    tail_int = (integral_from_right(g, tail)
-                + tail[-1] / (2.0 * math.sqrt(table.grid.x_max)))
+    # int_x^inf (q^4 + u q^2) du; beyond x_max, q = Ai and q^4 drops out
+    tail_int = (integral_from_right(g, q**4 + g * q * q)
+                + _airy_tail_moments(table.grid.x_max)[1])
     H = -0.5 * q * q * R + R**3 / 6.0 + tail_int
     T = -qp * R - q**3 / 2.0 - R * R * q / 2.0 - g * q
     return H, T

@@ -351,6 +351,25 @@ def test_gap_pdf_small_range(tmp_path):
         assert v == pytest.approx(small, rel=0.05)
 
 
+def test_dos_edge_reaches_the_airy_range(tmp_path):
+    # the part beyond x_max is added in closed form, so the density of
+    # states runs to the Airy seed's own bound, r_tilde < 80
+    out = tmp_path / "dos.csv"
+    assert run(["dos-edge", "--rmax", "79", "--step", "7.9",
+                "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert rows[-1, 0] == pytest.approx(79.0)
+
+
+def test_gap_pdf_refusal_names_the_largest_r(tmp_path, capsys):
+    # the gap branch solves at -r_tilde; the refusal states the bound as
+    # the user gives it
+    assert run(["gap-pdf", "--rmax", "31",
+                "--out", str(tmp_path / "gap.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "r_tilde = 30" in err and "not 31" in err
+
+
 def test_dos_edge_small_range(tmp_path):
     out = tmp_path / "dos.csv"
     assert run(["dos-edge", "--rmax", "0.4", "--step", "0.2",

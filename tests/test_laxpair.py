@@ -64,7 +64,10 @@ def test_gap_branch_decay_value(table):
 
 def test_admissible_window(table):
     with pytest.raises(ValueError):
-        laxpair.solve_psi(17.0, table)  # x_max - r < 4
+        laxpair.solve_psi(81.0, table)  # Airy seed below airy.X_MIN
+    # the seed's lowest point is the last node but one, x_max - h
+    with pytest.raises(ValueError, match="reaches r_tilde = 79.995, not 80"):
+        laxpair.solve_psi(80.0, table)
     with pytest.raises(ValueError):
         laxpair.solve_psi(-40.0, table)  # underflow regime
 
@@ -88,7 +91,9 @@ REFERENCE_PARAMS = (-5.0, -2.0, 0.5, 2.0, 5.0, 16.0)
 
 def rk45_reference(r, table):
     """f by adaptive RK45 through the cubic Hermite q from the Airy seed at
-    x_max, the edge integral from it by the right-anchored quadrature."""
+    x_max, the edge integral from it by the right-anchored quadrature plus
+    the seed's part beyond x_max, SEED_AMPLITUDE^2 int_b^inf Ai^2 with
+    b = x_max - r."""
     grid, q = table.grid, table.q
     x = grid.nodes()
     ai, aip = airy.ai_pair(grid.x_max - r)
@@ -105,6 +110,8 @@ def rk45_reference(r, table):
     big_i = (integral_from_right(x, qf)
              + AiryProductTail(r).remainder(grid.x_max, qf[-1]))
     integral = integral_from_right(x, (f**2 - big_i**2) * table.f2)[0]
+    b = grid.x_max - r
+    integral += SEED_AMPLITUDE**2 * (aip * aip - b * ai * ai)
     return f, 2.0 ** (1.0 / 3.0) / math.pi * float(integral)
 
 

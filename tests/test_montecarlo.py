@@ -125,9 +125,18 @@ def test_dense_vs_tridiagonal_lambda_max():
 
 
 def test_dense_gue_moments():
-    # off-diagonal modulus-squared mean 1/2, diagonal variance 1/2
-    rng_probe = mc.sample_dense_gue(3, 1, seed=1)
-    assert rng_probe.shape == (1, 3)
+    # for exp(-Tr H^2) (diagonal variance 1/2, off-diagonal modulus-squared
+    # mean 1/2), sum lambda = Tr H has mean 0 and variance n/2, and
+    # sum lambda^2 = Tr H^2 mean n^2/2 and variance n^2/2; each sample mean
+    # must lie within 5 standard errors
+    count = 40_000
+    for n, seed in ((3, 1), (6, 2)):
+        ev = mc.sample_dense_gue(n, count, seed=seed)
+        assert ev.shape == (count, n)
+        trace, trace_sq = ev.sum(axis=1), (ev**2).sum(axis=1)
+        assert abs(trace.mean()) <= 5.0 * math.sqrt(n / 2.0 / count)
+        assert abs(trace_sq.mean() - n * n / 2.0) <= \
+            5.0 * math.sqrt(n * n / 2.0 / count)
 
 
 # ---------------------------------------------------------------------------

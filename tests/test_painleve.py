@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad, solve_bvp
 
 from nearextreme import airy, painleve
-from nearextreme.numerics import (AiryProductTail, Grid, hermite,
-                                  integral_from_right)
+from nearextreme.numerics import (AiryProductTail, Grid, _airy_tail_moments,
+                                  hermite, integral_from_right)
 
 
 def bvp_reference(domain):
@@ -33,8 +33,9 @@ def bvp_reference(domain):
     q2 = q * q
     R = (integral_from_right(x, q2)
          + AiryProductTail().remainder(x_max, q2[-1]))
-    logf2 = (integral_from_right(x, R)
-             + R[-1] / (2.0 * math.sqrt(x_max)))
+    # beyond a = x_max, q = Ai: int_a^inf R = int_a^inf (u - a) Ai^2
+    m0, m1 = _airy_tail_moments(x_max)
+    logf2 = integral_from_right(x, R) + (m1 - x_max * m0)
     return q, qp, R, np.exp(-logf2)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nearextreme import painleve, scaling
+from nearextreme.numerics import Grid
 
 # Tracy-Widom GUE mean and variance (Bornemann, Math. Comp. 79 (2010)
 # 871-915), literature values held apart from the Painleve table
@@ -43,6 +44,38 @@ def test_rho_edge_large_r_ratio(table):
            - (TW2_VARIANCE + TW2_MEAN**2) / (8.0 * r * r))
     val = scaling.rho_edge_scaling(r, table)
     assert val * math.pi / math.sqrt(r) == pytest.approx(law, abs=1e-3)
+
+
+def test_rho_edge_large_r_matches_a_wider_table(table):
+    # the part beyond x_max = 20 in closed form: without it the curve is
+    # off by -1.7e-9 at r = 15 and -1.6e-7 at r = 16 (measured against the
+    # same wider table), and it stopped at r = 16; with it 2.0e-10 at most.
+    # On [-12, 100] at the same h, x_max - r >= 21, and the part beyond
+    # x_max is below 1e-50
+    r = np.array([14.0, 15.0, 16.0, 20.0, 30.0, 50.0, 79.0])
+    wide = painleve.solve_hastings_mcleod(Grid(-12.0, 100.0, 22401))
+    got = scaling.rho_edge_scaling(r, table)
+    ref = scaling.rho_edge_scaling(r, wide)
+    assert np.max(np.abs(got / ref - 1.0)) <= 3e-10
+
+
+def test_rho_edge_large_r_grid_halving(table):
+    # measured 1.0e-10 at r = 2, at most 4.6e-11 from r = 12 up
+    r = np.array([2.0, 12.0, 30.0, 50.0, 79.0])
+    half = painleve.solve_hastings_mcleod(Grid(-12.0, 20.0, 12801))
+    got = scaling.rho_edge_scaling(r, table)
+    ref = scaling.rho_edge_scaling(r, half)
+    assert np.max(np.abs(got / ref - 1.0)) <= 3e-10
+
+
+def test_rho_edge_large_r_law_to_third_order(table):
+    # the two-term law leaves r^3 (ratio - law) at -0.116 for r = 12 and
+    # -0.112 for r = 79: an r^-3 term whose coefficient is not derived
+    r = np.array([20.0, 30.0, 50.0, 79.0])
+    law = (1.0 - TW2_MEAN / (2.0 * r)
+           - (TW2_VARIANCE + TW2_MEAN**2) / (8.0 * r * r))
+    ratio = scaling.rho_edge_scaling(r, table) * math.pi / np.sqrt(r)
+    assert np.all(np.abs(ratio - law) <= 0.13 / r**3)
 
 
 def test_rho_edge_tail_difference_bounded(table):
