@@ -7,6 +7,10 @@ relation q g = -r int_x^inf q f.  Positive r is the density-of-states
 branch (f oscillates for x < r), negative r the first-gap branch (f decays
 everywhere).  The density-of-states branch is bounded by the seed alone,
 x - r >= airy.X_MIN at the top two nodes: r <= 79.995 on the default table.
+
+:func:`solve_psi_batch` marches f for many r at once and returns f alone,
+one array; :func:`qf_integral` forms I = int_x^inf q f for the columns it
+is given, so that callers hold I for a few columns at a time.
 """
 
 from __future__ import annotations
@@ -42,11 +46,8 @@ _Q_FLOOR = 1e-4
 #: spectral-parameter step of the centred r-difference in lax_residuals
 LAX_DELTA = 1e-4
 
-# rows of Numerov coefficients built at a time
+# rows of the Numerov march built and held at a time
 _BLOCK = 512
-#: columns (spectral parameters) at a time of the work after the march,
-#: which runs over every column at once, since its cost is per node
-COLUMN_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -65,48 +66,75 @@ class PsiPair:
 
 
 def _numerov_down(x: np.ndarray, q2: np.ndarray, r: np.ndarray,
-                  stride: int = 1) -> np.ndarray:
+                  f: np.ndarray, fold: bool = False) -> None:
     """f'' = (x + 2q^2 - r) f on the uniform nodes x, one column per r,
-    marched downward from the Airy seed at the top two nodes; f at every
-    stride-th node from x[0] (stride 1 or 2).
+    marched downward from the Airy seed at the top two nodes into f, which
+    has one row per node of the table grid.  x is either that grid's
+    halving, whose f is stored at its even nodes, or the table grid itself,
+    whose f_h is folded into the stored f as f <- (16/15) f - f_h/15
+    (Richardson).
 
     With A = 1 - h^2 V / 12 and u = A f, Numerov's recurrence reads
-    u[i-1] = (12 / A[i] - 10) u[i] - u[i+1].  u is kept at the returned
-    nodes only, the others in two spare rows (each is read in the next two
-    steps only), and A is built _BLOCK rows at a time.
+    u[i-1] = (12 / A[i] - 10) u[i] - u[i+1].  u runs through a buffer of
+    _BLOCK + 2 rows and A is built _BLOCK rows at a time; each block's
+    finished rows leave the buffer as u / A, and its two lowest rows carry
+    into the next block.
     """
     h, n = x[1] - x[0], x.size
-    u = np.empty(((n - 1) // stride + 1, r.size))
-    spare = np.empty((2, r.size))
+    stride = (n - 1) // (f.shape[0] - 1)
+    buf = np.empty((_BLOCK + 2, r.size))
+    rows = list(buf)
 
-    def coefficient(rows: slice) -> np.ndarray:
-        return 1.0 - h * h / 12.0 * ((x[rows] + 2.0 * q2[rows])[:, None] - r)
+    def coefficient(nodes: slice) -> np.ndarray:
+        return 1.0 - h * h / 12.0 * ((x[nodes] + 2.0 * q2[nodes])[:, None] - r)
 
-    def row(i: int) -> np.ndarray:
-        return u[i // stride] if i % stride == 0 else spare[i // 2 % 2]
-
-    top = slice(n - 2, n)
-    seed = SEED_AMPLITUDE * ai_pair(x[top, None] - r)[0] * coefficient(top)
-    row(n - 2)[...], row(n - 1)[...] = seed
-    # one block writes u at nodes hi - 2 down to lo - 1; rows[j] is node
-    # lo - 1 + j, and c[j] belongs to node lo + j
+    # a block writes u at nodes hi - 2 down to lo - 1 from nodes hi - 1 and
+    # hi; buf[j] is node lo - 1 + j, and c[j] belongs to node lo + j
     for hi in range(n - 1, 1, -_BLOCK):
         lo = max(hi - _BLOCK, 1)
+        m = hi - lo + 2
+        if hi == n - 1:
+            top = slice(n - 2, n)
+            buf[m - 2:m] = (SEED_AMPLITUDE * ai_pair(x[top, None] - r)[0]
+                            * coefficient(top))
+        else:
+            buf[m - 2:m] = buf[:2]
         c = 12.0 / coefficient(slice(lo, hi)) - 10.0
-        rows = [row(i) for i in range(lo - 1, hi + 1)]
-        for j in range(hi - lo - 1, -1, -1):
+        for j in range(m - 3, -1, -1):
             np.multiply(c[j], rows[j + 1], out=rows[j])
             rows[j] -= rows[j + 2]
-    for k in range(0, u.shape[0], _BLOCK):
-        u[k:k + _BLOCK] /= coefficient(
-            slice(k * stride, (k + _BLOCK - 1) * stride + 1, stride))
-    return u
+        # nodes lo - 1 and lo stay for the next block, except after the
+        # last; of the others, every stride-th node from x[0] is kept
+        first = lo + 1 if lo > 1 else 0
+        first += -first % stride
+        u = buf[first - lo + 1:m:stride]
+        a = coefficient(slice(first, hi + 1, stride))
+        out = f[first // stride:hi // stride + 1]
+        if fold:
+            out *= 16.0 / 15.0
+            out -= u / a / 15.0
+        else:
+            np.divide(u, a, out=out)
 
 
-def solve_psi_batch(r_values, table: PainleveTable):
-    """f and I(x) = int_x^inf q f on the table grid at every spectral
-    parameter in ``r_values``; each is an (n_points, len(r_values)) array
-    with one column per r.
+def check_range(r: np.ndarray, table: PainleveTable) -> None:
+    """Refuse spectral parameters outside what the psi solve reaches: the
+    density of states while its Airy seed is within airy.X_MIN, the gap
+    while f stays above double-precision underflow."""
+    top = table.grid.nodes()[-2]  # the seed's lowest point is x[-2] - r
+    if np.any(r > top - X_MIN):
+        raise ValueError(
+            f"the density of states reaches r_tilde = {top - X_MIN:g}, not "
+            f"{r.max():g}: its Airy seed needs x - r_tilde >= {X_MIN:g}")
+    if np.any(r < -GAP_R_MAX):
+        raise ValueError(
+            f"the gap PDF reaches r_tilde = {GAP_R_MAX:g}, not {-r.min():g}: "
+            "f underflows double precision; use gap_tail_asymptotic instead")
+
+
+def solve_psi_batch(r_values, table: PainleveTable) -> np.ndarray:
+    """f on the table grid at every spectral parameter in ``r_values``, an
+    (n_points, len(r_values)) array with one column per r.
 
     f is marched downward from x_max, the stable direction: the Bi-type
     admixture of the Airy seed decays relative to the Ai-type branch as x
@@ -117,53 +145,45 @@ def solve_psi_batch(r_values, table: PainleveTable):
     f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the combination by ~4e-9.
     q at the half-grid midpoints is the cubic Hermite interpolant of the
     table's q and q'.
-    The solve holds two such arrays, f on h and on h/2 (its even rows);
-    the rest runs COLUMN_CHUNK columns at a time.
+    The solve holds one such array: the half-grid march stores its even
+    rows in it, and the table-grid march folds into it block by block.
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
-    grid = table.grid
-    x, x_max = grid.nodes(), grid.x_max
-    if np.any(r > x[-2] - X_MIN):  # the seed's lowest point is x[-2] - r
-        raise ValueError(
-            f"the density of states reaches r_tilde = {x[-2] - X_MIN:g}, not "
-            f"{r.max():g}: its Airy seed needs x - r_tilde >= {X_MIN:g}")
-    if np.any(r < -GAP_R_MAX):
-        raise ValueError(
-            f"the gap PDF reaches r_tilde = {GAP_R_MAX:g}, not {-r.min():g}: "
-            "f underflows double precision; use gap_tail_asymptotic instead")
-
-    q = table.q
-    x_half = np.linspace(grid.x_min, x_max, 2 * grid.n_points - 1)
+    check_range(r, table)
+    grid, q = table.grid, table.q
+    x_half = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
     q_half = hermite(grid, q, table.q_prime, x_half)
-    f_h = _numerov_down(x, q * q, r)
-    f = _numerov_down(x_half, q_half * q_half, r, stride=2)
-    # once a column chunk of f_h has entered the Richardson combination,
-    # its storage takes that chunk of I
-    qf_integral = f_h
-    for j in range(0, r.size, COLUMN_CHUNK):
-        cols = slice(j, j + COLUMN_CHUNK)
-        fc = f[:, cols]
-        fc *= 16.0 / 15.0
-        fc -= f_h[:, cols] / 15.0
-        qf = q[:, None] * fc
-        remainder = [AiryProductTail(ri).remainder(x_max, v)
-                     for ri, v in zip(r[cols], qf[-1])]
-        qf_integral[:, cols] = integral_from_right(x, qf) + np.array(remainder)
-    return f, qf_integral
+    f = np.empty((grid.n_points, r.size))
+    _numerov_down(x_half, q_half * q_half, r, f)
+    _numerov_down(grid.nodes(), q * q, r, f, fold=True)
+    return f
+
+
+def qf_integral(f: np.ndarray, r: np.ndarray,
+                table: PainleveTable) -> np.ndarray:
+    """I(x) = int_x^inf q f for the columns of f, one per r in ``r``: the
+    right-anchored quadrature on the table grid plus the Airy-product tail
+    beyond x_max."""
+    grid = table.grid
+    qf = table.q[:, None] * f
+    remainder = [AiryProductTail(ri).remainder(grid.x_max, v)
+                 for ri, v in zip(r, qf[-1])]
+    return integral_from_right(grid.nodes(), qf) + np.array(remainder)
 
 
 def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
     """The pair (f, g) at one spectral parameter: f from
     :func:`solve_psi_batch`, g from the integral relation, and
     f' = f'(x_max) - int_x^{x_max} (u + 2q^2 - r) f du."""
-    f, qf_integral = (v[:, 0] for v in solve_psi_batch([r_tilde], table))
+    f = solve_psi_batch([r_tilde], table)
     grid = table.grid
     x, q = grid.nodes(), table.q
-    fp = (SEED_AMPLITUDE * ai_pair(grid.x_max - r_tilde)[1]
-          - integral_from_right(x, (x + 2.0 * q * q - r_tilde) * f))
-    g_vals = -r_tilde * qf_integral / q
+    g_vals = -r_tilde * qf_integral(f, [r_tilde], table)[:, 0] / q
     # zero-tail convention: g vanishes at the right end of the table
     g_vals[-1] = 0.0
+    f = f[:, 0]
+    fp = (SEED_AMPLITUDE * ai_pair(grid.x_max - r_tilde)[1]
+          - integral_from_right(x, (x + 2.0 * q * q - r_tilde) * f))
 
     return PsiPair(r_tilde=r_tilde, f=f, g=g_vals, table=table, f_prime=fp)
 

@@ -361,13 +361,45 @@ def test_dos_edge_reaches_the_airy_range(tmp_path):
     assert rows[-1, 0] == pytest.approx(79.0)
 
 
-def test_gap_pdf_refusal_names_the_largest_r(tmp_path, capsys):
-    # the gap branch solves at -r_tilde; the refusal states the bound as
-    # the user gives it
-    assert run(["gap-pdf", "--rmax", "31",
-                "--out", str(tmp_path / "gap.csv")]) == 1
-    err = capsys.readouterr().err
-    assert "r_tilde = 30" in err and "not 31" in err
+@pytest.mark.parametrize("argv, message", [
+    (["gap-pdf", "--rmax", "31"],
+     "the gap PDF reaches r_tilde = 30, not 31: f underflows double "
+     "precision; use gap_tail_asymptotic instead"),
+    (["dos-edge", "--rmax", "85"],
+     "the density of states reaches r_tilde = 79.995, not 85: its Airy "
+     "seed needs x - r_tilde >= -60")], ids=("gap-pdf", "dos-edge"))
+def test_edge_refusals_solve_nothing(argv, message, tmp_path, monkeypatch,
+                                     capsys):
+    # the whole curve is range checked before its first psi solve, so no
+    # march runs and the message names the rmax given
+    from nearextreme import laxpair
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("a psi march ran before the range check")
+
+    monkeypatch.setattr(laxpair, "_numerov_down", no_march)
+    assert run(argv + ["--out", str(tmp_path / "curve.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, curve", [
+    (["dos-edge", "--rmax", "12", "--step", "0.75"], "rho_edge_scaling"),
+    (["gap-pdf", "--rmax", "8", "--step", "0.25"], "p_typ")],
+    ids=("dos-edge", "gap-pdf"))
+def test_edge_curve_csv_matches_the_library(argv, curve, tmp_path):
+    # the value column is the library curve at the same r, as written
+    from nearextreme import painleve, scaling
+
+    out = tmp_path / "curve.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    rmax, step = float(argv[2]), float(argv[4])
+    r = np.arange(0.0, rmax + 0.5 * step, step)
+    want = getattr(scaling, curve)(r, painleve.default_table())
+    lines = [ln for ln in out.read_text().splitlines()
+             if not ln.startswith("#")]
+    assert lines[0].split(",")[:2] == ["r_tilde", "value"]
+    assert [ln.split(",")[1] for ln in lines[1:]] == [f"{v:.12g}"
+                                                      for v in want]
 
 
 def test_dos_edge_small_range(tmp_path):

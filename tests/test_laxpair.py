@@ -116,7 +116,7 @@ def rk45_reference(r, table):
 
 
 def test_batched_solver_matches_rk45(table):
-    f, _ = laxpair.solve_psi_batch(REFERENCE_PARAMS, table)
+    f = laxpair.solve_psi_batch(REFERENCE_PARAMS, table)
     edge = scaling.edge_integral(REFERENCE_PARAMS, table)
     for k, r in enumerate(REFERENCE_PARAMS):
         f_ref, edge_ref = rk45_reference(r, table)
@@ -137,18 +137,40 @@ def whole_array_march(x, q2, r):
     return u / a
 
 
+def half_grid(table):
+    """The table grid's halving and q^2 on it, as solve_psi_batch builds
+    them."""
+    grid = table.grid
+    x = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
+    q = hermite(grid, table.q, table.q_prime, x)
+    return x, q * q
+
+
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_strided_march_keeps_even_rows_exactly(table, sign):
     # the half-grid march keeps only its even rows and builds its
     # coefficients block by block; neither may change a float
-    grid = table.grid
-    x = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
-    q = hermite(grid, table.q, table.q_prime, x)
+    x, q2 = half_grid(table)
     r = sign * np.array([0.0, 0.5, 3.0, 7.5, 12.0])
-    full = laxpair._numerov_down(x, q * q, r)
-    assert np.array_equal(full, whole_array_march(x, q * q, r))
-    assert np.array_equal(laxpair._numerov_down(x, q * q, r, stride=2),
-                          full[::2])
+    full = np.empty((x.size, r.size))
+    laxpair._numerov_down(x, q2, r, full)
+    assert np.array_equal(full, whole_array_march(x, q2, r))
+    half = np.empty((table.grid.n_points, r.size))
+    laxpair._numerov_down(x, q2, r, half)
+    assert np.array_equal(half, full[::2])
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_folded_march_is_the_richardson_combination(table, sign):
+    # the table-grid march folds each finished block into the half-grid f;
+    # that must be the same float as Richardson on two whole-grid marches
+    x_half, q2_half = half_grid(table)
+    x, q = table.grid.nodes(), table.q
+    r = sign * np.array([0.0, 0.5, 3.0, 7.5, 12.0])
+    f_half = whole_array_march(x_half, q2_half, r)
+    f_h = whole_array_march(x, q * q, r)
+    assert np.array_equal(laxpair.solve_psi_batch(r, table),
+                          (16.0 / 15.0) * f_half[::2] - f_h / 15.0)
 
 
 def test_error_budget_grid_halving(table):

@@ -110,10 +110,20 @@ def traced_peak_mib(fn) -> float:
 
 
 def test_edge_curve_memory(table):
-    # the psi solve holds f on h and on h/2 and works on a few columns at
-    # a time: 4.7 MiB at the 33 gap points of `gap-pdf --rmax 8 --step
-    # 0.25`, against 13.2 MiB for a whole half-grid march and integrand
+    # the psi solve holds one f array, and I and the integrand are formed a
+    # few columns at a time: 3.1 MiB at the 33 gap points of `gap-pdf
+    # --rmax 8 --step 0.25` (4.7 MiB with f on h and on h/2 held at once,
+    # 13.2 MiB for a whole half-grid march and integrand)
     r = np.arange(0.0, 8.125, 0.25)
+    scaling.p_typ(r, table)
+    assert traced_peak_mib(lambda: scaling.p_typ(r, table)) < 4.0
+
+
+def test_edge_curve_memory_default_step(table):
+    # at the default step of 0.05 a solve takes a full R_CHUNK of columns:
+    # 4.7 MiB for the 161 gap points (7.7 MiB with f on h and on h/2)
+    r = np.arange(0.0, 8.025, 0.05)
+    assert r.size > 2 * scaling.R_CHUNK
     scaling.p_typ(r, table)
     assert traced_peak_mib(lambda: scaling.p_typ(r, table)) < 6.0
 
