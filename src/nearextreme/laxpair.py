@@ -162,13 +162,13 @@ def solve_psi_batch(r_values, table: PainleveTable) -> np.ndarray:
 def qf_integral(f: np.ndarray, r: np.ndarray,
                 table: PainleveTable) -> np.ndarray:
     """I(x) = int_x^inf q f for the columns of f, one per r in ``r``: the
-    right-anchored quadrature on the table grid plus the Airy-product tail
-    beyond x_max."""
+    right-anchored quadrature on the table grid plus the Airy-product tails
+    beyond x_max, all of them from one Airy evaluation."""
     grid = table.grid
     qf = table.q[:, None] * f
-    remainder = [AiryProductTail(ri).remainder(grid.x_max, v)
-                 for ri, v in zip(r, qf[-1])]
-    return integral_from_right(grid.nodes(), qf) + np.array(remainder)
+    tail = AiryProductTail(np.asarray(r, dtype=float)).remainder(grid.x_max,
+                                                                 qf[-1])
+    return integral_from_right(grid.nodes(), qf) + tail
 
 
 def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:

@@ -34,7 +34,10 @@ disagree; a block of ceil(20 n^(1/3)) misses the 16th eigenvalue by up to
 the edge DOS counts inside its last bin edge r_last must be among the
 block's top EDGE_TOP_K: it refuses draws with EDGE_TOP_K or more
 eigenvalues above lambda_max - r_last.  The whole matrix is still drawn,
-so the block changes no draw.
+so the block changes no draw, but only the block is kept:
+:meth:`TridiagonalSpectrumSampler.fill` makes each chunk's normals and
+gammas in pieces of at most _PIECE numbers and writes the block's entries
+of each piece straight into the slab.
 """
 
 from __future__ import annotations
@@ -58,9 +61,18 @@ _DENSE_MAX_N = 32
 _BLOCK_C = 30
 #: most eigenvalues per draw that the top-left block gives to full accuracy
 EDGE_TOP_K = 16
-# draws that count_histogram holds at once, in slabs of whole chunks; all
-# 1e5 draws of n = 32 at once peak at 160 MB instead of 47 MB
-_SLAB_DRAWS = 8192
+# numbers of a draw's generator made per call: whole rows where a row of n
+# fits, else pieces of one row, so that no (draws, n) array is made
+_PIECE = 2**14
+# count_histogram's slabs are the whole number of chunks nearest to
+# _SLAB_DRAWS draws, but hold at most _SLAB_BYTES of d and e^2 (the bytes
+# bind past m = 1024, n > 3.9e4) and at least one chunk.  Each sweep over
+# a slab makes a numpy call per row, so smaller slabs cost time: at n = 32
+# 3 chunks (4,689 of 1e5 draws, 2.4 MB) count 3 % faster than 2 and as
+# fast as 5; at n = 1000, 5,000 draws count 10 % slower in two slabs than
+# in one
+_SLAB_DRAWS = 4096
+_SLAB_BYTES = 64 * 2**20
 # (draw, bin edge) pairs per tile of a Sturm count, few enough that its
 # work arrays stay in cache (1.8 times as fast as a whole slab at n = 32;
 # 2**14 and 2**16 are 10-25 % slower there)
@@ -81,15 +93,57 @@ class TridiagonalSpectrumSampler:
         """The _N_CHUNKS spawned seed sequences, spawned once per sampler."""
         return np.random.SeedSequence(self.seed).spawn(_N_CHUNKS)
 
-    def draw(self, chunk: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """`size` draws from chunk `chunk`'s own spawned Philox stream: all
-        diagonals, shape (size, n), then all sub-diagonals (size, n - 1)."""
+    def fill(self, chunk: int, d: np.ndarray, e: np.ndarray) -> None:
+        """d.shape[1] draws from chunk `chunk`'s own spawned Philox stream,
+        one per column: the first m diagonal entries of each into d
+        (m, draws) and its first m - 1 sub-diagonal entries into e
+        (m - 1, draws).  The stream gives every diagonal of the chunk, draw
+        after draw, then every sub-diagonal; it is drawn in pieces of at
+        most _PIECE numbers, and a piece keeps only the entries that d or e
+        holds, so each draw is the same float for any m and any piece."""
         rng = np.random.Generator(np.random.Philox(self._children[chunk]))
         n = self.n
-        d = rng.normal(0.0, math.sqrt(0.5), (size, n))
-        shape = np.arange(n - 1, 0, -1, dtype=float)
-        e = np.sqrt(rng.gamma(shape, size=(size, n - 1)) / 2.0)
-        return d, e
+        _fill_rows(d, n, lambda lo, hi, rows:
+                   rng.standard_normal((rows, hi - lo)))
+        # Normal(0, 1/2) as Generator.normal forms it, 0 + sigma z (the 0
+        # turns a -0.0 into 0.0), on the kept entries only
+        np.multiply(d, math.sqrt(0.5), out=d)
+        d += 0.0
+        # sub-diagonal k of a row is sqrt(G / 2), G ~ Gamma(n - 1 - k, 1)
+        _fill_rows(e, n - 1, lambda lo, hi, rows: rng.standard_gamma(
+            np.arange(n - 1 - lo, n - 1 - hi, -1, dtype=float),
+            size=(rows, hi - lo)))
+        np.divide(e, 2.0, out=e)
+        np.sqrt(e, out=e)
+
+    def draw(self, chunk: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """`size` draws from chunk `chunk`'s stream, one per row: all
+        diagonals, shape (size, n), then all sub-diagonals (size, n - 1);
+        :meth:`fill` with m = n."""
+        d, e = np.empty((self.n, size)), np.empty((self.n - 1, size))
+        self.fill(chunk, d, e)
+        return d.T, e.T
+
+
+def _fill_rows(out: np.ndarray, length: int, generate) -> None:
+    """The first k numbers of each of out.shape[1] rows of `length` into
+    the columns of out (k, rows), from generate(lo, hi, rows), which gives
+    numbers lo .. hi - 1 of each of the next `rows` rows, shape
+    (rows, hi - lo).  A call makes at most _PIECE numbers: whole rows where
+    a row fits, else one row in pieces."""
+    k, size = out.shape
+    if length == 0:
+        return
+    if length <= _PIECE:
+        step = _PIECE // length
+        for j in range(0, size, step):
+            rows = generate(0, length, min(step, size - j))
+            out[:, j:j + rows.shape[0]] = rows[:, :k].T
+        return
+    for j in range(size):
+        for lo in range(0, length, _PIECE):
+            piece = generate(lo, min(lo + _PIECE, length), 1)[0]
+            out[lo:lo + piece.size, j] = piece[:max(k - lo, 0)]
 
 
 @dataclass(frozen=True)
@@ -173,14 +227,15 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     m = block_size(n, top_k)
 
     def run_chunk(job) -> np.ndarray:
-        d, e = sampler.draw(*job)
-        size = d.shape[0]
-        if n <= _DENSE_MAX_N:
+        chunk, size = job
+        d, e = np.empty((m, size)), np.empty((m - 1, size))
+        sampler.fill(chunk, d, e)
+        if n <= _DENSE_MAX_N:  # m = n
             a = np.zeros((size, n, n))
             idx = np.arange(n)
-            a[:, idx, idx] = d
-            a[:, idx[:-1], idx[1:]] = e
-            a[:, idx[1:], idx[:-1]] = e
+            a[:, idx, idx] = d.T
+            a[:, idx[:-1], idx[1:]] = e.T
+            a[:, idx[1:], idx[:-1]] = e.T
             return np.linalg.eigvalsh(a)[:, ::-1][:, :k]
         # looked up on the module, so that a wrapper set there is called;
         # __getattr__ imports it on first use
@@ -188,7 +243,7 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
         select = "a" if k == m else "i"
         out = np.empty((size, k))
         for i in range(size):
-            out[i] = solve(d[i, :m], e[i, :m - 1], select=select,
+            out[i] = solve(d[:, i], e[:, i], select=select,
                            select_range=(m - k, m - 1))[::-1]
         return out
 
@@ -367,16 +422,17 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     edge variables) makes from the spectra of the same draws, from
     eigenvalue counts.
 
-    Per slab of whole chunks (about _SLAB_DRAWS draws), :func:`_lambda_max`
-    finds lambda_max of every draw.  The DOS then counts once at lambda_max - r_j for all
-    bin edges r_j; the bins are differences of these counts.  The gap's bin
-    comes from :func:`_gap_edge`.  A distance of exactly r_j falls in the
-    bin that starts at r_j, as in np.histogram, but for the last edge,
-    which np.histogram includes; lambda_max itself is below no edge.  The
-    gap and the edge DOS count on the top-left :func:`block_size` block
-    and, as :func:`empirical_dos` refuses top-EDGE_TOP_K spectra that do
-    not reach the last edge, the edge DOS refuses draws with EDGE_TOP_K or
-    more eigenvalues above it.
+    Per slab of whole chunks (about _SLAB_DRAWS draws, at most _SLAB_BYTES
+    of d and e^2, at least one chunk), :func:`_lambda_max` finds
+    lambda_max of every draw.  The DOS then counts once at
+    lambda_max - r_j for all bin edges r_j; the bins are differences of
+    these counts.  The gap's bin comes from :func:`_gap_edge`.  A distance
+    of exactly r_j falls in the bin that starts at r_j, as in np.histogram,
+    but for the last edge, which np.histogram includes; lambda_max itself
+    is below no edge.  The gap and the edge DOS count on the top-left
+    :func:`block_size` block and, as :func:`empirical_dos` refuses
+    top-EDGE_TOP_K spectra that do not reach the last edge, the edge DOS
+    refuses draws with EDGE_TOP_K or more eigenvalues above it.
     """
     n = sampler.n
     if n < 2:
@@ -399,22 +455,30 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
         raise ValueError("bin edges must increase strictly")
     r = edges * r_per_x
     jobs = _jobs(count)
-    per_slab = max(1, _SLAB_DRAWS // jobs[0][1])
+    most = jobs[0][1]  # the largest chunk
+    per_slab = max(1, min(round(_SLAB_DRAWS / most),
+                          _SLAB_BYTES // (most * (2 * m - 1) * 8)))
+    slabs = -(-len(jobs) // per_slab)
+    # the same number of slabs, as even as whole chunks allow
+    per_slab = -(-len(jobs) // slabs)
     tile = max(1, _TILE // edges.size)
 
     def run_slab(slab):
         # one draw per column, the counted block only
         size = sum(s for _, s in slab)
         d, e2 = np.empty((m, size)), np.empty((m - 1, size))
-        hi = np.empty(size)
         at = 0
         for chunk, s in slab:
-            dc, ec = sampler.draw(chunk, s)
-            dc, ec = dc[:, :m], ec[:, :m - 1]
-            d[:, at:at + s] = dc.T
-            e2[:, at:at + s] = (ec * ec).T
-            hi[at:at + s] = _gershgorin_top(dc, ec)
+            sampler.fill(chunk, d[:, at:at + s], e2[:, at:at + s])
             at += s
+        # e2 holds e until its Gershgorin bound is taken, a few columns at
+        # a time
+        hi = np.empty(size)
+        width = max(1, _PIECE // m)
+        for s in range(0, size, width):
+            cols = slice(s, s + width)
+            hi[cols] = _gershgorin_top(d[:, cols].T, e2[:, cols].T)
+            e2[:, cols] *= e2[:, cols]
         top = _lambda_max(d, e2, hi)
         if quantity == "gap":
             # index j + 1: 0 below the first edge, K at or past the last

@@ -78,18 +78,26 @@ class AiryProductTail:
     Wronskian gives: with a = x_max and d = shift,
     int_a^inf Ai(u) Ai(u - d) du = (Ai(a) Ai'(a - d) - Ai'(a) Ai(a - d)) / d,
     and :func:`_airy_tail_moments` at d = 0 (the default, f ~ c Ai(x)^2).
+    `shift` may be an array, one model per entry.
     """
 
-    shift: float = 0.0
+    shift: float | np.ndarray = 0.0
 
-    def remainder(self, x_max: float, v_max: float) -> float:
-        if v_max == 0.0:
-            return 0.0
-        a, d = x_max, self.shift
-        (ai_a, ai_b), (aip_a, aip_b) = ai_pair([a, a - d])
-        integral = (_airy_tail_moments(a)[0] if d == 0.0
-                    else (ai_a * aip_b - aip_a * ai_b) / d)
-        return float(v_max * integral / (ai_a * ai_b))
+    def remainder(self, x_max: float, v_max):
+        """The remainder of each model matched to v_max at x_max: a float,
+        or an array where shift or v_max is one, with the Airy functions of
+        every shift from one :func:`ai_pair` call."""
+        d, v = np.broadcast_arrays(np.asarray(self.shift, dtype=float),
+                                   np.asarray(v_max, dtype=float))
+        ai, aip = ai_pair(np.append(x_max, x_max - d))
+        out = np.zeros(d.shape)
+        # a model matched to 0 has no tail, even where Ai(x_max) underflows
+        for i in np.flatnonzero(v):
+            shift = d.flat[i]
+            integral = (_airy_tail_moments(x_max)[0] if shift == 0.0
+                        else (ai[0] * aip[i + 1] - aip[0] * ai[i + 1]) / shift)
+            out.flat[i] = v.flat[i] * integral / (ai[0] * ai[i + 1])
+        return float(out) if out.ndim == 0 else out
 
 
 def hermite(grid: Grid, values: np.ndarray, slopes: np.ndarray, x):

@@ -4,6 +4,7 @@ gap and DOS histograms."""
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,36 @@ def test_draw_uses_the_spawned_child_streams():
         d = rng.normal(0.0, math.sqrt(0.5), (4, 6))
         for _ in range(2):
             assert np.array_equal(sampler.draw(chunk, 4)[0], d)
+
+
+def _reference_draw(n, seed, chunk, size):
+    """Chunk `chunk`'s draws as one call per kind: all diagonals (size, n),
+    then all sub-diagonals (size, n - 1)."""
+    child = np.random.SeedSequence(seed).spawn(64)[chunk]
+    rng = np.random.Generator(np.random.Philox(child))
+    d = rng.normal(0.0, math.sqrt(0.5), (size, n))
+    shape = np.arange(n - 1, 0, -1, dtype=float)
+    return d, np.sqrt(rng.gamma(shape, size=(size, n - 1)) / 2.0)
+
+
+@pytest.mark.parametrize("n", (2, 40, 1000))
+def test_fill_in_pieces_is_the_whole_draw(monkeypatch, n):
+    # pieces of one draw, pieces that split a row (down to one number),
+    # and pieces larger than the chunk give the first m diagonal and
+    # m - 1 sub-diagonal entries of the whole draw, float for float,
+    # for the block m < n and for m = n
+    size, chunk = 7, 5
+    sampler = mc.TridiagonalSpectrumSampler(n=n, seed=31)
+    d_ref, e_ref = _reference_draw(n, 31, chunk, size)
+    d_all, e_all = sampler.draw(chunk, size)
+    assert np.array_equal(d_all, d_ref) and np.array_equal(e_all, e_ref)
+    for piece in (n, 1, n // 3 + 1, 10 * size * n):
+        monkeypatch.setattr(mc, "_PIECE", piece)
+        for m in (max(1, n // 3), n):
+            d, e = np.empty((m, size)), np.empty((m - 1, size))
+            sampler.fill(chunk, d, e)
+            assert np.array_equal(d, d_ref[:, :m].T), (piece, m)
+            assert np.array_equal(e, e_ref[:, :m - 1].T), (piece, m)
 
 
 def test_sampler_validation():
@@ -350,6 +381,99 @@ def test_gap_histogram_matches_top_two(n, count, threads):
         assert got.total_samples == want.total_samples == count
     # some draws fall outside each window of the non-default bins
     assert 0 < int(got.counts.sum()) < count
+
+
+def _slab_widths(monkeypatch):
+    """The (draws, bytes of d and e^2) of every slab that count_histogram
+    finds lambda_max on from now on."""
+    seen, solve = [], mc._lambda_max
+
+    def recording(d, e2, hi):
+        seen.append((d.shape[1], d.nbytes + e2.nbytes))
+        return solve(d, e2, hi)
+
+    monkeypatch.setattr(mc, "_lambda_max", recording)
+    return seen
+
+
+def test_slab_layout_is_invisible(monkeypatch):
+    # the counts do not depend on how the chunks are grouped into slabs,
+    # nor on the thread count: default caps (one slab of all 64 chunks),
+    # caps down to one chunk per slab, and two threads
+    sampler = mc.TridiagonalSpectrumSampler(n=200, seed=37)
+    cases = (("gap", "edge"), ("dos", "edge"), ("dos", "bulk"))
+    seen = _slab_widths(monkeypatch)
+    default = [mc.count_histogram(sampler, 300, q, s).counts
+               for q, s in cases]
+    assert len(seen) == 3
+    for threads in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_SLAB_DRAWS", 1)
+            patch.setattr(mc, "_SLAB_BYTES", 1)
+            del seen[:]
+            for (q, s), want in zip(cases, default):
+                got = mc.count_histogram(sampler, 300, q, s, threads=threads)
+                assert np.array_equal(got.counts, want), (q, s, threads)
+            assert sorted({w for w, _ in seen}) == [4, 5]
+            assert len(seen) == 3 * 64
+    for (q, s), want in zip(cases, default):
+        got = mc.count_histogram(sampler, 300, q, s, threads=2)
+        assert np.array_equal(got.counts, want), (q, s)
+
+
+def test_slabs_are_nearest_whole_chunks_split_evenly(monkeypatch):
+    # 64 chunks of 10 draws, slabs of about 250 draws: 25 chunks nearest,
+    # so 3 slabs, which whole chunks split as 22, 22 and 20
+    monkeypatch.setattr(mc, "_SLAB_DRAWS", 250)
+    seen = _slab_widths(monkeypatch)
+    mc.count_histogram(mc.TridiagonalSpectrumSampler(n=40, seed=3), 640,
+                       "gap")
+    assert [w for w, _ in seen] == [220, 220, 200]
+    # chunks of 1,563 draws: 3 to a slab of about 4,096
+    del seen[:]
+    monkeypatch.setattr(mc, "_SLAB_DRAWS", 4096)
+    mc.count_histogram(mc.TridiagonalSpectrumSampler(n=2, seed=3), 100_000,
+                       "gap")
+    assert [w for w, _ in seen][:2] == [3 * 1563] * 2
+
+
+def test_slab_bytes_stay_within_the_budget(monkeypatch):
+    # at n = 50,000 (block m = 1106) a draw's d and e^2 take 17,688 bytes;
+    # a budget of 6 chunks of 2 draws gives slabs of 6 chunks and a last
+    # one of 4
+    budget = 6 * 2 * (2 * 1106 - 1) * 8
+    monkeypatch.setattr(mc, "_SLAB_BYTES", budget)
+    seen = _slab_widths(monkeypatch)
+    sampler = mc.TridiagonalSpectrumSampler(n=50_000, seed=41)
+    mc.count_histogram(sampler, 128, "gap")
+    assert [w for w, _ in seen] == [12] * 10 + [8]
+    assert max(b for _, b in seen) <= budget
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of the memory traced while fn() runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_memory_is_bounded_by_the_block():
+    # only each draw's counted block is kept, and the rest of the draw is
+    # made in pieces of _PIECE numbers: the gap at n = 50,000 on 128 draws
+    # peaks at 2.6 MiB (6.4 MiB when each chunk's whole draw was held)
+    sampler = mc.TridiagonalSpectrumSampler(n=50_000, seed=43)
+    assert traced_peak_mib(lambda: mc.count_histogram(sampler, 128,
+                                                      "gap")) < 4.5
+    # slabs of at most _SLAB_DRAWS = 4,096 draws: the bulk DOS at n = 32 on
+    # 20,000 draws holds 13 chunks, 4,069 draws, at once and peaks at
+    # 3.2 MiB (5.3 MiB for 26 chunks, 8,138 draws)
+    sampler = mc.TridiagonalSpectrumSampler(n=32, seed=43)
+    mc.count_histogram(sampler, 100, "dos", "bulk")
+    assert traced_peak_mib(lambda: mc.count_histogram(
+        sampler, 20_000, "dos", "bulk")) < 4.0
 
 
 def test_edge_dos_refuses_where_the_top_16_did():
