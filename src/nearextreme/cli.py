@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -42,11 +41,6 @@ def _write_csv(path, header_lines, columns, names):
         fh.write(",".join(names) + "\n")
         for row in zip(*columns):
             fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def _default_threads(args) -> int:
-    """--threads if given, else the CPU count, for sample's Sturm counts."""
-    return args.threads or os.cpu_count() or 1
 
 
 def _provenance(table) -> list[str]:
@@ -160,10 +154,9 @@ def cmd_sample(args) -> int:
                           "edge variable")
     from . import montecarlo
 
-    threads = _default_threads(args)
     sampler = montecarlo.TridiagonalSpectrumSampler(n=args.n, seed=args.seed)
     hist = montecarlo.count_histogram(sampler, args.samples, args.quantity,
-                                      args.scaling, threads=threads)
+                                      args.scaling)
     header = [f"n = {args.n}, seed = {args.seed}, samples = {args.samples}",
               montecarlo.count_header(args.n, args.scaling)]
     dens, err = hist.density(), hist.stderr()
@@ -282,13 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, text, rmax=12.0):
         """A subcommand running ``func``, with --out, --threads where the
-        benchmark passes it (only sample reads it), and --rmax and --step
-        unless ``rmax`` is None; ``func`` refuses flags it would ignore."""
+        benchmark passes it (nothing reads it), and --rmax and --step
+        unless ``rmax`` is None; ``func`` refuses every other flag it
+        would ignore."""
         sp = sub.add_parser(name, help=text)
         sp.set_defaults(func=func, parser=sp)
         sp.add_argument("--out", default=None, help="output CSV (default stdout)")
         if name in ("dos-edge", "gap-pdf", "finite-n", "sample"):
-            sp.add_argument("--threads", type=_positive_int, default=None)
+            sp.add_argument("--threads", type=_positive_int, default=None,
+                            help="accepted and ignored (every command runs "
+                                 "on one thread); kept because "
+                                 "perfbench/run.py passes --threads 1")
         if rmax is not None:
             sp.add_argument("--rmax", type=_nonnegative_float, default=rmax)
             sp.add_argument("--step", type=_positive_float, default=0.05)

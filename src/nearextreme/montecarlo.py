@@ -50,8 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-# fixed logical chunk count: the sample stream is identical for any
-# worker count because chunk c always uses spawned stream c
+# the draws are split into _N_CHUNKS chunks, and chunk c always draws from
+# spawned Philox stream c: the count defines the stream
 _N_CHUNKS = 64
 # largest n solved as one batch of dense matrices; per-row tridiagonal
 # solves overtake the batch between n = 32 and n = 40
@@ -177,16 +177,6 @@ def _jobs(count: int) -> list[tuple[int, int]]:
     return [(c, s) for c, s in enumerate(sizes) if s > 0]
 
 
-def _run(work, jobs: list, threads: int) -> list:
-    """work(job) for every job, in order, on `threads` threads."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(work, jobs))
-    return [work(j) for j in jobs]
-
-
 def block_size(n: int, top_k: Optional[int]) -> int:
     """Size of the top-left block each draw is solved on: n if top_k is
     None or above EDGE_TOP_K, else min(n, ceil(_BLOCK_C n^(1/3))), the same
@@ -210,24 +200,21 @@ def count_header(n: int, scaling: str) -> str:
 
 
 def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
-                    threads: int = 1, top_k: Optional[int] = None
-                    ) -> np.ndarray:
+                    top_k: Optional[int] = None) -> np.ndarray:
     """Draw `count` spectra, each sorted descending.
 
     With `top_k` set, only the k largest eigenvalues per draw are kept; the
     result has shape (count, k) instead of (count, n).  The draws are
-    deterministic in (n, seed, count) and depend neither on the thread
-    count nor on `top_k`.  Up to n = 32 a chunk is solved as one batch of
-    dense matrices; above, row by row by scipy's tridiagonal solver (scipy
-    is needed there), for the k largest eigenvalues of the top-left
-    :func:`block_size` block.
+    deterministic in (n, seed, count) and do not depend on `top_k`.  Up
+    to n = 32 a chunk is solved as one batch of dense matrices; above, row
+    by row by scipy's tridiagonal solver (scipy is needed there), for the
+    k largest eigenvalues of the top-left :func:`block_size` block.
     """
     n = sampler.n
     k = n if top_k is None else min(top_k, n)
     m = block_size(n, top_k)
 
-    def run_chunk(job) -> np.ndarray:
-        chunk, size = job
+    def run_chunk(chunk: int, size: int) -> np.ndarray:
         d, e = np.empty((m, size)), np.empty((m - 1, size))
         sampler.fill(chunk, d, e)
         if n <= _DENSE_MAX_N:  # m = n
@@ -247,7 +234,7 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
                            select_range=(m - k, m - 1))[::-1]
         return out
 
-    return np.vstack(_run(run_chunk, _jobs(count), threads))
+    return np.vstack([run_chunk(c, s) for c, s in _jobs(count)])
 
 
 def _count_at_or_below(d: np.ndarray, e2: np.ndarray,
@@ -415,16 +402,15 @@ def _gap_edge(d: np.ndarray, e2: np.ndarray, top: np.ndarray,
 
 def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
                     quantity: str, scaling: str = "edge",
-                    bin_edges: Optional[np.ndarray] = None,
-                    threads: int = 1) -> Histogram:
+                    bin_edges: Optional[np.ndarray] = None) -> Histogram:
     """The histogram that :func:`empirical_gap` (quantity "gap", in the
     edge variable) or :func:`empirical_dos` (quantity "dos", in bulk or
     edge variables) makes from the spectra of the same draws, from
     eigenvalue counts.
 
-    Per slab of whole chunks (about _SLAB_DRAWS draws, at most _SLAB_BYTES
-    of d and e^2, at least one chunk), :func:`_lambda_max` finds
-    lambda_max of every draw.  The DOS then counts once at
+    Slab after slab of whole chunks (about _SLAB_DRAWS draws, at most
+    _SLAB_BYTES of d and e^2, at least one chunk), :func:`_lambda_max`
+    finds lambda_max of every draw.  The DOS then counts once at
     lambda_max - r_j for all bin edges r_j; the bins are differences of
     these counts.  The gap's bin comes from :func:`_gap_edge`.  A distance
     of exactly r_j falls in the bin that starts at r_j, as in np.histogram,
@@ -464,6 +450,8 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     tile = max(1, _TILE // edges.size)
 
     def run_slab(slab):
+        """The slab's tally and, for the DOS, the most eigenvalues above
+        the last edge in any of its draws."""
         # one draw per column, the counted block only
         size = sum(s for _, s in slab)
         d, e2 = np.empty((m, size)), np.empty((m - 1, size))
@@ -497,15 +485,17 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
             most_above = max(most_above, m - int(k[-1].min()))
         return below, most_above
 
-    parts = _run(run_slab, [jobs[i:i + per_slab]
-                            for i in range(0, len(jobs), per_slab)], threads)
-    tally = sum(t for t, _ in parts)
+    # one slab after another, each slab's arrays freed before the next
+    tally, most_above = 0, 0
+    for i in range(0, len(jobs), per_slab):
+        part, above = run_slab(jobs[i:i + per_slab])
+        tally += part
+        most_above = max(most_above, above)
     if quantity == "gap":
         return Histogram(bin_edges=edges, counts=tally[1:-1],
                          total_samples=count)
     # at n <= EDGE_TOP_K every eigenvalue is among the top EDGE_TOP_K
-    if scaling == "edge" and n > EDGE_TOP_K and \
-            max(above for _, above in parts) >= EDGE_TOP_K:
+    if scaling == "edge" and n > EDGE_TOP_K and most_above >= EDGE_TOP_K:
         raise ValueError(
             f"{EDGE_TOP_K} or more eigenvalues lie within the last bin edge "
             f"{edges[-1]:g} of lambda_max in some draw; the edge DOS counts "

@@ -195,12 +195,11 @@ def test_criterion_10_exact_vs_mc_n4():
                    f"gap {worst['gap']:.2f} (< 3)")
 
 
-def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
-                    threads):
+def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol):
     # the gap from the top 2 eigenvalues, the DOS from Sturm counts, both on
     # the same draws
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=seed)
-    samples = mc.sample_spectrum(sampler, count, threads=threads, top_k=2)
+    samples = mc.sample_spectrum(sampler, count, top_k=2)
 
     r_grid = np.arange(0.0, 6.5 + 1e-9, 0.05)
     p_curve = scaling.p_typ(r_grid, table)
@@ -215,8 +214,7 @@ def _edge_limit_run(table, n, count, seed, dos_bins, ks_tol, z_tol,
     ks = float(np.max(np.abs(emp - cdf(g[sel]))))
 
     edges = np.linspace(0.2, 6.0, dos_bins + 1)
-    hist = mc.count_histogram(sampler, count, "dos", "edge", bin_edges=edges,
-                              threads=threads)
+    hist = mc.count_histogram(sampler, count, "dos", "edge", bin_edges=edges)
     rho = scaling.rho_edge_scaling(hist.centers(), table)
     z = (hist.density() * n - rho) / (hist.stderr() * n)
     max_z = float(np.max(np.abs(z)))
@@ -229,8 +227,7 @@ def test_criterion_11_edge_limit_smoke(table):
     # top of the sampling noise, hence the 4-sigma bin gate (the KS gate
     # stays strict at twice the full-run threshold)
     ks, max_z = _edge_limit_run(table, n=300, count=2 * 10**4, seed=21,
-                                dos_bins=29, ks_tol=0.02, z_tol=4.0,
-                                threads=4)
+                                dos_bins=29, ks_tol=0.02, z_tol=4.0)
     report(11, ks < 0.02 and max_z < 4.0,
            f"smoke N=300/2e4: gap KS {ks:.4f} (< 0.02), "
            f"DOS max |z| {max_z:.2f} (< 4)")
@@ -240,8 +237,7 @@ def test_criterion_11_edge_limit_smoke(table):
                     reason="set RUN_FULL_MC=1 for the full N=1000 run")
 def test_criterion_11_edge_limit_full(table):
     ks, max_z = _edge_limit_run(table, n=1000, count=2 * 10**5, seed=7,
-                                dos_bins=29, ks_tol=0.01, z_tol=3.0,
-                                threads=8)
+                                dos_bins=29, ks_tol=0.01, z_tol=3.0)
     report(11, ks < 0.01 and max_z < 3.0,
            f"full N=1000/2e5: gap KS {ks:.4f} (< 0.01), "
            f"DOS max |z| {max_z:.2f} (< 3)")
@@ -252,8 +248,7 @@ def test_criterion_12_bulk_regime():
     n = 200
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=5)
     edges = np.linspace(0.3, 2.45, 36)
-    hist = mc.count_histogram(sampler, 500, "dos", "bulk", bin_edges=edges,
-                              threads=4)
+    hist = mc.count_histogram(sampler, 500, "dos", "bulk", bin_edges=edges)
     expect = np.array([scaling.rho_bulk_shifted(c) for c in hist.centers()])
     exp_counts = expect * np.diff(edges) * hist.total_samples
     stat = float(np.sum((hist.counts - exp_counts) ** 2 / exp_counts))

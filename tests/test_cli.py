@@ -72,8 +72,8 @@ def test_ignored_flag_combinations_exit_2(argv, capsys):
     ["tabulate-painleve"], ["tabulate-psi", "--r-tilde", "2"], ["dos-bulk"],
     ["asymptotics"], ["check"]))
 def test_threads_only_where_accepted(argv, capsys):
-    # only sample reads --threads; dos-edge, gap-pdf and finite-n accept
-    # it, and every other command refuses it as unrecognized
+    # dos-edge, gap-pdf, finite-n and sample accept --threads, which
+    # nothing reads, and every other command refuses it as unrecognized
     assert run(argv + ["--threads", "1"]) == 2
     assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
@@ -91,21 +91,6 @@ def test_asymptotics_empty_range_exits_1(capsys):
     # not a header-only CSV
     assert run(["asymptotics", "--rmax", "0.2"]) == 1
     assert capsys.readouterr().err.startswith("error: no r_tilde")
-
-
-def test_threads_default_follows_the_solve_path(monkeypatch):
-    # every sample quantity is Sturm counts, which threads split slab by
-    # slab, so the default is the CPU count for the gap and the DOS at any
-    # n; the NEAREXTREME_THREADS variable is not read
-    monkeypatch.setenv("NEAREXTREME_THREADS", "7")
-    parse = cli.build_parser().parse_args
-    cpus = os.cpu_count() or 1
-    for argv in (["--n", "20"], ["--n", "1000"],
-                 ["--quantity", "dos", "--n", "32", "--scaling", "bulk"],
-                 ["--quantity", "dos", "--n", "1000"]):
-        assert cli._default_threads(parse(["sample", *argv])) == cpus
-    assert cli._default_threads(
-        parse(["sample", "--n", "1000", "--threads", "3"])) == 3
 
 
 def test_benchmark_tracer_names_resolve():
@@ -176,6 +161,14 @@ def test_commands_import_only_what_they_use(tmp_path):
                   "gap", "--threads", "1"],
                  ["check"]):
         assert _modules_after(argv + out, tmp_path) == set(), argv
+
+
+def test_default_sample_starts_no_threads(tmp_path):
+    # sample counts every slab on the calling thread: with no --threads
+    # and 20,000 draws at n = 32 (5 slabs) no executor is imported
+    argv = ["sample", "--n", "32", "--samples", "20000",
+            "--out", str(tmp_path / "out.csv")]
+    assert _modules_after(argv, tmp_path, package="concurrent") == set()
 
 
 def test_public_formulas_run_without_scipy(tmp_path):
@@ -278,9 +271,10 @@ def test_finite_n_cdf_roundtrip(tmp_path):
 
 
 def test_sample_csv_determinism(tmp_path):
+    # --threads is inert: the same bytes with it and without it
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sample", "--n", "40", "--samples", "2000", "--seed", "4"]
-    assert run(args + ["--out", str(a), "--threads", "1"]) == 0
+    assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b), "--threads", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
 

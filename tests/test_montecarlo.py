@@ -63,15 +63,13 @@ def test_sampler_validation():
         mc.sample_spectrum(sampler, 0)
 
 
-def test_determinism_and_thread_invariance():
+def test_determinism():
     # n = 20 takes the batched dense eigensolve, n = 40 the per-row one
     for n in (20, 40):
         sampler = mc.TridiagonalSpectrumSampler(n=n, seed=123)
         a = mc.sample_spectrum(sampler, 300)
         b = mc.sample_spectrum(sampler, 300)
-        c = mc.sample_spectrum(sampler, 300, threads=4)
         assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
 
 
 def test_spectra_sorted_descending():
@@ -133,12 +131,17 @@ def test_block_size():
     assert mc.block_size(1000, None) == 1000
 
 
-def test_block_thread_invariance():
+def test_block_determinism():
+    # the top-left block draws at n = 400 (m = 222) repeat on the same
+    # sampler and on a new one with the same seed
     sampler = mc.TridiagonalSpectrumSampler(n=400, seed=43)
     for k in (2, mc.EDGE_TOP_K):
-        a = mc.sample_spectrum(sampler, 130, threads=1, top_k=k)
-        b = mc.sample_spectrum(sampler, 130, threads=2, top_k=k)
+        a = mc.sample_spectrum(sampler, 130, top_k=k)
+        b = mc.sample_spectrum(sampler, 130, top_k=k)
+        c = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=400, seed=43),
+                               130, top_k=k)
         assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ def test_truncated_dos_must_reach_last_bin():
     with pytest.raises(ValueError, match="last bin edge"):
         mc.empirical_dos(top, "bulk", 200)
     top = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=1000, seed=47),
-                             200, threads=2, top_k=mc.EDGE_TOP_K)
+                             200, top_k=mc.EDGE_TOP_K)
     h = mc.empirical_dos(top, "edge", 1000)
     assert h.bin_edges[-1] == 8.0
     assert int(np.sum(h.counts)) > 0
@@ -346,7 +349,7 @@ def test_lambda_max_paths_on_a_close_top_pair():
 def test_dos_histogram_matches_full_spectrum(scaling, n, count):
     # on the same draws the counts equal the histogram of the full spectra,
     # with the default bins and with bins that start above 0 (criteria 11
-    # and 12), on one thread or two
+    # and 12)
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=19)
     full = mc.sample_spectrum(sampler, count)
     for edges in (None, np.linspace(0.2, 6.0, 30),
@@ -354,18 +357,14 @@ def test_dos_histogram_matches_full_spectrum(scaling, n, count):
         want = mc.empirical_dos(full, scaling, n, bin_edges=edges)
         got = mc.count_histogram(sampler, count, "dos", scaling,
                                  bin_edges=edges)
-        two = mc.count_histogram(sampler, count, "dos", scaling,
-                                 bin_edges=edges, threads=2)
         assert np.array_equal(got.bin_edges, want.bin_edges)
         assert np.array_equal(got.counts, want.counts), (scaling, n, edges)
-        assert np.array_equal(two.counts, got.counts)
         assert got.total_samples == want.total_samples
 
 
-@pytest.mark.parametrize("n, count, threads", (
-    (2, 3000, 1), (10, 3000, 1), (32, 2000, 2), (40, 1000, 1),
-    (200, 300, 1), (1000, 60, 1)))
-def test_gap_histogram_matches_top_two(n, count, threads):
+@pytest.mark.parametrize("n, count", (
+    (2, 3000), (10, 3000), (32, 2000), (40, 1000), (200, 300), (1000, 60)))
+def test_gap_histogram_matches_top_two(n, count):
     # on the same draws the binary search on counts gives the histogram of
     # the solved top-2 gaps, integer for integer, with the default bins and
     # with bins that do not start at 0 or that start below it, where the
@@ -374,8 +373,7 @@ def test_gap_histogram_matches_top_two(n, count, threads):
     top = mc.sample_spectrum(sampler, count, top_k=2)
     for edges in (None, np.linspace(0.5, 3.0, 11), np.linspace(-1.0, 2.0, 7)):
         want = mc.empirical_gap(top, n, bin_edges=edges)
-        got = mc.count_histogram(sampler, count, "gap", bin_edges=edges,
-                                 threads=threads)
+        got = mc.count_histogram(sampler, count, "gap", bin_edges=edges)
         assert np.array_equal(got.bin_edges, want.bin_edges)
         assert np.array_equal(got.counts, want.counts), (n, edges)
         assert got.total_samples == want.total_samples == count
@@ -397,28 +395,23 @@ def _slab_widths(monkeypatch):
 
 
 def test_slab_layout_is_invisible(monkeypatch):
-    # the counts do not depend on how the chunks are grouped into slabs,
-    # nor on the thread count: default caps (one slab of all 64 chunks),
-    # caps down to one chunk per slab, and two threads
+    # the counts do not depend on how the chunks are grouped into slabs:
+    # default caps (one slab of all 64 chunks) and caps down to one chunk
+    # per slab
     sampler = mc.TridiagonalSpectrumSampler(n=200, seed=37)
     cases = (("gap", "edge"), ("dos", "edge"), ("dos", "bulk"))
     seen = _slab_widths(monkeypatch)
     default = [mc.count_histogram(sampler, 300, q, s).counts
                for q, s in cases]
     assert len(seen) == 3
-    for threads in (1, 2):
-        with monkeypatch.context() as patch:
-            patch.setattr(mc, "_SLAB_DRAWS", 1)
-            patch.setattr(mc, "_SLAB_BYTES", 1)
-            del seen[:]
-            for (q, s), want in zip(cases, default):
-                got = mc.count_histogram(sampler, 300, q, s, threads=threads)
-                assert np.array_equal(got.counts, want), (q, s, threads)
-            assert sorted({w for w, _ in seen}) == [4, 5]
-            assert len(seen) == 3 * 64
+    monkeypatch.setattr(mc, "_SLAB_DRAWS", 1)
+    monkeypatch.setattr(mc, "_SLAB_BYTES", 1)
+    del seen[:]
     for (q, s), want in zip(cases, default):
-        got = mc.count_histogram(sampler, 300, q, s, threads=2)
+        got = mc.count_histogram(sampler, 300, q, s)
         assert np.array_equal(got.counts, want), (q, s)
+    assert sorted({w for w, _ in seen}) == [4, 5]
+    assert len(seen) == 3 * 64
 
 
 def test_slabs_are_nearest_whole_chunks_split_evenly(monkeypatch):
@@ -534,7 +527,7 @@ def test_histogram_weights():
 def test_mean_lambda_max_ratio():
     n = 1000
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=3)
-    s = mc.sample_spectrum(sampler, 2000, threads=4, top_k=1)
+    s = mc.sample_spectrum(sampler, 2000, top_k=1)
     ratio = float(np.mean(s)) / math.sqrt(2.0 * n)
     assert 0.99 <= ratio <= 1.0
 
@@ -564,7 +557,7 @@ def test_bulk_dos_chi2():
 
     n = 200
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=5)
-    s = mc.sample_spectrum(sampler, 500, threads=4)
+    s = mc.sample_spectrum(sampler, 500)
     edges = np.linspace(0.3, 2.45, 36)
     h = mc.empirical_dos(s, "bulk", n, bin_edges=edges)
     widths = np.diff(edges)
@@ -582,7 +575,7 @@ def test_tracy_widom_ks_full(table):
 
     n = 1000
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=8)
-    s = mc.sample_spectrum(sampler, 10**5, threads=8, top_k=1)
+    s = mc.sample_spectrum(sampler, 10**5, top_k=1)
     x = np.sort(math.sqrt(2.0) * n ** (1.0 / 6.0)
                 * (s[:, 0] - math.sqrt(2.0 * n)))
     probe = x[::100]
