@@ -33,11 +33,12 @@ disagree; a block of ceil(20 n^(1/3)) misses the 16th eigenvalue by up to
 0.055, one of ceil(15 n^(1/3)) by up to 0.71.  So every eigenvalue that
 the edge DOS counts inside its last bin edge r_last must be among the
 block's top EDGE_TOP_K: it refuses draws with EDGE_TOP_K or more
-eigenvalues above lambda_max - r_last.  The whole matrix is still drawn,
-so the block changes no draw, but only the block is kept:
-:meth:`TridiagonalSpectrumSampler.fill` makes each chunk's normals and
-gammas in pieces of at most _PIECE numbers and writes the block's entries
-of each piece straight into the slab.
+eigenvalues above lambda_max - r_last.  The block's entries are
+independent, with the law they have in the whole matrix, so only they are
+drawn: :meth:`TridiagonalSpectrumSampler.fill` makes each draw's m normals
+and m - 1 gammas, O(n^(1/3)) numbers instead of 2n - 1.  So the draws of
+the gap and the edge DOS depend on whether the block or the whole matrix
+is drawn (m < n from n = 166 on); at the same m they are the same floats.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ _DENSE_MAX_N = 32
 _BLOCK_C = 30
 #: most eigenvalues per draw that the top-left block gives to full accuracy
 EDGE_TOP_K = 16
-# numbers of a draw's generator made per call: whole rows where a row of n
-# fits, else pieces of one row, so that no (draws, n) array is made
+# numbers of a chunk's generator made per call: whole rows of the block, or
+# one row where a row does not fit
 _PIECE = 2**14
 # count_histogram's slabs are the whole number of chunks nearest to
 # _SLAB_DRAWS draws, but hold at most _SLAB_BYTES of d and e^2 (the bytes
@@ -94,25 +95,25 @@ class TridiagonalSpectrumSampler:
         return np.random.SeedSequence(self.seed).spawn(_N_CHUNKS)
 
     def fill(self, chunk: int, d: np.ndarray, e: np.ndarray) -> None:
-        """d.shape[1] draws from chunk `chunk`'s own spawned Philox stream,
-        one per column: the first m diagonal entries of each into d
-        (m, draws) and its first m - 1 sub-diagonal entries into e
-        (m - 1, draws).  The stream gives every diagonal of the chunk, draw
-        after draw, then every sub-diagonal; it is drawn in pieces of at
-        most _PIECE numbers, and a piece keeps only the entries that d or e
-        holds, so each draw is the same float for any m and any piece."""
+        """d.shape[1] draws of the top-left m-row block from chunk `chunk`'s
+        own spawned Philox stream, one per column: m diagonal entries into
+        d (m, draws) and m - 1 sub-diagonal entries into e (m - 1, draws).
+        Only the block is drawn: the stream gives the chunk's diagonals,
+        draw after draw, then its sub-diagonals, in whole rows of at most
+        _PIECE numbers (or one row), so each draw is the same float for any
+        piece.  With m = n this is the whole draw; with m < n a draw of the
+        block's law, not the whole draw's first rows."""
         rng = np.random.Generator(np.random.Philox(self._children[chunk]))
-        n = self.n
-        _fill_rows(d, n, lambda lo, hi, rows:
-                   rng.standard_normal((rows, hi - lo)))
+        m = d.shape[0]
+        _fill_rows(d, lambda rows: rng.standard_normal((rows, m)))
         # Normal(0, 1/2) as Generator.normal forms it, 0 + sigma z (the 0
-        # turns a -0.0 into 0.0), on the kept entries only
+        # turns a -0.0 into 0.0)
         np.multiply(d, math.sqrt(0.5), out=d)
         d += 0.0
         # sub-diagonal k of a row is sqrt(G / 2), G ~ Gamma(n - 1 - k, 1)
-        _fill_rows(e, n - 1, lambda lo, hi, rows: rng.standard_gamma(
-            np.arange(n - 1 - lo, n - 1 - hi, -1, dtype=float),
-            size=(rows, hi - lo)))
+        shape = np.arange(self.n - 1, self.n - m, -1, dtype=float)
+        _fill_rows(e, lambda rows: rng.standard_gamma(shape,
+                                                      size=(rows, m - 1)))
         np.divide(e, 2.0, out=e)
         np.sqrt(e, out=e)
 
@@ -125,25 +126,14 @@ class TridiagonalSpectrumSampler:
         return d.T, e.T
 
 
-def _fill_rows(out: np.ndarray, length: int, generate) -> None:
-    """The first k numbers of each of out.shape[1] rows of `length` into
-    the columns of out (k, rows), from generate(lo, hi, rows), which gives
-    numbers lo .. hi - 1 of each of the next `rows` rows, shape
-    (rows, hi - lo).  A call makes at most _PIECE numbers: whole rows where
-    a row fits, else one row in pieces."""
+def _fill_rows(out: np.ndarray, generate) -> None:
+    """The out.shape[1] rows of k numbers that generate(rows) gives, shape
+    (rows, k), into the columns of out (k, rows), at most _PIECE numbers
+    (or one row) per call."""
     k, size = out.shape
-    if length == 0:
-        return
-    if length <= _PIECE:
-        step = _PIECE // length
-        for j in range(0, size, step):
-            rows = generate(0, length, min(step, size - j))
-            out[:, j:j + rows.shape[0]] = rows[:, :k].T
-        return
-    for j in range(size):
-        for lo in range(0, length, _PIECE):
-            piece = generate(lo, min(lo + _PIECE, length), 1)[0]
-            out[lo:lo + piece.size, j] = piece[:max(k - lo, 0)]
+    step = max(1, _PIECE // max(k, 1))
+    for j in range(0, size, step):
+        out[:, j:j + step] = generate(min(step, size - j)).T
 
 
 @dataclass(frozen=True)
@@ -186,17 +176,15 @@ def block_size(n: int, top_k: Optional[int]) -> int:
     return min(n, math.ceil(_BLOCK_C * n ** (1.0 / 3.0)))
 
 
-_DRAW_HEADER = f"draw: {_N_CHUNKS} Philox chunks, full d/e draw"
-
-
 def count_header(n: int, scaling: str) -> str:
     """CSV header line: the draw layout and the matrix that
-    :func:`count_histogram` counts on for (n, scaling); the gap counts on
-    the edge block."""
+    :func:`count_histogram` draws and counts on for (n, scaling); the gap
+    counts on the edge block."""
     m = block_size(n, EDGE_TOP_K) if scaling == "edge" else n
+    drawn = "top-left block" if m < n else "full"
     on = f"top-left block m = {m} of n = {n}" if m < n else "full matrix"
-    return (f"{_DRAW_HEADER}; eigensolve: Sturm counts below bisected "
-            f"lambda_max, {on}")
+    return (f"draw: {_N_CHUNKS} Philox chunks, {drawn} d/e draw; eigensolve: "
+            f"Sturm counts below bisected lambda_max, {on}")
 
 
 def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
@@ -204,11 +192,14 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     """Draw `count` spectra, each sorted descending.
 
     With `top_k` set, only the k largest eigenvalues per draw are kept; the
-    result has shape (count, k) instead of (count, n).  The draws are
-    deterministic in (n, seed, count) and do not depend on `top_k`.  Up
-    to n = 32 a chunk is solved as one batch of dense matrices; above, row
-    by row by scipy's tridiagonal solver (scipy is needed there), for the
-    k largest eigenvalues of the top-left :func:`block_size` block.
+    result has shape (count, k) instead of (count, n).  Each draw is of the
+    top-left :func:`block_size` block, so the draws are deterministic in
+    (n, seed, count) and the block size: every `top_k` up to EDGE_TOP_K
+    solves the same draws, and so do None and every larger `top_k`, but
+    the two groups solve different matrices where the block is smaller
+    than n.  Up to n = 32 a chunk is solved as one batch of dense
+    matrices; above, row by row by scipy's tridiagonal solver (scipy is
+    needed there), for the k largest eigenvalues of the block.
     """
     n = sampler.n
     k = n if top_k is None else min(top_k, n)

@@ -314,21 +314,23 @@ def test_sample_gap_top_two_matches_full_spectrum(tmp_path):
     assert rows[:, 2] == pytest.approx(hist.stderr(), rel=1e-11)
 
 
-def test_sample_edge_dos_block_matches_full_spectrum(tmp_path):
+def test_sample_edge_dos_block_matches_full_spectrum(tmp_path, monkeypatch):
     # the edge DOS counts eigenvalues on the top-left block (m = 176 of 200)
-    # only; the histogram must be the one the full spectra give
+    # only; on the block of whole draws the histogram must be the one the
+    # full spectra of those draws give
     from nearextreme import montecarlo as mc
+    from test_montecarlo import WholeDrawSampler
 
     out = tmp_path / "edge.csv"
+    monkeypatch.setattr(mc, "TridiagonalSpectrumSampler", WholeDrawSampler)
     assert run(["sample", "--n", "200", "--samples", "300", "--seed", "9",
                 "--quantity", "dos", "--scaling", "edge", "--threads", "1",
                 "--out", str(out)]) == 0
     header, _, rows = read_csv(out)
-    assert header[2] == ("# draw: 64 Philox chunks, full d/e draw; eigensolve: "
-                         "Sturm counts below bisected lambda_max, top-left "
-                         "block m = 176 of n = 200")
-    full = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=200, seed=9),
-                              300)
+    assert header[2] == ("# draw: 64 Philox chunks, top-left block d/e draw; "
+                         "eigensolve: Sturm counts below bisected lambda_max, "
+                         "top-left block m = 176 of n = 200")
+    full = mc.sample_spectrum(WholeDrawSampler(n=200, seed=9), 300)
     hist = mc.empirical_dos(full, "edge", 200)
     assert rows[:, 1] == pytest.approx(hist.density() * 200, rel=1e-11)
     assert rows[:, 2] == pytest.approx(hist.stderr() * 200, rel=1e-11)

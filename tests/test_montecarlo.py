@@ -25,22 +25,37 @@ def test_draw_uses_the_spawned_child_streams():
             assert np.array_equal(sampler.draw(chunk, 4)[0], d)
 
 
-def _reference_draw(n, seed, chunk, size):
-    """Chunk `chunk`'s draws as one call per kind: all diagonals (size, n),
-    then all sub-diagonals (size, n - 1)."""
+def _reference_draw(n, seed, chunk, size, m=None):
+    """Chunk `chunk`'s draws of the top-left m-row block (m = n by
+    default) as one call per kind: all diagonals (size, m), then all
+    sub-diagonals (size, m - 1)."""
+    m = n if m is None else m
     child = np.random.SeedSequence(seed).spawn(64)[chunk]
     rng = np.random.Generator(np.random.Philox(child))
-    d = rng.normal(0.0, math.sqrt(0.5), (size, n))
-    shape = np.arange(n - 1, 0, -1, dtype=float)
-    return d, np.sqrt(rng.gamma(shape, size=(size, n - 1)) / 2.0)
+    d = rng.normal(0.0, math.sqrt(0.5), (size, m))
+    shape = np.arange(n - 1, n - m, -1, dtype=float)
+    return d, np.sqrt(rng.gamma(shape, size=(size, m - 1)) / 2.0)
+
+
+class WholeDrawSampler(mc.TridiagonalSpectrumSampler):
+    """A sampler that fills a top-left block with the leading entries of
+    each whole draw (:meth:`draw` sliced to its block), so that the block
+    and the whole matrix are solved or counted on the same draws."""
+
+    def fill(self, chunk, d, e):
+        size = d.shape[1]
+        d_all, e_all = np.empty((self.n, size)), np.empty((self.n - 1, size))
+        super().fill(chunk, d_all, e_all)
+        d[:], e[:] = d_all[:d.shape[0]], e_all[:e.shape[0]]
 
 
 @pytest.mark.parametrize("n", (2, 40, 1000))
 def test_fill_in_pieces_is_the_whole_draw(monkeypatch, n):
-    # pieces of one draw, pieces that split a row (down to one number),
-    # and pieces larger than the chunk give the first m diagonal and
-    # m - 1 sub-diagonal entries of the whole draw, float for float,
-    # for the block m < n and for m = n
+    # pieces of one draw, pieces of one row where a row does not fit (down
+    # to one number), and pieces larger than the chunk give the block's m
+    # diagonal and m - 1 sub-diagonal entries as one call per kind makes
+    # them, float for float, for the block m < n and for the whole draw
+    # m = n
     size, chunk = 7, 5
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=31)
     d_ref, e_ref = _reference_draw(n, 31, chunk, size)
@@ -49,10 +64,11 @@ def test_fill_in_pieces_is_the_whole_draw(monkeypatch, n):
     for piece in (n, 1, n // 3 + 1, 10 * size * n):
         monkeypatch.setattr(mc, "_PIECE", piece)
         for m in (max(1, n // 3), n):
+            d_ref, e_ref = _reference_draw(n, 31, chunk, size, m)
             d, e = np.empty((m, size)), np.empty((m - 1, size))
             sampler.fill(chunk, d, e)
-            assert np.array_equal(d, d_ref[:, :m].T), (piece, m)
-            assert np.array_equal(e, e_ref[:, :m - 1].T), (piece, m)
+            assert np.array_equal(d, d_ref.T), (piece, m)
+            assert np.array_equal(e, e_ref.T), (piece, m)
 
 
 def test_sampler_validation():
@@ -105,13 +121,13 @@ def test_n2_gap_distribution():
 def test_sample_spectrum_top_k_consistency():
     # every eigensolve branch keeps the k largest of the same draws: the
     # dense batch (n = 20), the full tridiagonal (n = 40) and, for
-    # k <= EDGE_TOP_K and n > 165, the top-left block, whose error budget
-    # against the whole matrix this is
+    # k <= EDGE_TOP_K and n > 165, the top-left block of the whole draws,
+    # whose error budget against the whole matrix this is
     for n, count, ks in ((20, 64, (3,)), (40, 64, (3,)),
                          (200, 400, (2, mc.EDGE_TOP_K)),
                          (1000, 200, (2, mc.EDGE_TOP_K)),
                          (3000, 6, (2, mc.EDGE_TOP_K))):
-        sampler = mc.TridiagonalSpectrumSampler(n=n, seed=11)
+        sampler = WholeDrawSampler(n=n, seed=11)
         full = mc.sample_spectrum(sampler, count)
         for k in ks:
             top = mc.sample_spectrum(sampler, count, top_k=k)
@@ -142,6 +158,29 @@ def test_block_determinism():
                                130, top_k=k)
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+
+def test_block_draws_follow_the_whole_draws_law():
+    # at n = 1000 the drawn block (m = 300) and the block of whole draws
+    # are two samples of one law.  Sizes and gates fixed before the first
+    # run: 3,000 draws each, from different seeds so that the samples are
+    # independent (at one seed the block's diagonals are whole draws'
+    # diagonals, 300 to a draw), and p > 1e-3 for both tests.  A two-sample
+    # KS test of 3,000 against 3,000 gaps at that level rejects a shift of
+    # the gap CDF by 0.05.  The DOS test is chi^2 homogeneity of the two
+    # histograms' counts; the counts of one draw are less spread than
+    # Poisson (rigidity), which makes it conservative
+    n, count = 1000, 3000
+    drawn = mc.TridiagonalSpectrumSampler(n=n, seed=61)
+    whole = WholeDrawSampler(n=n, seed=62)
+    gaps = [np.subtract(*mc.sample_spectrum(s, count, top_k=2).T)
+            for s in (drawn, whole)]
+    assert ks_2samp(*gaps).pvalue > 1e-3
+    a, b = (mc.count_histogram(s, count, "dos", "edge").counts
+            for s in (drawn, whole))
+    used = a + b > 0
+    stat = float(np.sum((a - b)[used] ** 2 / (a + b)[used]))
+    assert 1.0 - chi2.cdf(stat, df=int(used.sum()) - 1) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +388,8 @@ def test_lambda_max_paths_on_a_close_top_pair():
 def test_dos_histogram_matches_full_spectrum(scaling, n, count):
     # on the same draws the counts equal the histogram of the full spectra,
     # with the default bins and with bins that start above 0 (criteria 11
-    # and 12)
-    sampler = mc.TridiagonalSpectrumSampler(n=n, seed=19)
+    # and 12); the edge DOS at n > 165 counts on the block of whole draws
+    sampler = WholeDrawSampler(n=n, seed=19)
     full = mc.sample_spectrum(sampler, count)
     for edges in (None, np.linspace(0.2, 6.0, 30),
                   np.linspace(0.3, 2.45, 36)):
@@ -454,9 +493,9 @@ def traced_peak_mib(fn) -> float:
 
 
 def test_count_memory_is_bounded_by_the_block():
-    # only each draw's counted block is kept, and the rest of the draw is
-    # made in pieces of _PIECE numbers: the gap at n = 50,000 on 128 draws
-    # peaks at 2.6 MiB (6.4 MiB when each chunk's whole draw was held)
+    # only each draw's counted block is drawn and kept: the gap at
+    # n = 50,000 on 128 draws peaks at 2.5 MiB (6.4 MiB when each chunk's
+    # whole draw was held)
     sampler = mc.TridiagonalSpectrumSampler(n=50_000, seed=43)
     assert traced_peak_mib(lambda: mc.count_histogram(sampler, 128,
                                                       "gap")) < 4.5

@@ -8,7 +8,9 @@ temporary directory.  Its digest covers the whole output but the
 digest.  The manifest records the numpy version and the platform that the
 digests were made on; ``tests/test_cli_manifest.py`` compares against it.
 Run this script after changing an output on purpose, and name in the
-change's notes which digests changed and why.
+change's notes which digests changed and why: it prints the argv and the
+old and new sha256 of every entry whose digest it rewrites, and of every
+entry it adds.
 """
 
 from __future__ import annotations
@@ -88,9 +90,18 @@ def digest(argv: list[str]) -> str:
 
 
 def main() -> None:
+    old = {}
+    if MANIFEST.exists():
+        old = {tuple(e["argv"]): e["sha256"]
+               for e in json.loads(MANIFEST.read_text())["entries"]}
+    new = [(argv, digest(argv)) for argv in INVOCATIONS]
+    for argv, sha in new:
+        was = old.get(tuple(argv))
+        if was != sha:
+            print(f"{' '.join(argv)}\n  old {was}\n  new {sha}")
     # one entry per line
-    entries = ",\n  ".join(json.dumps({"argv": argv, "sha256": digest(argv)})
-                           for argv in INVOCATIONS)
+    entries = ",\n  ".join(json.dumps({"argv": argv, "sha256": sha})
+                           for argv, sha in new)
     MANIFEST.write_text(f'{{"environment": {json.dumps(environment())},\n'
                         f' "entries": [\n  {entries}\n ]}}\n')
 
