@@ -34,7 +34,8 @@ _STEP, _BOTTOM, _TOP, _DEGREE = 0.25, -240, 4, 30
 X_MIN = _BOTTOM * _STEP
 _POWERS = np.arange(_DEGREE + 1)
 
-#: trapezoid nodes for x >= 1, and the values of x evaluated at a time
+#: trapezoid nodes for x >= 1, and the values of x evaluated at a time in
+#: either region
 _NODES = np.arange(64)
 _ROWS = 512
 
@@ -112,10 +113,12 @@ def ai_pair(x):
         raise ValueError(f"Airy evaluator covers x >= {X_MIN:g}")
     ai, aip = np.empty_like(x), np.empty_like(x)
     right = x >= 1.0
-    # _ROWS values at a time, so that the (rows, 64) work arrays stay small
-    blocks = np.split(x[right], range(_ROWS, np.count_nonzero(right), _ROWS))
-    ai[right], aip[right] = np.hstack([_ai_trapezoid(b) for b in blocks])
-    ai[~right], aip[~right] = _ai_series(x[~right])
+    # _ROWS values at a time, so that the (rows, 64) trapezoid and the
+    # (rows, _DEGREE + 1) series work arrays stay small
+    for region, evaluate in ((right, _ai_trapezoid), (~right, _ai_series)):
+        values = x[region]
+        blocks = np.split(values, range(_ROWS, values.size, _ROWS))
+        ai[region], aip[region] = np.hstack([evaluate(b) for b in blocks])
     return ai, aip
 
 

@@ -176,12 +176,18 @@ def cmd_asymptotics(args) -> int:
     from . import painleve, scaling
 
     t = painleve.default_table()
+    # each form only where a PDF or a CDF can take its value
     gap_tail = scaling.gap_tail_asymptotic(r)
+    gap_tail[gap_tail < 0.0] = np.nan
     dos_tail = np.sqrt(r) / math.pi
     f2_tail = painleve.tracy_widom_f2_asymptote(-r)
+    f2_tail[f2_tail > 1.0] = np.nan
     _write_csv(args.out,
                _provenance(t) + [
                    "columns: r_tilde, gap_tail, dos_tail, f2_left_tail",
+                   "admissible: gap_tail where 1 - (1405 sqrt 2/1536) "
+                   "r_tilde^(-3/4) > 0, r_tilde > 1.4095; f2_left_tail "
+                   "where it is at most 1, r_tilde > 0.7094; nan elsewhere",
                    f"a4 = {scaling.a4_integral(t):.12g}",
                    f"gap_amplitude_A = {scaling.GAP_TAIL_AMPLITUDE:.12g}"],
                [r, gap_tail, dos_tail, f2_tail],

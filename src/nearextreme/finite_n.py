@@ -94,19 +94,24 @@ def _stieltjes(y, n: int):
     return h, s, r
 
 
+def _psi_terms(sys: OrthoSystem, lam):
+    """psi_0(lam), psi_1(lam), ... psi_{n-1}(lam), one at a time, by the
+    forward monic recurrence."""
+    lam = np.asarray(lam, dtype=float)
+    weight = np.exp(-np.square(lam) / 2.0)
+    p_prev, p = 0.0, 1.0
+    for k in range(sys.n):
+        yield p * weight / np.sqrt(sys.h[..., k])
+        s, r = sys.s_coef[..., k], sys.r_coef[..., k]
+        p_prev, p = p, (lam - s) * p - r * p_prev
+
+
 def psi(sys: OrthoSystem, lam) -> np.ndarray:
     """Normalized wave functions psi_k(lam) = pi_k(lam) e^(-lam^2/2)/sqrt(h_k)
     for k = 0 .. sys.n - 1, stacked on a leading axis, by the forward monic
     recurrence.  For an array system the last axis of lam runs over its
     systems."""
-    lam = np.asarray(lam, dtype=float)
-    weight = np.exp(-np.square(lam) / 2.0)
-    p_prev, p, out = 0.0, 1.0, []
-    for k in range(sys.n):
-        out.append(p * weight / np.sqrt(sys.h[..., k]))
-        s, r = sys.s_coef[..., k], sys.r_coef[..., k]
-        p_prev, p = p, (lam - s) * p - r * p_prev
-    return np.stack(np.broadcast_arrays(*out))
+    return np.stack(np.broadcast_arrays(*_psi_terms(sys, lam)))
 
 
 def kernel(sys: OrthoSystem, lam1, lam2):
@@ -181,11 +186,15 @@ def dos_exact(r: float | np.ndarray, n: int) -> float | np.ndarray:
         raise ValueError(f"dos_exact needs n in [2, {MAX_MATRIX_SIZE}]")
     r_arr = np.asarray(r, dtype=float)
     _, _, weights, sys, cdf_vals, psi_y = _node_set(r_arr, n)
-    # one recurrence at y - r for every r (rows) and node (columns)
-    psi_r = psi(sys, sys.y - r_arr.reshape(-1, 1))
     k_yy = np.sum(psi_y * psi_y, axis=0)
-    k_rr = np.sum(psi_r * psi_r, axis=0)
-    k_yr = np.sum(psi_y[:, None] * psi_r, axis=0)
+    # one recurrence at y - r for every r (rows) and node (columns), its
+    # terms summed into the kernels as they come, in the order of np.sum
+    terms = _psi_terms(sys, sys.y - r_arr.reshape(-1, 1))
+    psi_r = next(terms)
+    k_rr, k_yr = psi_r * psi_r, psi_y[0] * psi_r
+    for psi_k, psi_r in zip(psi_y[1:], terms):
+        k_rr += psi_r * psi_r
+        k_yr += psi_k * psi_r
     total = np.sum(weights * cdf_vals * (k_yy * k_rr - k_yr * k_yr),
                    axis=-1).reshape(r_arr.shape) / (n - 1)
     return float(total) if r_arr.ndim == 0 else total

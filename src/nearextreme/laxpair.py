@@ -8,9 +8,10 @@ branch (f oscillates for x < r), negative r the first-gap branch (f decays
 everywhere).  The density-of-states branch is bounded by the seed alone,
 x - r >= airy.X_MIN at the top two nodes: r <= 79.995 on the default table.
 
-:func:`solve_psi_batch` marches f for many r at once and returns f alone,
-one array; :func:`qf_integral` forms I = int_x^inf q f for the columns it
-is given, so that callers hold I for a few columns at a time.
+:func:`f_blocks` marches f for many r at once and hands it out in row
+blocks from x_max down, as the edge integral consumes it, so that no array
+of the whole grid need exist; :func:`solve_psi_batch` stacks the blocks, and
+:func:`qf_integral` forms I = int_x^inf q f for the columns it is given.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ _Q_FLOOR = 1e-4
 #: spectral-parameter step of the centred r-difference in lax_residuals
 LAX_DELTA = 1e-4
 
-# rows of the Numerov march built and held at a time
-_BLOCK = 512
+# table-grid rows per block of the march; the half grid takes twice as many
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -65,56 +66,47 @@ class PsiPair:
         self.table.grid.check(f=self.f, g=self.g, f_prime=self.f_prime)
 
 
-def _numerov_down(x: np.ndarray, q2: np.ndarray, r: np.ndarray,
-                  f: np.ndarray, fold: bool = False) -> None:
+def _numerov_down(x: np.ndarray, q2: np.ndarray, r: np.ndarray, rows: int,
+                  stride: int = 1):
     """f'' = (x + 2q^2 - r) f on the uniform nodes x, one column per r,
-    marched downward from the Airy seed at the top two nodes into f, which
-    has one row per node of the table grid.  x is either that grid's
-    halving, whose f is stored at its even nodes, or the table grid itself,
-    whose f_h is folded into the stored f as f <- (16/15) f - f_h/15
-    (Richardson).
+    marched downward from the Airy seed at the top two nodes: a generator
+    of (nodes, f) for each block of ``rows`` nodes from the top down, f at
+    the block's nodes that are multiples of ``stride``, in ascending order,
+    and ``nodes`` the slice of node indices divided by stride.
 
     With A = 1 - h^2 V / 12 and u = A f, Numerov's recurrence reads
     u[i-1] = (12 / A[i] - 10) u[i] - u[i+1].  u runs through a buffer of
-    _BLOCK + 2 rows and A is built _BLOCK rows at a time; each block's
-    finished rows leave the buffer as u / A, and its two lowest rows carry
-    into the next block.
+    rows + 2 rows, the block's nodes and the two above it, and A is built
+    for one block at a time; the block's two lowest rows carry into the
+    next.
     """
     h, n = x[1] - x[0], x.size
-    stride = (n - 1) // (f.shape[0] - 1)
-    buf = np.empty((_BLOCK + 2, r.size))
-    rows = list(buf)
+    buf = np.empty((rows + 2, r.size))
+    u, multiply, subtract = list(buf), np.multiply, np.subtract
 
     def coefficient(nodes: slice) -> np.ndarray:
         return 1.0 - h * h / 12.0 * ((x[nodes] + 2.0 * q2[nodes])[:, None] - r)
 
-    # a block writes u at nodes hi - 2 down to lo - 1 from nodes hi - 1 and
-    # hi; buf[j] is node lo - 1 + j, and c[j] belongs to node lo + j
-    for hi in range(n - 1, 1, -_BLOCK):
-        lo = max(hi - _BLOCK, 1)
-        m = hi - lo + 2
+    # buf[j] is node lo + j; c[j] belongs to node lo + 1 + j
+    for hi in range(n - 1, -1, -rows):
+        lo = max(hi - rows + 1, 0)
+        m = hi - lo + 1
         if hi == n - 1:
             top = slice(n - 2, n)
             buf[m - 2:m] = (SEED_AMPLITUDE * ai_pair(x[top, None] - r)[0]
                             * coefficient(top))
+            start = m - 3
         else:
-            buf[m - 2:m] = buf[:2]
-        c = 12.0 / coefficient(slice(lo, hi)) - 10.0
-        for j in range(m - 3, -1, -1):
-            np.multiply(c[j], rows[j + 1], out=rows[j])
-            rows[j] -= rows[j + 2]
-        # nodes lo - 1 and lo stay for the next block, except after the
-        # last; of the others, every stride-th node from x[0] is kept
-        first = lo + 1 if lo > 1 else 0
-        first += -first % stride
-        u = buf[first - lo + 1:m:stride]
-        a = coefficient(slice(first, hi + 1, stride))
-        out = f[first // stride:hi // stride + 1]
-        if fold:
-            out *= 16.0 / 15.0
-            out -= u / a / 15.0
-        else:
-            np.divide(u, a, out=out)
+            buf[m:m + 2] = buf[:2]
+            start = m - 1
+        c = list(12.0 / coefficient(slice(lo + 1, lo + start + 2)) - 10.0)
+        for j in range(start, -1, -1):
+            multiply(c[j], u[j + 1], u[j])
+            subtract(u[j], u[j + 2], u[j])
+        first = lo + -lo % stride
+        yield (slice(first // stride, hi // stride + 1),
+               buf[first - lo:m:stride]
+               / coefficient(slice(first, hi + 1, stride)))
 
 
 def check_range(r: np.ndarray, table: PainleveTable) -> None:
@@ -132,9 +124,34 @@ def check_range(r: np.ndarray, table: PainleveTable) -> None:
             "f underflows double precision; use gap_tail_asymptotic instead")
 
 
+def f_blocks(r_values, table: PainleveTable):
+    """f on the table grid at every spectral parameter in ``r_values``, one
+    column per r: a generator of (rows, block) from x_max down, ``block``
+    holding f at the table nodes ``rows`` (a slice, ascending).
+
+    The half-grid and table-grid marches run in lockstep, a block of
+    2 _BLOCK half-grid nodes with one of _BLOCK table nodes, so that each
+    pair folds at once into the Richardson combination
+    (16 f_h/2 - f_h) / 15, as f_h/2 *= 16/15, then -= f_h / 15.  No array
+    of the whole grid is held; ``r_values`` is range checked first.
+    """
+    r = np.atleast_1d(np.asarray(r_values, dtype=float))
+    check_range(r, table)
+    grid, q = table.grid, table.q
+    x_half = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
+    q_half = hermite(grid, q, table.q_prime, x_half)
+    half = _numerov_down(x_half, q_half * q_half, r, 2 * _BLOCK, stride=2)
+    whole = _numerov_down(grid.nodes(), q * q, r, _BLOCK)
+    for (rows, f), (_, f_h) in zip(half, whole, strict=True):
+        f *= 16.0 / 15.0
+        f -= f_h / 15.0
+        yield rows, f
+
+
 def solve_psi_batch(r_values, table: PainleveTable) -> np.ndarray:
     """f on the table grid at every spectral parameter in ``r_values``, an
-    (n_points, len(r_values)) array with one column per r.
+    (n_points, len(r_values)) array with one column per r: the blocks of
+    :func:`f_blocks` stacked.
 
     f is marched downward from x_max, the stable direction: the Bi-type
     admixture of the Airy seed decays relative to the Ai-type branch as x
@@ -145,17 +162,11 @@ def solve_psi_batch(r_values, table: PainleveTable) -> np.ndarray:
     f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the combination by ~4e-9.
     q at the half-grid midpoints is the cubic Hermite interpolant of the
     table's q and q'.
-    The solve holds one such array: the half-grid march stores its even
-    rows in it, and the table-grid march folds into it block by block.
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
-    check_range(r, table)
-    grid, q = table.grid, table.q
-    x_half = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
-    q_half = hermite(grid, q, table.q_prime, x_half)
-    f = np.empty((grid.n_points, r.size))
-    _numerov_down(x_half, q_half * q_half, r, f)
-    _numerov_down(grid.nodes(), q * q, r, f, fold=True)
+    f = np.empty((table.grid.n_points, r.size))
+    for rows, block in f_blocks(r, table):
+        f[rows] = block
     return f
 
 

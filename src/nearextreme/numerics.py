@@ -9,6 +9,9 @@ from values and known slopes, which raises off the grid; and
 *from the right end inward* so that small tail values retain full relative
 accuracy even when the integrand grows by many orders of magnitude toward the
 left; a global antiderivative difference would lose them to cancellation.
+The rule lives in :class:`RightIntegral`, which takes g in row blocks from
+x_max down, so that a long integrand need never exist whole;
+:func:`integral_from_right` feeds it the whole array as one block.
 The part beyond x_max is a closed-form remainder that the caller adds, by
 one tail rule: there q is Ai and f its Airy seed, so each remainder is a
 moment of Ai^2 (:func:`_airy_tail_moments`), or for an integrand following
@@ -126,13 +129,78 @@ def derivative(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     """g' at every node of the uniform grid x (5 or more nodes), g =
     ``values`` with one function per trailing column: five-point differences
     of fourth order, one-sided at the two end nodes on each side."""
-    g = np.asarray(values, dtype=float)
-    h = x[1] - x[0]
+    return _five_point(np.asarray(values, dtype=float), x[1] - x[0])
+
+
+def _five_point(g: np.ndarray, h: float) -> np.ndarray:
+    """:func:`derivative` of the rows of g, spaced h apart."""
     dg = np.empty_like(g)
     dg[2:-2] = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * h)
     dg[:2] = np.tensordot(_ONE_SIDED, g[:5], axes=1) / h
     dg[-2:] = -np.tensordot(_ONE_SIDED[::-1, ::-1], g[-5:], axes=1) / h
     return dg
+
+
+class RightIntegral:
+    """int_x^{x_max} g at every node of the uniform grid x (5 or more nodes),
+    from g in row blocks: fed top block first, rows ascending within a
+    block, every block but the last of four rows or more.  The trailing axes
+    of g hold one integrand per column.  :meth:`feed` returns the integral
+    on the rows of the block fed before it (None for the first block), and
+    :meth:`close` on the rows of the last.
+
+    The rule is :func:`integral_from_right`'s, float for float: a cumulative
+    sum of the trapezoid pair terms from x_max down, each block's carry
+    added to its first term, plus h^2/12 (g'(x) - g'(x_max)), with g' by
+    five-point differences on a window of the block and up to four rows on
+    either side, so that one-sided differences fall on the two rows at
+    either end of the grid and nowhere else.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self._h = x[1] - x[0]
+        self._rows_left = x.size
+        self._held = None    # g of the block whose integral is unfinished
+        self._cum = None     # its trapezoid sums from x_max
+        self._above = None   # the lowest four rows of g above it
+        self._dg_top = None  # g'(x_max)
+
+    def feed(self, block) -> Optional[np.ndarray]:
+        g = np.asarray(block, dtype=float)
+        self._rows_left -= len(g)
+        if self._rows_left < 0 or (len(g) < 4 and self._rows_left):
+            raise ValueError("blocks must fill the grid, and only the last "
+                             "may have fewer than four rows")
+        # the top block's top row is x_max, where the integral is 0; every
+        # other block's top row pairs with the lowest row above it
+        top = self._held is None
+        pairs = g if top else np.concatenate((g, self._held[:1]))
+        pairs = 0.5 * self._h * (pairs[-1:0:-1] + pairs[-2::-1])
+        if not top:
+            pairs[0] += self._cum[0]
+        cum = np.zeros_like(g)
+        cum[:len(pairs)] = np.cumsum(pairs, axis=0)[::-1]
+        done = None if top else self._finish(g[-4:])
+        self._held, self._cum = g, cum
+        return done
+
+    def close(self) -> np.ndarray:
+        if self._rows_left:
+            raise ValueError(f"{self._rows_left} rows of the grid not fed")
+        return self._finish(self._held[:0])
+
+    def _finish(self, below: np.ndarray) -> np.ndarray:
+        """The held block's integral, given up to four rows below it."""
+        g, h = self._held, self._h
+        above = g[:0] if self._above is None else self._above
+        dg = _five_point(np.concatenate((below, g, above)), h)
+        dg = dg[len(below):len(below) + len(g)]
+        if self._dg_top is None:
+            self._dg_top = dg[-1]
+        self._above = np.concatenate((g[:4], above))[:4]
+        cum = self._cum
+        cum += h * h / 12.0 * (dg - self._dg_top)
+        return cum
 
 
 def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -141,14 +209,11 @@ def integral_from_right(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     whole-grid integral is its value at the first node.  The trapezoid rule
     is summed from x_max downward, so that it keeps relative accuracy where
     it is small, plus the Euler-Maclaurin end correction
-    h^2/12 (g'(x) - g'(x_max)) with five-point g', which makes it O(h^4)."""
-    g = np.asarray(values, dtype=float)
-    h = x[1] - x[0]
-    cum = np.zeros_like(g)
-    cum[:-1] = np.cumsum(0.5 * h * (g[-1:0:-1] + g[-2::-1]), axis=0)[::-1]
-    dg = derivative(x, g)
-    cum += h * h / 12.0 * (dg - dg[-1])
-    return cum
+    h^2/12 (g'(x) - g'(x_max)) with five-point g', which makes it O(h^4):
+    a :class:`RightIntegral` fed the whole grid as one block."""
+    acc = RightIntegral(x)
+    acc.feed(values)
+    return acc.close()
 
 
 def gauss_legendre(f: Callable, ends, n_nodes: int) -> float:

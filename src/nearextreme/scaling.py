@@ -14,11 +14,11 @@ import math
 
 import numpy as np
 
-from .numerics import (ZETA_PRIME_MINUS_ONE, _airy_tail_moments,
-                       gauss_legendre, integral_from_right)
+from .numerics import (ZETA_PRIME_MINUS_ONE, AiryProductTail, RightIntegral,
+                       _airy_tail_moments, gauss_legendre,
+                       integral_from_right)
 # solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
-from .laxpair import (check_range, qf_integral, solve_psi,  # noqa: F401
-                      solve_psi_batch)
+from .laxpair import check_range, f_blocks, solve_psi  # noqa: F401
 from .painleve import PainleveTable
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -32,38 +32,45 @@ GAP_TAIL_AMPLITUDE = (2.0 ** (-91.0 / 48.0)
 NEGATIVE_TOL = 1e-12
 
 
-#: most spectral parameters per batched psi solve; each solve holds one
-#: n_points x chunk float array, f, so this bounds memory for any grid
+#: most spectral parameters per psi march; the march and the edge integral
+#: hold a few row blocks of this many columns at a time, whatever the grid
 R_CHUNK = 64
-#: columns at a time for which I and the edge integrand are formed; their
-#: cost is per node, so a few columns suffice
-COLUMN_CHUNK = 4
 
 
 def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
     """(2^(1/3)/pi) int (f^2 - I^2) F2 dx at every signed spectral parameter
-    in ``r_signed``, I(x) = int_x^inf q f: on the table grid from psi solves
-    of R_CHUNK columns, with I and the integrand formed COLUMN_CHUNK columns
-    at a time; beyond x_max, where f is its Airy seed and I^2 and 1 - F2 are
-    O(q(x_max)^2), it is int_b^inf Ai^2, b = x_max - r (as
-    (2^(1/3)/pi) SEED_AMPLITUDE^2 = 1).  The whole of ``r_signed`` is range
-    checked before the first solve."""
+    in ``r_signed``, I(x) = int_x^inf q f: on the table grid, streamed from
+    the row blocks of :func:`laxpair.f_blocks`, R_CHUNK columns at a time.
+    One :class:`RightIntegral` turns q f into I a block behind the march,
+    and a second sums the integrand from the blocks whose I is done, so
+    that no array of the whole grid is formed.  Beyond x_max, where f is
+    its Airy seed and I^2 and 1 - F2 are O(q(x_max)^2), the integral is
+    int_b^inf Ai^2, b = x_max - r (as (2^(1/3)/pi) SEED_AMPLITUDE^2 = 1).
+    The whole of ``r_signed`` is range checked before the first march."""
     r = np.atleast_1d(np.asarray(r_signed, dtype=float))
     check_range(r, table)
-    x = table.grid.nodes()
-    f2 = table.f2[:, None]
+    grid = table.grid
+    x, q, f2 = grid.nodes(), table.q[:, None], table.f2[:, None]
     total = np.empty(r.size)
+
+    def integrand(rows, f, grid_part):
+        # I is the grid's part of int_x^inf q f plus the chunk's q f tail
+        return (f**2 - (grid_part + tail)**2) * f2[rows]
+
     for start in range(0, r.size, R_CHUNK):
         rc = r[start:start + R_CHUNK]
-        f = solve_psi_batch(rc, table)
-        for j in range(0, rc.size, COLUMN_CHUNK):
-            cols = slice(j, j + COLUMN_CHUNK)
-            big_i = qf_integral(f[:, cols], rc[cols], table)
-            total[start + j:start + j + COLUMN_CHUNK] = integral_from_right(
-                x, (f[:, cols]**2 - big_i**2) * f2)[0]
-        # before the next chunk's solve allocates; a view of f bound to a
-        # name would keep it alive
-        del f
+        big_i, integral = RightIntegral(x), RightIntegral(x)
+        held = None  # (rows, f) of the block whose I the next feed finishes
+        for rows, f in f_blocks(rc, table):
+            qf = q[rows] * f
+            grid_part = big_i.feed(qf)
+            if held is None:
+                tail = AiryProductTail(rc).remainder(grid.x_max, qf[-1])
+            else:
+                integral.feed(integrand(*held, grid_part))
+            held = rows, f
+        integral.feed(integrand(*held, big_i.close()))
+        total[start:start + R_CHUNK] = integral.close()[0]
     return (_CBRT2 / math.pi * total
             + _airy_tail_moments(table.grid.x_max - r)[0])
 

@@ -466,6 +466,32 @@ def test_asymptotics(tmp_path):
         math.sqrt(rows[-1, 0]) / math.pi, rel=1e-9)
 
 
+def test_asymptotics_writes_nan_outside_each_form(tmp_path):
+    # the default table: gap_tail is negative below r_tilde = 1.4095 and
+    # f2_left_tail above 1 below 0.7094; those cells are nan, and every
+    # other cell is the library's form
+    from nearextreme import painleve, scaling
+
+    out = tmp_path / "asym.csv"
+    assert run(["asymptotics", "--out", str(out)]) == 0
+    header, names, rows = read_csv(out)
+    assert names == ["r_tilde", "gap_tail", "dos_tail", "f2_left_tail"]
+    assert sum(line.startswith("# admissible: ") for line in header) == 1
+    r, gap, f2 = rows[:, 0], rows[:, 1], rows[:, 3]
+    assert not np.any(gap < 0.0) and not np.any(f2 > 1.0)
+    assert np.array_equal(np.isnan(gap), r < 1.4095)
+    assert np.array_equal(np.isnan(f2), r < 0.7094)
+    assert np.count_nonzero(np.isnan(gap)) == 19
+    assert np.count_nonzero(np.isnan(f2)) == 5
+    # (r_tilde as written has 12 digits, so the forms agree to about 1e-10)
+    kept = ~np.isnan(gap)
+    assert gap[kept] == pytest.approx(
+        scaling.gap_tail_asymptotic(r[kept]), rel=1e-9)
+    kept = ~np.isnan(f2)
+    assert f2[kept] == pytest.approx(
+        painleve.tracy_widom_f2_asymptote(-r[kept]), rel=1e-9)
+
+
 def test_check_suite_passes(tmp_path, capsys):
     assert run(["check"]) == 0
     outp = capsys.readouterr().out

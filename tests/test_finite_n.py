@@ -2,6 +2,7 @@
 density of states and gap PDF."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -367,6 +368,22 @@ def test_dos_normalization_n4():
 def test_gap_normalization_n4():
     val, _ = quad(lambda r: fn.gap_pdf_exact(r, 4), 0.0, 8.0, limit=200)
     assert val == pytest.approx(1.0, abs=1e-4)
+
+
+def test_dos_memory_holds_no_stack_of_wave_functions():
+    # the recurrence at y - r is summed into K(y - r, y - r) and K(y, y - r)
+    # term by term, so no (N, r, nodes) stack exists: 0.75 MiB traced for
+    # the N = 12 DOS at the 61 points of `finite-n --n 12 --quantity dos
+    # --rmax 12 --step 0.2` with its node set built (2.1 MiB stacked)
+    r = np.arange(0.0, 12.1, 0.2)
+    fn.dos_exact(r, 12)
+    tracemalloc.start()
+    try:
+        fn.dos_exact(r, 12)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25
 
 
 def test_dos_input_validation():

@@ -138,39 +138,55 @@ def whole_array_march(x, q2, r):
 
 
 def half_grid(table):
-    """The table grid's halving and q^2 on it, as solve_psi_batch builds
-    them."""
+    """The table grid's halving and q^2 on it, as f_blocks builds them."""
     grid = table.grid
     x = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
     q = hermite(grid, table.q, table.q_prime, x)
     return x, q * q
 
 
+def stacked(blocks, n_rows, n_cols):
+    """The (rows, block) pairs of a march stacked into one array; each row
+    is written once, and the blocks run from the top down."""
+    out = np.full((n_rows, n_cols), np.nan)
+    top = n_rows
+    for rows, block in blocks:
+        assert rows.stop == top and np.all(np.isnan(out[rows]))
+        out[rows] = block
+        top = rows.start
+    assert top == 0
+    return out
+
+
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_strided_march_keeps_even_rows_exactly(table, sign):
-    # the half-grid march keeps only its even rows and builds its
-    # coefficients block by block; neither may change a float
+    # the march builds its coefficients block by block, and on the half grid
+    # keeps only its even rows; neither may change a float, whatever the
+    # block size and however the blocks fall on the even rows
     x, q2 = half_grid(table)
     r = sign * np.array([0.0, 0.5, 3.0, 7.5, 12.0])
-    full = np.empty((x.size, r.size))
-    laxpair._numerov_down(x, q2, r, full)
-    assert np.array_equal(full, whole_array_march(x, q2, r))
-    half = np.empty((table.grid.n_points, r.size))
-    laxpair._numerov_down(x, q2, r, half)
-    assert np.array_equal(half, full[::2])
+    whole = whole_array_march(x, q2, r)
+    for rows in (2 * laxpair._BLOCK, 999):
+        full = stacked(laxpair._numerov_down(x, q2, r, rows), x.size, r.size)
+        assert np.array_equal(full, whole)
+        half = stacked(laxpair._numerov_down(x, q2, r, rows, stride=2),
+                       table.grid.n_points, r.size)
+        assert np.array_equal(half, full[::2])
 
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_folded_march_is_the_richardson_combination(table, sign):
-    # the table-grid march folds each finished block into the half-grid f;
+    # the two marches run in lockstep and each pair of blocks folds at once;
     # that must be the same float as Richardson on two whole-grid marches
     x_half, q2_half = half_grid(table)
     x, q = table.grid.nodes(), table.q
     r = sign * np.array([0.0, 0.5, 3.0, 7.5, 12.0])
     f_half = whole_array_march(x_half, q2_half, r)
     f_h = whole_array_march(x, q * q, r)
-    assert np.array_equal(laxpair.solve_psi_batch(r, table),
-                          (16.0 / 15.0) * f_half[::2] - f_h / 15.0)
+    want = (16.0 / 15.0) * f_half[::2] - f_h / 15.0
+    assert np.array_equal(stacked(laxpair.f_blocks(r, table), x.size, r.size),
+                          want)
+    assert np.array_equal(laxpair.solve_psi_batch(r, table), want)
 
 
 def test_error_budget_grid_halving(table):

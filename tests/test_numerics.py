@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from nearextreme.numerics import (AiryProductTail, Grid, ZETA_PRIME_MINUS_ONE,
-                                  _airy_tail_moments, derivative,
-                                  gauss_legendre, hermite,
+from nearextreme.numerics import (AiryProductTail, Grid, RightIntegral,
+                                  ZETA_PRIME_MINUS_ONE, _airy_tail_moments,
+                                  derivative, gauss_legendre, hermite,
                                   integral_from_right, integrate_ode)
 
 
@@ -141,6 +141,47 @@ def test_integral_from_right_fourth_order():
 
     for n in (31, 61, 121):
         assert 12.0 < error(n) / error(2 * n - 1) < 20.0
+
+
+def fed_in_blocks(x, g, rows):
+    """int_x^{x_max} g from a RightIntegral fed blocks of ``rows`` rows from
+    the top, the finished blocks stacked."""
+    acc, done = RightIntegral(x), []
+    for top in range(x.size, 0, -rows):
+        out = acc.feed(g[max(top - rows, 0):top])
+        if out is not None:
+            done.append(out)
+    done.append(acc.close())
+    return np.concatenate(done[::-1])
+
+
+@pytest.mark.parametrize("n", (5, 9, 37, 130))
+def test_integral_in_blocks_is_the_whole_array_rule(n):
+    # fed in blocks, the rule is the same float at every node: the carry
+    # joins each block's cumulative sum, and the five-point g' is one-sided
+    # at the grid's end rows alone, whatever the blocks hold (here the last
+    # block takes 1 to all rows, and the first fewer than five)
+    x = np.linspace(-1.0, 3.0, n)
+    g = np.exp(x)[:, None] * np.cos(np.arange(3.0) * x[:, None])
+    whole = integral_from_right(x, g)
+    for rows in range(4, n + 1):
+        assert np.array_equal(fed_in_blocks(x, g, rows), whole)
+    assert np.array_equal(fed_in_blocks(x, g[:, 0], 4),
+                          integral_from_right(x, g[:, 0]))
+
+
+def test_integral_in_blocks_refuses_a_short_or_missing_block():
+    x = np.linspace(0.0, 1.0, 12)
+    acc = RightIntegral(x)
+    acc.feed(np.ones(6))
+    with pytest.raises(ValueError, match="four rows"):
+        acc.feed(np.ones(3))
+    acc = RightIntegral(x)
+    acc.feed(np.ones(6))
+    with pytest.raises(ValueError, match="6 rows of the grid not fed"):
+        acc.close()
+    with pytest.raises(ValueError, match="fill the grid"):
+        acc.feed(np.ones(7))
 
 
 def test_cumulative_tail_exponential():
