@@ -2,12 +2,14 @@
 
 Monic polynomials pi_k orthogonal for the weight e^(-lambda^2) truncated at
 y are built by the discretised Stieltjes procedure (Gautschi 2004, sec. 2.2:
-inner products on one fixed Gauss-Legendre rule feed the three-term
-recurrence), for a whole array of y at once.  The Hankel-moment route is
-catastrophically ill-conditioned; Stieltjes keeps matrix sizes up to 12 at
-double precision.  From the recurrence follow the normalized wave functions
-psi_k, the kernel K_N = sum_{k<N} psi_k psi_k, the CDF of the largest
-eigenvalue, and the exact density of states / first-gap PDF.
+inner products on one fixed Gauss-Legendre rule, :func:`numerics.gauss_rule`,
+feed the three-term recurrence), for a whole array of y at once.
+The Hankel-moment route is catastrophically ill-conditioned; Stieltjes
+keeps matrix sizes up to 12 at double precision.  From the recurrence follow
+the normalized wave functions psi_k, the kernel K_N = sum_{k<N} psi_k psi_k,
+the CDF of the largest eigenvalue, and the exact density of states /
+first-gap PDF.  Arrays of y and r are worked in row blocks, each the same
+floats as a whole call.
 """
 
 from __future__ import annotations
@@ -18,22 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import gauss_rule
+
 # conditioning cap: matrix size N <= 12, and as many polynomials
 MAX_MATRIX_SIZE = 12
 
 # one Gauss-Legendre rule serves the inner products and the y integrals
 _GL_NODES = 160
 
+# rows per block: truncation points y in a Stieltjes pass, distances r in
+# a dos_exact sum
+_Y_BLOCK = 32
+_R_BLOCK = 16
+
 
 def truncation_amplitude(y: float) -> float:
     """a(y) = e^(-y^2) / (sqrt(pi) erfc(-y)), for y >= -26: below, e^(-y^2)
     underflows, as the weight does in :func:`_stieltjes`."""
     return math.exp(-y * y) / (math.sqrt(math.pi) * math.erfc(-y))
-
-
-@functools.cache
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GL_NODES)
 
 
 @dataclass(frozen=True)
@@ -73,25 +77,30 @@ def _stieltjes(y, n: int):
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("y must be finite")
+    hsr = np.zeros((3, y_arr.size, n))
+    flat = y_arr.reshape(-1)
+    for i in range(0, flat.size, _Y_BLOCK):
+        _stieltjes_block(flat[i:i + _Y_BLOCK], *hsr[:, i:i + _Y_BLOCK])
+    return tuple(hsr.reshape((3,) + y_arr.shape + (n,)))
+
+
+def _stieltjes_block(y: np.ndarray, h, s, r) -> None:
+    """Fill the rows (y, n) of h, S and R for the 1-D y."""
     # the weight is negligible beyond |lambda| = 13 (e^(-169)): the rule ends
     # at min(y, 13) and starts at -13, or 2 below y when y is further out
-    x, w = _gauss_rule()
-    lo = np.minimum(-13.0, y_arr - 2.0)[..., None]
-    half = 0.5 * (np.minimum(y_arr, 13.0)[..., None] - lo)
+    x, w = gauss_rule(_GL_NODES)
+    lo = np.minimum(-13.0, y - 2.0)[:, None]
+    half = 0.5 * (np.minimum(y, 13.0)[:, None] - lo)
     lam = half * x + (lo + half)
     wt = half * w * np.exp(-lam * lam)
-    h = np.zeros(y_arr.shape + (n,))
-    s = np.zeros_like(h)
-    r = np.zeros_like(h)
     p_prev, p = np.zeros_like(lam), np.ones_like(lam)
-    for k in range(n):
+    for k in range(h.shape[1]):
         wp2 = wt * p * p
-        h[..., k] = wp2.sum(axis=-1)
-        s[..., k] = (wp2 * lam).sum(axis=-1) / h[..., k]
+        h[:, k] = wp2.sum(axis=-1)
+        s[:, k] = (wp2 * lam).sum(axis=-1) / h[:, k]
         if k > 0:
-            r[..., k] = h[..., k] / h[..., k - 1]
-        p_prev, p = p, (lam - s[..., k, None]) * p - r[..., k, None] * p_prev
-    return h, s, r
+            r[:, k] = h[:, k] / h[:, k - 1]
+        p_prev, p = p, (lam - s[:, k, None]) * p - r[:, k, None] * p_prev
 
 
 def _psi_terms(sys: OrthoSystem, lam):
@@ -160,7 +169,7 @@ def _dos_nodes(n: int, left_extension: int = 0):
         a, b = np.where(below, m, a), np.where(below, b, m)
     y_lo, y_hi = 0.5 * (a + b)
     y_lo -= left_extension
-    x, w = _gauss_rule()
+    x, w = gauss_rule(_GL_NODES)
     y_nodes = 0.5 * (y_hi - y_lo) * x + 0.5 * (y_hi + y_lo)
     weights = 0.5 * (y_hi - y_lo) * w
     sys = build_ortho_system(y_nodes, n)
@@ -187,16 +196,21 @@ def dos_exact(r: float | np.ndarray, n: int) -> float | np.ndarray:
     r_arr = np.asarray(r, dtype=float)
     _, _, weights, sys, cdf_vals, psi_y = _node_set(r_arr, n)
     k_yy = np.sum(psi_y * psi_y, axis=0)
-    # one recurrence at y - r for every r (rows) and node (columns), its
-    # terms summed into the kernels as they come, in the order of np.sum
-    terms = _psi_terms(sys, sys.y - r_arr.reshape(-1, 1))
-    psi_r = next(terms)
-    k_rr, k_yr = psi_r * psi_r, psi_y[0] * psi_r
-    for psi_k, psi_r in zip(psi_y[1:], terms):
-        k_rr += psi_r * psi_r
-        k_yr += psi_k * psi_r
-    total = np.sum(weights * cdf_vals * (k_yy * k_rr - k_yr * k_yr),
-                   axis=-1).reshape(r_arr.shape) / (n - 1)
+    flat = r_arr.reshape(-1, 1)
+    total = np.empty(flat.size)
+    for i in range(0, flat.size, _R_BLOCK):
+        # one recurrence at y - r for a block of r (rows) and every node
+        # (columns), its terms summed into the kernels as they come, in the
+        # order of np.sum
+        terms = _psi_terms(sys, sys.y - flat[i:i + _R_BLOCK])
+        psi_r = next(terms)
+        k_rr, k_yr = psi_r * psi_r, psi_y[0] * psi_r
+        for psi_k, psi_r in zip(psi_y[1:], terms):
+            k_rr += psi_r * psi_r
+            k_yr += psi_k * psi_r
+        total[i:i + _R_BLOCK] = np.sum(
+            weights * cdf_vals * (k_yy * k_rr - k_yr * k_yr), axis=-1)
+    total = total.reshape(r_arr.shape) / (n - 1)
     return float(total) if r_arr.ndim == 0 else total
 
 

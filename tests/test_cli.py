@@ -113,13 +113,14 @@ def _src_env():
 
 def _modules_after(argv, tmp_path, module="nearextreme.cli",
                    package="scipy"):
-    """The modules of ``package`` a fresh interpreter holds after importing
-    ``module`` and, if ``argv`` is given, running that CLI command (whose
-    own output, if any, comes first on stdout)."""
+    """The modules of ``package`` (a dotted name: it and its submodules) a
+    fresh interpreter holds after importing ``module`` and, if ``argv`` is
+    given, running that CLI command (whose own output, if any, comes first
+    on stdout)."""
     code = (f"import sys; import {module} as mod; "
             "rc = mod.run(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
             "print(rc, *sorted(m for m in sys.modules "
-            f"if m.split('.')[0] == {package!r}))")
+            f"if (m + '.').startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
                          cwd=tmp_path, capture_output=True, text=True,
                          timeout=300)
@@ -161,6 +162,14 @@ def test_commands_import_only_what_they_use(tmp_path):
                   "gap", "--threads", "1"],
                  ["check"]):
         assert _modules_after(argv + out, tmp_path) == set(), argv
+    # the Gauss-Legendre rules are built by numerics.gauss_rule, so neither
+    # the finite-N quantities nor check load numpy.polynomial
+    for argv in (["finite-n", "--n", "6", "--quantity", "gap"],
+                 ["finite-n", "--n", "6", "--quantity", "dos"],
+                 ["finite-n", "--n", "6", "--quantity", "cdf"],
+                 ["check"]):
+        assert _modules_after(argv + out, tmp_path,
+                              package="numpy.polynomial") == set(), argv
 
 
 def test_default_sample_starts_no_threads(tmp_path):
@@ -235,11 +244,11 @@ def test_finite_n_gap_roundtrip(tmp_path):
         expect = math.sqrt(2.0 / math.pi) * r * r * math.exp(-r * r / 2.0)
         assert v == pytest.approx(expect, abs=1e-6)
     # provenance: the Gauss rule, its node count and the node-set window.
-    # F_2 reaches 1e-13 and 1 - 1e-13 at -3.289 and 5.583; gap distances
+    # F_2 reaches 1e-13 and 1 - 1e-13 at -3.289 and 5.577; gap distances
     # up to 3 widen the lower end by ceil(3 + 1) = 4
     assert header[2] == ("# rule: Gauss-Legendre, 160 nodes, inner products "
                          "on [min(-13, y - 2), min(y, 13)]; y integral on "
-                         "[-7.28904, 5.58333]")
+                         "[-7.28904, 5.57699]")
 
 
 def test_sample_n1_exits_1(capsys):

@@ -180,6 +180,25 @@ def test_array_call_equals_stacked_scalar_calls():
                           [fn.gap_pdf_exact(si, 5) for si in s])
 
 
+def test_blocks_of_y_are_the_whole_call():
+    # the Stieltjes sums run in blocks of y rows, and the kernel sums of
+    # dos_exact in blocks of r rows: a call on more rows than one block
+    # equals its single-block pieces stacked
+    ys = np.linspace(-6.0, 9.0, 3 * fn._Y_BLOCK + 5)
+    whole = fn.build_ortho_system(ys, 12)
+    pieces = [fn.build_ortho_system(ys[i:i + fn._Y_BLOCK], 12)
+              for i in range(0, ys.size, fn._Y_BLOCK)]
+    for name in ("h", "s_coef", "r_coef"):
+        assert np.array_equal(getattr(whole, name),
+                              np.concatenate([getattr(p, name)
+                                              for p in pieces]))
+    r = np.linspace(0.0, 6.0, 2 * fn._R_BLOCK + 3)
+    assert np.array_equal(fn.dos_exact(r, 6),
+                          np.concatenate([fn.dos_exact(r[i:i + fn._R_BLOCK], 6)
+                                          for i in range(0, r.size,
+                                                         fn._R_BLOCK)]))
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         fn.build_ortho_system(0.0, fn.MAX_MATRIX_SIZE + 1)
@@ -305,6 +324,42 @@ def test_kernel_matches_extended_precision():
 # ---------------------------------------------------------------------------
 
 
+def hankel_cdf(y, n, mp):
+    """F_N(y) = det[m_{i+j}(y)] / det[m_{i+j}(inf)], i, j < N, with the
+    moments m_k(y) = int_{-inf}^y lam^k e^(-lam^2) by incomplete gamma
+    functions, in the working precision of mp."""
+    y = mp.mpf(y)
+
+    def moment(k):
+        a = mp.mpf(k + 1) / 2
+        if y <= 0:
+            return (-1) ** k * mp.gammainc(a, y * y, mp.inf) / 2
+        return ((-1) ** k * mp.gamma(a) + mp.gammainc(a, 0, y * y)) / 2
+
+    def full(k):
+        return mp.gamma(mp.mpf(k + 1) / 2) if k % 2 == 0 else mp.mpf(0)
+
+    moments = [moment(k) for k in range(2 * n - 1)]
+    whole = [full(k) for k in range(2 * n - 1)]
+    return (mp.det(mp.matrix([[moments[i + j] for j in range(n)]
+                              for i in range(n)]))
+            / mp.det(mp.matrix([[whole[i + j] for j in range(n)]
+                                for i in range(n)])))
+
+
+def test_cdf_matches_hankel_determinants():
+    # the Heine identity in 50 digits is exact: the CDF keeps 1e-13 relative
+    # from far left to the upper tail (2.6e-12 at y = -3 when the rule's
+    # weights came from Golub-Welsch)
+    mp = pytest.importorskip("mpmath")
+    ys = (-3.0, -1.0, 0.5, 2.0, 3.5, 5.0)
+    got = fn.cdf_lambda_max(np.array(ys), 12)
+    with mp.workdps(50):
+        for y, value in zip(ys, got):
+            ref = hankel_cdf(y, 12, mp)
+            assert abs(float(mp.mpf(value) / ref - 1)) <= 1e-13, y
+
+
 def test_cdf_full_mass():
     assert fn.cdf_lambda_max(8.0, 4) == pytest.approx(1.0, abs=1e-10)
 
@@ -370,11 +425,25 @@ def test_gap_normalization_n4():
     assert val == pytest.approx(1.0, abs=1e-4)
 
 
+def test_node_set_is_built_in_blocks():
+    # the 160 Stieltjes systems of the N = 12 node set are built 32 y at a
+    # time: 0.36 MiB traced (1.62 MiB for one 160 x 160 pass)
+    fn.cdf_lambda_max(0.0, 12)
+    tracemalloc.start()
+    try:
+        fn._dos_nodes.__wrapped__(12)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6
+
+
 def test_dos_memory_holds_no_stack_of_wave_functions():
     # the recurrence at y - r is summed into K(y - r, y - r) and K(y, y - r)
-    # term by term, so no (N, r, nodes) stack exists: 0.75 MiB traced for
-    # the N = 12 DOS at the 61 points of `finite-n --n 12 --quantity dos
-    # --rmax 12 --step 0.2` with its node set built (2.1 MiB stacked)
+    # term by term and 16 r at a time, so no (N, r, nodes) stack exists:
+    # 0.20 MiB traced for the N = 12 DOS at the 61 points of `finite-n --n
+    # 12 --quantity dos --rmax 12 --step 0.2` with its node set built
+    # (0.75 MiB for all 61 r at once, 2.1 MiB stacked)
     r = np.arange(0.0, 12.1, 0.2)
     fn.dos_exact(r, 12)
     tracemalloc.start()
@@ -383,7 +452,7 @@ def test_dos_memory_holds_no_stack_of_wave_functions():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 1.25
+    assert peak < 0.4
 
 
 def test_dos_input_validation():

@@ -1,16 +1,18 @@
 """Infrastructure tests: grids, Hermite interpolation, five-point
 derivatives, right-anchored integration with closed-form tail remainders,
-composite Gauss-Legendre sums, the RK45 integrator and zeta'(-1)."""
+the Gauss-Legendre rule and composite sums on it, the RK45 integrator and
+zeta'(-1)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from nearextreme import numerics
 from nearextreme.numerics import (AiryProductTail, Grid, RightIntegral,
                                   ZETA_PRIME_MINUS_ONE, _airy_tail_moments,
-                                  derivative, gauss_legendre, hermite,
-                                  integral_from_right, integrate_ode)
+                                  derivative, gauss_legendre, gauss_rule,
+                                  hermite, integral_from_right, integrate_ode)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,24 @@ def test_integral_in_blocks_is_the_whole_array_rule(n):
                           integral_from_right(x, g[:, 0]))
 
 
+def test_interior_blocks_take_no_one_sided_differences(monkeypatch):
+    # one-sided g' rows fall within two rows of the grid's ends alone: the
+    # top block and the last block make one tensordot each, and the three
+    # blocks between them none
+    calls = []
+    tensordot = np.tensordot
+    monkeypatch.setattr(np, "tensordot",
+                        lambda *a, **k: calls.append(1) or tensordot(*a, **k))
+    x = np.linspace(0.0, 1.0, 20)
+    acc, made = RightIntegral(x), []
+    for top in range(20, 0, -4):
+        acc.feed(np.exp(x[top - 4:top]))
+        made.append(len(calls))
+    acc.close()
+    made.append(len(calls))
+    assert np.diff(made, prepend=0).tolist() == [0, 1, 0, 0, 0, 1]
+
+
 def test_integral_in_blocks_refuses_a_short_or_missing_block():
     x = np.linspace(0.0, 1.0, 12)
     acc = RightIntegral(x)
@@ -247,6 +267,41 @@ def test_airy_product_tail_of_a_zero_value():
     for r in (-8.0, 0.0, 8.0):
         for x_max in (10.0, 200.0):
             assert AiryProductTail(r).remainder(x_max, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("n", (4, 48, 64, 160))
+def test_gauss_rule_against_extended_precision(n):
+    # the nodes to rounding and the weights to 1e-12 relative, also at the
+    # ends of the rule, where 1 - x^2 is small (Golub-Welsch eigenvectors
+    # lose 1.5e-11 there at n = 160); the reference is Newton on the same
+    # recurrence in 40 digits, from the float nodes
+    mp = pytest.importorskip("mpmath")
+    x, w = gauss_rule(n)
+    assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
+    with mp.workdps(40):
+        for xk, wk in zip(x, w):
+            t = mp.mpf(xk)
+            for _ in range(3):
+                p_prev, p = mp.mpf(0), mp.mpf(1)
+                for k in range(1, n + 1):
+                    p_prev, p = p, ((2 * k - 1) * t * p
+                                    - (k - 1) * p_prev) / k
+                dp = n * (p_prev - t * p) / (1 - t * t)
+                t -= p / dp
+            assert abs(float(t - mp.mpf(xk))) <= 2e-16, (n, xk)
+            ref = 2 / ((1 - t * t) * dp * dp)
+            assert abs(float(mp.mpf(wk) / ref - 1)) <= 1e-12, (n, xk)
+
+
+def test_gauss_rule_is_cached_and_read_only(monkeypatch):
+    x, w = gauss_rule(12)
+    assert gauss_rule(12)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    # a Newton march cut short of convergence is refused
+    monkeypatch.setattr(numerics, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gauss_rule.__wrapped__(12)
 
 
 def test_gauss_legendre_exact_per_cell():
