@@ -12,10 +12,10 @@ eigenvalues at or below x is the number of non-positive pivots of the
 LDL^T factorisation of T - x I (Sturm counts; Barth, Martin & Wilkinson,
 Numer. Math. 9 (1967) 386), an O(m) recurrence that runs vectorised over
 draws and bin edges.  :func:`count_histogram` takes the Gershgorin bound
-of each chunk while it fills a slab of draws, finds lambda_max on the
-counts, and then counts once at lambda_max - r_j for every bin edge r_j
-(the DOS), or finds each draw's first gap by a binary search over the
-bin edges, a count at one edge per step (the gap).  lambda_max is the
+of each slab of draws as it is drawn, finds lambda_max on the counts,
+and then counts once at lambda_max - r_j for every bin edge r_j (the
+DOS), or finds each draw's first gap by a binary search over the bin
+edges, a count at one edge per step (the gap).  lambda_max is the
 float that a bisection on the counts ends on, reached by bisection,
 Newton steps and a shorter bisection (:func:`_lambda_max`).
 :func:`sample_spectrum` solves for eigenvalues; the tests use it as the
@@ -35,15 +35,16 @@ the edge DOS counts inside its last bin edge r_last must be among the
 block's top EDGE_TOP_K: it refuses draws with EDGE_TOP_K or more
 eigenvalues above lambda_max - r_last.  The block's entries are
 independent, with the law they have in the whole matrix, so only they are
-drawn: :meth:`TridiagonalSpectrumSampler.fill` makes each draw's m normals
+drawn: :meth:`TridiagonalSpectrumSampler.slabs` makes each draw's m normals
 and m - 1 gammas, O(n^(1/3)) numbers instead of 2n - 1.  So the draws of
 the gap and the edge DOS depend on whether the block or the whole matrix
-is drawn (m < n from n = 166 on); at the same m they are the same floats.
+is drawn (m < n from n = 166 on); at the same m they are the same floats,
+whatever the slabs they are made in: the normals come from one spawned
+Philox stream and the gammas from another, draw after draw.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,9 +52,6 @@ from typing import Optional
 
 import numpy as np
 
-# the draws are split into _N_CHUNKS chunks, and chunk c always draws from
-# spawned Philox stream c: the count defines the stream
-_N_CHUNKS = 64
 # largest n solved as one batch of dense matrices; per-row tridiagonal
 # solves overtake the batch between n = 32 and n = 40
 _DENSE_MAX_N = 32
@@ -62,16 +60,16 @@ _DENSE_MAX_N = 32
 _BLOCK_C = 30
 #: most eigenvalues per draw that the top-left block gives to full accuracy
 EDGE_TOP_K = 16
-# numbers of a chunk's generator made per call: whole rows of the block, or
-# one row where a row does not fit
+# numbers made per call of a stream's generator: the diagonals (or the
+# sub-diagonals) of whole draws, or of one draw where they do not fit
 _PIECE = 2**14
-# count_histogram's slabs are the whole number of chunks nearest to
-# _SLAB_DRAWS draws, but hold at most _SLAB_BYTES of d and e^2 (the bytes
-# bind past m = 1024, n > 3.9e4) and at least one chunk.  Each sweep over
-# a slab makes a numpy call per row, so smaller slabs cost time: at n = 32
-# 3 chunks (4,689 of 1e5 draws, 2.4 MB) count 3 % faster than 2 and as
-# fast as 5; at n = 1000, 5,000 draws count 10 % slower in two slabs than
-# in one
+# slabs hold at most _SLAB_DRAWS draws, fewer where their d and e^2 would
+# pass _SLAB_BYTES (past m = 1024, n > 3.9e4), and at least one.  Each sweep
+# over a slab makes a numpy call per row, so larger slabs count faster but
+# hold more: in slabs of 2,048 / 4,096 / 8,192 draws, 1e5 bulk DOS draws
+# at n = 32 count in 1.00 / 0.99 / 0.93 s and trace 2.2 / 3.1 / 5.0 MiB,
+# and 5,000 gap draws at n = 1000 in 0.27 / 0.25 / 0.22 s and 8.0 / 11.8 /
+# 23.6 MiB
 _SLAB_DRAWS = 4096
 _SLAB_BYTES = 64 * 2**20
 # (draw, bin edge) pairs per tile of a Sturm count, few enough that its
@@ -89,51 +87,44 @@ class TridiagonalSpectrumSampler:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    @functools.cached_property
-    def _children(self) -> list:
-        """The _N_CHUNKS spawned seed sequences, spawned once per sampler."""
-        return np.random.SeedSequence(self.seed).spawn(_N_CHUNKS)
-
-    def fill(self, chunk: int, d: np.ndarray, e: np.ndarray) -> None:
-        """d.shape[1] draws of the top-left m-row block from chunk `chunk`'s
-        own spawned Philox stream, one per column: m diagonal entries into
-        d (m, draws) and m - 1 sub-diagonal entries into e (m - 1, draws).
-        Only the block is drawn: the stream gives the chunk's diagonals,
-        draw after draw, then its sub-diagonals, in whole rows of at most
-        _PIECE numbers (or one row), so each draw is the same float for any
-        piece.  With m = n this is the whole draw; with m < n a draw of the
-        block's law, not the whole draw's first rows."""
-        rng = np.random.Generator(np.random.Philox(self._children[chunk]))
-        m = d.shape[0]
-        _fill_rows(d, lambda rows: rng.standard_normal((rows, m)))
-        # Normal(0, 1/2) as Generator.normal forms it, 0 + sigma z (the 0
-        # turns a -0.0 into 0.0)
-        np.multiply(d, math.sqrt(0.5), out=d)
-        d += 0.0
-        # sub-diagonal k of a row is sqrt(G / 2), G ~ Gamma(n - 1 - k, 1)
+    def slabs(self, count: int, m: int, size: int):
+        """Draws 0 .. count - 1 of the top-left m-row block, one per
+        column, in the fewest slabs of at most `size` draws, evened: yields
+        d (m, draws), the diagonals, and e (m - 1, draws), the
+        sub-diagonals.  d comes from one Philox stream and e from another,
+        both spawned from SeedSequence(seed) on every call and made draw
+        after draw, at most _PIECE numbers a call, so a draw is the same
+        float in any slab, piece or count.  With m = n this is the whole
+        draw; with m < n a draw of the block's law, not the whole draw's
+        first rows.  Every slab is drawn into one buffer, so it holds its
+        draws only until the next slab is drawn."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        d_rng, e_rng = (np.random.Generator(np.random.Philox(child)) for child
+                        in np.random.SeedSequence(self.seed).spawn(2))
+        # sub-diagonal k of a draw is sqrt(G / 2), G ~ Gamma(n - 1 - k, 1)
         shape = np.arange(self.n - 1, self.n - m, -1, dtype=float)
-        _fill_rows(e, lambda rows: rng.standard_gamma(shape,
-                                                      size=(rows, m - 1)))
-        np.divide(e, 2.0, out=e)
-        np.sqrt(e, out=e)
+        slabs = -(-count // size)
+        # every slab but a shorter last one holds ceil(count / slabs) draws
+        size, step = -(-count // slabs), max(1, _PIECE // m)
+        d_buf, e_buf = np.empty((m, size)), np.empty((m - 1, size))
+        for at in range(0, count, size):
+            d, e = d_buf[:, :count - at], e_buf[:, :count - at]
+            for j in range(0, d.shape[1], step):
+                rows = min(step, d.shape[1] - j)
+                # Normal(0, 1/2) as Generator.normal forms it, sigma z + 0
+                # (the 0 turns a -0.0 into 0.0)
+                d[:, j:j + rows] = (d_rng.standard_normal((rows, m)).T
+                                    * math.sqrt(0.5) + 0.0)
+                e[:, j:j + rows] = np.sqrt(e_rng.standard_gamma(
+                    shape, size=(rows, m - 1)).T / 2.0)
+            yield d, e
 
-    def draw(self, chunk: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """`size` draws from chunk `chunk`'s stream, one per row: all
-        diagonals, shape (size, n), then all sub-diagonals (size, n - 1);
-        :meth:`fill` with m = n."""
-        d, e = np.empty((self.n, size)), np.empty((self.n - 1, size))
-        self.fill(chunk, d, e)
+    def draw(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first `size` whole draws of :meth:`slabs`, one per row:
+        diagonals (size, n) and sub-diagonals (size, n - 1)."""
+        d, e = next(self.slabs(size, self.n, size))
         return d.T, e.T
-
-
-def _fill_rows(out: np.ndarray, generate) -> None:
-    """The out.shape[1] rows of k numbers that generate(rows) gives, shape
-    (rows, k), into the columns of out (k, rows), at most _PIECE numbers
-    (or one row) per call."""
-    k, size = out.shape
-    step = max(1, _PIECE // max(k, 1))
-    for j in range(0, size, step):
-        out[:, j:j + step] = generate(min(step, size - j)).T
 
 
 @dataclass(frozen=True)
@@ -158,15 +149,6 @@ class Histogram:
             self.total_samples * widths)
 
 
-def _jobs(count: int) -> list[tuple[int, int]]:
-    """(chunk, draws) for every chunk that gets any of `count` draws."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    base = count // _N_CHUNKS
-    sizes = [base + (c < count - base * _N_CHUNKS) for c in range(_N_CHUNKS)]
-    return [(c, s) for c, s in enumerate(sizes) if s > 0]
-
-
 def block_size(n: int, top_k: Optional[int]) -> int:
     """Size of the top-left block each draw is solved on: n if top_k is
     None or above EDGE_TOP_K, else min(n, ceil(_BLOCK_C n^(1/3))), the same
@@ -183,8 +165,13 @@ def count_header(n: int, scaling: str) -> str:
     m = block_size(n, EDGE_TOP_K) if scaling == "edge" else n
     drawn = "top-left block" if m < n else "full"
     on = f"top-left block m = {m} of n = {n}" if m < n else "full matrix"
-    return (f"draw: {_N_CHUNKS} Philox chunks, {drawn} d/e draw; eigensolve: "
+    return (f"draw: 2 Philox streams, {drawn} d/e draw; eigensolve: "
             f"Sturm counts below bisected lambda_max, {on}")
+
+
+def _slab_size(m: int) -> int:
+    """Draws per slab of an m-row block, by the rule of _SLAB_DRAWS."""
+    return max(1, min(_SLAB_DRAWS, _SLAB_BYTES // ((2 * m - 1) * 8)))
 
 
 def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
@@ -193,21 +180,21 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
 
     With `top_k` set, only the k largest eigenvalues per draw are kept; the
     result has shape (count, k) instead of (count, n).  Each draw is of the
-    top-left :func:`block_size` block, so the draws are deterministic in
-    (n, seed, count) and the block size: every `top_k` up to EDGE_TOP_K
-    solves the same draws, and so do None and every larger `top_k`, but
-    the two groups solve different matrices where the block is smaller
-    than n.  Up to n = 32 a chunk is solved as one batch of dense
-    matrices; above, row by row by scipy's tridiagonal solver (scipy is
-    needed there), for the k largest eigenvalues of the block.
+    top-left :func:`block_size` block, so the draws are fixed by (n, seed)
+    and the block size, and the first c are the same for any count >= c:
+    every `top_k` up to EDGE_TOP_K solves the same draws, and so do None
+    and every larger `top_k`, but the two groups solve different matrices
+    where the block is smaller than n.  Up to n = 32 a slab is solved as
+    one batch of dense matrices; above, row by row by scipy's tridiagonal
+    solver (scipy is needed there), for the k largest eigenvalues of the
+    block.
     """
     n = sampler.n
     k = n if top_k is None else min(top_k, n)
     m = block_size(n, top_k)
 
-    def run_chunk(chunk: int, size: int) -> np.ndarray:
-        d, e = np.empty((m, size)), np.empty((m - 1, size))
-        sampler.fill(chunk, d, e)
+    def solve_slab(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+        size = d.shape[1]
         if n <= _DENSE_MAX_N:  # m = n
             a = np.zeros((size, n, n))
             idx = np.arange(n)
@@ -225,7 +212,8 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
                            select_range=(m - k, m - 1))[::-1]
         return out
 
-    return np.vstack([run_chunk(c, s) for c, s in _jobs(count)])
+    return np.vstack([solve_slab(d, e)
+                      for d, e in sampler.slabs(count, m, _slab_size(m))])
 
 
 def _count_at_or_below(d: np.ndarray, e2: np.ndarray,
@@ -399,17 +387,17 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     edge variables) makes from the spectra of the same draws, from
     eigenvalue counts.
 
-    Slab after slab of whole chunks (about _SLAB_DRAWS draws, at most
-    _SLAB_BYTES of d and e^2, at least one chunk), :func:`_lambda_max`
-    finds lambda_max of every draw.  The DOS then counts once at
-    lambda_max - r_j for all bin edges r_j; the bins are differences of
-    these counts.  The gap's bin comes from :func:`_gap_edge`.  A distance
-    of exactly r_j falls in the bin that starts at r_j, as in np.histogram,
-    but for the last edge, which np.histogram includes; lambda_max itself
-    is below no edge.  The gap and the edge DOS count on the top-left
-    :func:`block_size` block and, as :func:`empirical_dos` refuses
-    top-EDGE_TOP_K spectra that do not reach the last edge, the edge DOS
-    refuses draws with EDGE_TOP_K or more eigenvalues above it.
+    Slab after slab of :meth:`TridiagonalSpectrumSampler.slabs` (of
+    :func:`_slab_size` draws), :func:`_lambda_max` finds lambda_max of
+    every draw.  The DOS then counts once at lambda_max - r_j for all bin
+    edges r_j; the bins are differences of these counts.  The gap's bin
+    comes from :func:`_gap_edge`.  A distance of exactly r_j falls in the
+    bin that starts at r_j, as in np.histogram, but for the last edge,
+    which np.histogram includes; lambda_max itself is below no edge.  The
+    gap and the edge DOS count on the top-left :func:`block_size` block
+    and, as :func:`empirical_dos` refuses top-EDGE_TOP_K spectra that do
+    not reach the last edge, the edge DOS refuses draws with EDGE_TOP_K or
+    more eigenvalues above it.
     """
     n = sampler.n
     if n < 2:
@@ -431,25 +419,12 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("bin edges must increase strictly")
     r = edges * r_per_x
-    jobs = _jobs(count)
-    most = jobs[0][1]  # the largest chunk
-    per_slab = max(1, min(round(_SLAB_DRAWS / most),
-                          _SLAB_BYTES // (most * (2 * m - 1) * 8)))
-    slabs = -(-len(jobs) // per_slab)
-    # the same number of slabs, as even as whole chunks allow
-    per_slab = -(-len(jobs) // slabs)
     tile = max(1, _TILE // edges.size)
 
-    def run_slab(slab):
-        """The slab's tally and, for the DOS, the most eigenvalues above
-        the last edge in any of its draws."""
-        # one draw per column, the counted block only
-        size = sum(s for _, s in slab)
-        d, e2 = np.empty((m, size)), np.empty((m - 1, size))
-        at = 0
-        for chunk, s in slab:
-            sampler.fill(chunk, d[:, at:at + s], e2[:, at:at + s])
-            at += s
+    def run_slab(d, e2):
+        """The tally of a slab of d and e as :meth:`slabs` yields them and,
+        for the DOS, the most eigenvalues above the last edge in a draw."""
+        size = d.shape[1]
         # e2 holds e until its Gershgorin bound is taken, a few columns at
         # a time
         hi = np.empty(size)
@@ -476,10 +451,10 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
             most_above = max(most_above, m - int(k[-1].min()))
         return below, most_above
 
-    # one slab after another, each slab's arrays freed before the next
+    # one slab after another, each drawn into the buffer of the one before
     tally, most_above = 0, 0
-    for i in range(0, len(jobs), per_slab):
-        part, above = run_slab(jobs[i:i + per_slab])
+    for d, e in sampler.slabs(count, m, _slab_size(m)):
+        part, above = run_slab(d, e)
         tally += part
         most_above = max(most_above, above)
     if quantity == "gap":

@@ -128,12 +128,6 @@ def hermite(grid: Grid, values: np.ndarray, slopes: np.ndarray, x):
     return float(out) if out.ndim == 0 else out
 
 
-# g' at the first two of five nodes, to fourth order like the central stencil;
-# mirrored and negated, the same rows give g' at the last two
-_ONE_SIDED = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                       [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
-
-
 def derivative(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     """g' at every node of the uniform grid x (5 or more nodes), g =
     ``values`` with one function per trailing column: five-point differences
@@ -148,10 +142,21 @@ def _five_point(g: np.ndarray, h: float, low: bool = True,
     dg = np.empty_like(g)
     dg[2:-2] = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * h)
     if low:
-        dg[:2] = np.tensordot(_ONE_SIDED, g[:5], axes=1) / h
+        dg[0], dg[1] = _one_sided(*g[:5])
+        dg[:2] /= 12.0 * h
     if high:
-        dg[-2:] = -np.tensordot(_ONE_SIDED[::-1, ::-1], g[-5:], axes=1) / h
+        dg[-1], dg[-2] = _one_sided(*g[:-6:-1])
+        dg[-2:] /= -12.0 * h
     return dg
+
+
+def _one_sided(g0, g1, g2, g3, g4):
+    """12 h g' at the first two of five nodes h apart, to fourth order like
+    the central stencil, in element-wise sums, so that each column gets the
+    same floats in any batch; on the nodes reversed, -12 h g' at the last
+    two."""
+    return (-25.0 * g0 + 48.0 * g1 - 36.0 * g2 + 16.0 * g3 - 3.0 * g4,
+            -3.0 * g0 - 10.0 * g1 + 18.0 * g2 - 6.0 * g3 + g4)
 
 
 class RightIntegral:

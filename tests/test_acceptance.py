@@ -255,12 +255,11 @@ def test_edge_limit_n_million_full(table):
     # against count * int rho_edge; a uniform 1 % shift of rho_edge moves
     # its Poisson z by 0.01 sqrt(3.63 count), so power 0.9 at two-sided
     # alpha = 0.01 takes (2.576 + 1.282)^2 / (0.01^2 * 3.63) = 41,000
-    # draws, here 41,600 (650 a chunk).  The gap, on the same draws: the
-    # KS distance between the CDF of its 0.05-wide bins on [0, 6.4] and
-    # the integral of p_typ at their edges, below its alpha = 0.01 bound
-    # 1.628 / sqrt(count).  Eigenvalue counts spread less than Poisson
-    # (rigidity) and binning only lowers a KS distance, so both gates are
-    # conservative
+    # draws, here 41,600.  The gap, on the same draws: the KS distance
+    # between the CDF of its 0.05-wide bins on [0, 6.4] and the integral of
+    # p_typ at their edges, below its alpha = 0.01 bound 1.628 / sqrt(count).
+    # Eigenvalue counts spread less than Poisson (rigidity) and binning only
+    # lowers a KS distance, so both gates are conservative
     n, count = 10**6, 41_600
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=17)
     hist = mc.count_histogram(sampler, count, "dos", "edge",

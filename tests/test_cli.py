@@ -296,7 +296,7 @@ def test_sample_bulk_dos_full_mass(tmp_path):
                 "--quantity", "dos", "--scaling", "bulk", "--threads", "1",
                 "--out", str(out)]) == 0
     header, _, rows = read_csv(out)
-    assert header[2] == ("# draw: 64 Philox chunks, full d/e draw; eigensolve: "
+    assert header[2] == ("# draw: 2 Philox streams, full d/e draw; eigensolve: "
                          "Sturm counts below bisected lambda_max, full matrix")
     width = rows[1, 0] - rows[0, 0]
     assert float(np.sum(rows[:, 1]) * width) == pytest.approx(1.0, abs=1e-2)
@@ -313,7 +313,7 @@ def test_sample_gap_top_two_matches_full_spectrum(tmp_path):
                 "--quantity", "gap", "--threads", "1",
                 "--out", str(out)]) == 0
     header, _, rows = read_csv(out)
-    assert header[2] == ("# draw: 64 Philox chunks, full d/e draw; eigensolve: "
+    assert header[2] == ("# draw: 2 Philox streams, full d/e draw; eigensolve: "
                          "Sturm counts below bisected lambda_max, full matrix")
     full = mc.sample_spectrum(mc.TridiagonalSpectrumSampler(n=80, seed=9),
                               500)
@@ -336,7 +336,7 @@ def test_sample_edge_dos_block_matches_full_spectrum(tmp_path, monkeypatch):
                 "--quantity", "dos", "--scaling", "edge", "--threads", "1",
                 "--out", str(out)]) == 0
     header, _, rows = read_csv(out)
-    assert header[2] == ("# draw: 64 Philox chunks, top-left block d/e draw; "
+    assert header[2] == ("# draw: 2 Philox streams, top-left block d/e draw; "
                          "eigensolve: Sturm counts below bisected lambda_max, "
                          "top-left block m = 176 of n = 200")
     full = mc.sample_spectrum(WholeDrawSampler(n=200, seed=9), 300)

@@ -14,61 +14,66 @@ from nearextreme import montecarlo as mc
 
 
 def test_draw_uses_the_spawned_child_streams():
-    # chunk c draws from child c of SeedSequence(seed), spawned once per
-    # sampler; every draw restarts its chunk's stream
+    # the diagonals come from child 0 of SeedSequence(seed) and the
+    # sub-diagonals from child 1, spawned anew on every call; every draw
+    # restarts both streams
     sampler = mc.TridiagonalSpectrumSampler(n=6, seed=9)
-    children = np.random.SeedSequence(9).spawn(64)
-    for chunk in (0, 37, 63):
-        rng = np.random.Generator(np.random.Philox(children[chunk]))
-        d = rng.normal(0.0, math.sqrt(0.5), (4, 6))
-        for _ in range(2):
-            assert np.array_equal(sampler.draw(chunk, 4)[0], d)
+    d_rng, e_rng = (np.random.Generator(np.random.Philox(child))
+                    for child in np.random.SeedSequence(9).spawn(2))
+    d = d_rng.normal(0.0, math.sqrt(0.5), (4, 6))
+    e = np.sqrt(e_rng.gamma(np.arange(5.0, 0.0, -1.0), size=(4, 5)) / 2.0)
+    for _ in range(2):
+        got_d, got_e = sampler.draw(4)
+        assert np.array_equal(got_d, d) and np.array_equal(got_e, e)
 
 
-def _reference_draw(n, seed, chunk, size, m=None):
-    """Chunk `chunk`'s draws of the top-left m-row block (m = n by
-    default) as one call per kind: all diagonals (size, m), then all
+def _reference_draw(n, seed, size, m=None):
+    """The first `size` draws of the top-left m-row block (m = n by
+    default) as one call per stream: all diagonals (size, m), then all
     sub-diagonals (size, m - 1)."""
     m = n if m is None else m
-    child = np.random.SeedSequence(seed).spawn(64)[chunk]
-    rng = np.random.Generator(np.random.Philox(child))
-    d = rng.normal(0.0, math.sqrt(0.5), (size, m))
+    d_rng, e_rng = (np.random.Generator(np.random.Philox(child))
+                    for child in np.random.SeedSequence(seed).spawn(2))
+    d = d_rng.normal(0.0, math.sqrt(0.5), (size, m))
     shape = np.arange(n - 1, n - m, -1, dtype=float)
-    return d, np.sqrt(rng.gamma(shape, size=(size, m - 1)) / 2.0)
+    return d, np.sqrt(e_rng.gamma(shape, size=(size, m - 1)) / 2.0)
 
 
 class WholeDrawSampler(mc.TridiagonalSpectrumSampler):
-    """A sampler that fills a top-left block with the leading entries of
-    each whole draw (:meth:`draw` sliced to its block), so that the block
-    and the whole matrix are solved or counted on the same draws."""
+    """A sampler whose top-left blocks are the leading entries of each
+    whole draw (:meth:`slabs` with m = n, sliced to the block), so that the
+    block and the whole matrix are solved or counted on the same draws."""
 
-    def fill(self, chunk, d, e):
-        size = d.shape[1]
-        d_all, e_all = np.empty((self.n, size)), np.empty((self.n - 1, size))
-        super().fill(chunk, d_all, e_all)
-        d[:], e[:] = d_all[:d.shape[0]], e_all[:e.shape[0]]
+    def slabs(self, count, m, size):
+        for d, e in super().slabs(count, self.n, size):
+            yield d[:m], e[:m - 1]
 
 
 @pytest.mark.parametrize("n", (2, 40, 1000))
 def test_fill_in_pieces_is_the_whole_draw(monkeypatch, n):
     # pieces of one draw, pieces of one row where a row does not fit (down
-    # to one number), and pieces larger than the chunk give the block's m
-    # diagonal and m - 1 sub-diagonal entries as one call per kind makes
+    # to one number), and pieces larger than the slab give the block's m
+    # diagonal and m - 1 sub-diagonal entries as one call per stream makes
     # them, float for float, for the block m < n and for the whole draw
-    # m = n
-    size, chunk = 7, 5
+    # m = n, in one slab and in slabs of 3 draws and a last one of 1
+    count = 7
     sampler = mc.TridiagonalSpectrumSampler(n=n, seed=31)
-    d_ref, e_ref = _reference_draw(n, 31, chunk, size)
-    d_all, e_all = sampler.draw(chunk, size)
+    d_ref, e_ref = _reference_draw(n, 31, count)
+    d_all, e_all = sampler.draw(count)
     assert np.array_equal(d_all, d_ref) and np.array_equal(e_all, e_ref)
-    for piece in (n, 1, n // 3 + 1, 10 * size * n):
+    for piece in (n, 1, n // 3 + 1, 10 * count * n):
         monkeypatch.setattr(mc, "_PIECE", piece)
         for m in (max(1, n // 3), n):
-            d_ref, e_ref = _reference_draw(n, 31, chunk, size, m)
-            d, e = np.empty((m, size)), np.empty((m - 1, size))
-            sampler.fill(chunk, d, e)
-            assert np.array_equal(d, d_ref.T), (piece, m)
-            assert np.array_equal(e, e_ref.T), (piece, m)
+            d_ref, e_ref = _reference_draw(n, 31, count, m)
+            for size in (count, 3):
+                slabs = [(d.copy(), e.copy())
+                         for d, e in sampler.slabs(count, m, size)]
+                assert [d.shape[1] for d, _ in slabs] == (
+                    [7] if size == count else [3, 3, 1])
+                d = np.hstack([d for d, _ in slabs])
+                e = np.hstack([e for _, e in slabs])
+                assert np.array_equal(d, d_ref.T), (piece, m, size)
+                assert np.array_equal(e, e_ref.T), (piece, m, size)
 
 
 def test_sampler_validation():
@@ -269,7 +274,7 @@ def test_count_kernel_matches_a_scalar_loop(m):
     # K = 7 points on each of B = 3 draws, from below the spectrum to its
     # Gershgorin bound, so that counts above 255 test the flush of the
     # byte counter at m >= 256
-    d, e = mc.TridiagonalSpectrumSampler(n=m, seed=m).draw(0, 3)
+    d, e = mc.TridiagonalSpectrumSampler(n=m, seed=m).draw(3)
     top = mc._gershgorin_top(d, e)
     x = np.linspace(-top, top, 7)
     d, e2 = d.T.copy(), (e * e).T.copy()
@@ -306,7 +311,7 @@ def test_sturm_count_follows_lapack_at_zero_pivots():
 def test_lambda_max_bisection_meets_lapack():
     from scipy.linalg import eigvalsh_tridiagonal
 
-    d, e = mc.TridiagonalSpectrumSampler(n=200, seed=3).draw(0, 20)
+    d, e = mc.TridiagonalSpectrumSampler(n=200, seed=3).draw(20)
     top = mc._lambda_max(d.T.copy(), (e * e).T.copy(),
                          mc._gershgorin_top(d, e))
     want = [eigvalsh_tridiagonal(a, b)[-1] for a, b in zip(d, e)]
@@ -331,7 +336,7 @@ def test_lambda_max_is_the_bisection_bit_for_bit(n):
     # at n = 1000 on the block the edge DOS and the gap count on
     m = mc.block_size(n, 2)
     for seed in (1, 2, 3):
-        d, e = mc.TridiagonalSpectrumSampler(n=n, seed=seed).draw(0, 600)
+        d, e = mc.TridiagonalSpectrumSampler(n=n, seed=seed).draw(600)
         d, e = d[:, :m], e[:, :m - 1]
         hi = mc._gershgorin_top(d, e)
         d, e2 = d.T.copy(), (e * e).T.copy()
@@ -346,9 +351,14 @@ def _stages(c, between=False):
     lambda_1.  Returns lambda_1 - lambda_2, whether the draw was isolated,
     the bracket widths after isolation and after the Newton stage, the ulp
     of hi after isolation, and lambda_max - hi."""
-    db, eb = mc.TridiagonalSpectrumSampler(n=8, seed=4).draw(0, 1)
-    d = np.concatenate([db[0, ::-1], db[0]])
-    e = np.concatenate([eb[0, ::-1], [c], eb[0]])
+    # the n = 8 block these cases were built on: the first draw of stream 0
+    # of 64 spawned from seed 4, as the sampler once drew it
+    child = np.random.SeedSequence(4).spawn(64)[0]
+    rng = np.random.Generator(np.random.Philox(child))
+    db = rng.normal(0.0, math.sqrt(0.5), 8)
+    eb = np.sqrt(rng.gamma(np.arange(7.0, 0.0, -1.0)) / 2.0)
+    d = np.concatenate([db[::-1], db])
+    e = np.concatenate([eb[::-1], [c], eb])
     low, high = np.linalg.eigvalsh(
         np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[-2:]
     hi = mc._gershgorin_top(d[None], e[None])
@@ -434,52 +444,51 @@ def _slab_widths(monkeypatch):
 
 
 def test_slab_layout_is_invisible(monkeypatch):
-    # the counts do not depend on how the chunks are grouped into slabs:
-    # default caps (one slab of all 64 chunks) and caps down to one chunk
-    # per slab
+    # the counts do not depend on how the draws are cut into slabs: default
+    # caps (one slab of all the draws), slabs of 7 draws and a last one of
+    # 6, and caps down to one draw per slab
     sampler = mc.TridiagonalSpectrumSampler(n=200, seed=37)
     cases = (("gap", "edge"), ("dos", "edge"), ("dos", "bulk"))
     seen = _slab_widths(monkeypatch)
-    default = [mc.count_histogram(sampler, 300, q, s).counts
-               for q, s in cases]
-    assert len(seen) == 3
-    monkeypatch.setattr(mc, "_SLAB_DRAWS", 1)
-    monkeypatch.setattr(mc, "_SLAB_BYTES", 1)
-    del seen[:]
-    for (q, s), want in zip(cases, default):
-        got = mc.count_histogram(sampler, 300, q, s)
-        assert np.array_equal(got.counts, want), (q, s)
-    assert sorted({w for w, _ in seen}) == [4, 5]
-    assert len(seen) == 3 * 64
+    default = {count: [mc.count_histogram(sampler, count, q, s).counts
+                       for q, s in cases] for count in (300, 20)}
+    assert len(seen) == 6
+    for count, draws, budget, widths in (
+            (300, 7, mc._SLAB_BYTES, [7] * 42 + [6]), (20, 1, 1, [1] * 20)):
+        monkeypatch.setattr(mc, "_SLAB_DRAWS", draws)
+        monkeypatch.setattr(mc, "_SLAB_BYTES", budget)
+        del seen[:]
+        for (q, s), want in zip(cases, default[count]):
+            got = mc.count_histogram(sampler, count, q, s)
+            assert np.array_equal(got.counts, want), (draws, q, s)
+        assert [w for w, _ in seen] == 3 * widths
 
 
-def test_slabs_are_nearest_whole_chunks_split_evenly(monkeypatch):
-    # 64 chunks of 10 draws, slabs of about 250 draws: 25 chunks nearest,
-    # so 3 slabs, which whole chunks split as 22, 22 and 20
-    monkeypatch.setattr(mc, "_SLAB_DRAWS", 250)
-    seen = _slab_widths(monkeypatch)
-    mc.count_histogram(mc.TridiagonalSpectrumSampler(n=40, seed=3), 640,
-                       "gap")
-    assert [w for w, _ in seen] == [220, 220, 200]
-    # chunks of 1,563 draws: 3 to a slab of about 4,096
-    del seen[:]
-    monkeypatch.setattr(mc, "_SLAB_DRAWS", 4096)
-    mc.count_histogram(mc.TridiagonalSpectrumSampler(n=2, seed=3), 100_000,
-                       "gap")
-    assert [w for w, _ in seen][:2] == [3 * 1563] * 2
+def test_sample_spectrum_draws_are_prefix_stable():
+    # the first 300 of 600 draws are the 300 draws, whatever the slabs
+    sampler = mc.TridiagonalSpectrumSampler(n=1000, seed=47)
+    assert np.array_equal(mc.sample_spectrum(sampler, 600, top_k=2)[:300],
+                          mc.sample_spectrum(sampler, 300, top_k=2))
 
 
 def test_slab_bytes_stay_within_the_budget(monkeypatch):
-    # at n = 50,000 (block m = 1106) a draw's d and e^2 take 17,688 bytes;
-    # a budget of 6 chunks of 2 draws gives slabs of 6 chunks and a last
-    # one of 4
-    budget = 6 * 2 * (2 * 1106 - 1) * 8
-    monkeypatch.setattr(mc, "_SLAB_BYTES", budget)
+    # a draw's d and e^2 take (2m - 1) 8 bytes: 17,688 at n = 50,000 (block
+    # m = 1106), 632 at n = 40.  A budget of 12 draws cuts 128 draws into
+    # slabs of 12 and a last one of 8, one of 3 draws and 7 bytes cuts 320
+    # into slabs of 3 and a last one of 2, and one below a draw gives slabs
+    # of one draw, the least there can be
     seen = _slab_widths(monkeypatch)
-    sampler = mc.TridiagonalSpectrumSampler(n=50_000, seed=41)
-    mc.count_histogram(sampler, 128, "gap")
-    assert [w for w, _ in seen] == [12] * 10 + [8]
-    assert max(b for _, b in seen) <= budget
+    for n, count, budget, widths in (
+            (50_000, 128, 12 * 17_688, [12] * 10 + [8]),
+            (40, 320, 3 * 632 + 7, [3] * 106 + [2]),
+            (40, 128, 631, [1] * 128)):
+        monkeypatch.setattr(mc, "_SLAB_BYTES", budget)
+        del seen[:]
+        sampler = mc.TridiagonalSpectrumSampler(n=n, seed=41)
+        mc.count_histogram(sampler, count, "gap")
+        assert [w for w, _ in seen] == widths, n
+        per_draw = (2 * mc.block_size(n, mc.EDGE_TOP_K) - 1) * 8
+        assert max(b for _, b in seen) <= max(budget, per_draw), n
 
 
 def traced_peak_mib(fn) -> float:
@@ -494,14 +503,14 @@ def traced_peak_mib(fn) -> float:
 
 def test_count_memory_is_bounded_by_the_block():
     # only each draw's counted block is drawn and kept: the gap at
-    # n = 50,000 on 128 draws peaks at 2.5 MiB (6.4 MiB when each chunk's
-    # whole draw was held)
+    # n = 50,000 on 128 draws peaks at 3.2 MiB (6.4 MiB when whole draws
+    # were held)
     sampler = mc.TridiagonalSpectrumSampler(n=50_000, seed=43)
     assert traced_peak_mib(lambda: mc.count_histogram(sampler, 128,
                                                       "gap")) < 4.5
     # slabs of at most _SLAB_DRAWS = 4,096 draws: the bulk DOS at n = 32 on
-    # 20,000 draws holds 13 chunks, 4,069 draws, at once and peaks at
-    # 3.2 MiB (5.3 MiB for 26 chunks, 8,138 draws)
+    # 20,000 draws holds five slabs of 4,000 draws one after another and
+    # peaks at 3.1 MiB (4.4 MiB in three slabs of 6,667 draws)
     sampler = mc.TridiagonalSpectrumSampler(n=32, seed=43)
     mc.count_histogram(sampler, 100, "dos", "bulk")
     assert traced_peak_mib(lambda: mc.count_histogram(

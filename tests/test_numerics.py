@@ -117,6 +117,16 @@ def test_derivative_exact_on_quartics():
     assert np.max(np.abs(derivative(x, g) - exact)) < 1e-11
 
 
+def test_derivative_of_a_batch_is_each_column_alone():
+    # the one-sided rows, like the central ones, are element-wise sums, so a
+    # column gets the same floats in a batch of any width as alone
+    x = np.linspace(0.0, 3.0, 40)
+    for k in range(1, 66):
+        g = np.sin(np.outer(x, np.arange(1.0, k + 1.0)) + 0.1 * k)
+        alone = np.stack([derivative(x, g[:, j]) for j in range(k)], axis=1)
+        assert np.array_equal(derivative(x, g), alone), k
+
+
 # ---------------------------------------------------------------------------
 # the right-anchored cumulative integral and tail remainders
 # ---------------------------------------------------------------------------
@@ -174,12 +184,12 @@ def test_integral_in_blocks_is_the_whole_array_rule(n):
 
 def test_interior_blocks_take_no_one_sided_differences(monkeypatch):
     # one-sided g' rows fall within two rows of the grid's ends alone: the
-    # top block and the last block make one tensordot each, and the three
-    # blocks between them none
+    # top block and the last block take them once each, and the three
+    # blocks between them never
     calls = []
-    tensordot = np.tensordot
-    monkeypatch.setattr(np, "tensordot",
-                        lambda *a, **k: calls.append(1) or tensordot(*a, **k))
+    one_sided = numerics._one_sided
+    monkeypatch.setattr(numerics, "_one_sided",
+                        lambda *a: calls.append(1) or one_sided(*a))
     x = np.linspace(0.0, 1.0, 20)
     acc, made = RightIntegral(x), []
     for top in range(20, 0, -4):
