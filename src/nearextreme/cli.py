@@ -81,7 +81,7 @@ def cmd_tabulate_psi(args) -> int:
     return 0
 
 
-def _write_edge_curve(args, t, r, values, large) -> int:
+def _write_edge_curve(args, t, r, values, large, notes=()) -> int:
     from . import scaling
 
     small = 0.5 * r**2 + scaling.a4_integral(t) * r**4
@@ -89,10 +89,23 @@ def _write_edge_curve(args, t, r, values, large) -> int:
                _provenance(t) + [
                    f"rmax = {args.rmax}, step = {args.step}",
                    "columns: r_tilde, value, asymptotic_small, "
-                   "asymptotic_large"],
+                   "asymptotic_large", *notes],
                [r, values, small, large],
                ["r_tilde", "value", "asymptotic_small", "asymptotic_large"])
     return 0
+
+
+def _gap_tail(r, column: str):
+    """The large-r gap form at every r where a PDF can take its value, nan
+    at r_tilde = 0, where it diverges, and wherever it is negative; with the
+    header words that say so of the column named ``column``."""
+    from . import scaling
+
+    out = np.full(r.shape, np.nan)
+    out[r > 0] = scaling.gap_tail_asymptotic(r[r > 0])
+    out[out < 0.0] = np.nan
+    return out, (f"{column} where 1 - (1405 sqrt 2/1536) r_tilde^(-3/4) "
+                 "> 0, r_tilde > 1.4095")
 
 
 def cmd_dos_edge(args) -> int:
@@ -109,9 +122,9 @@ def cmd_gap_pdf(args) -> int:
 
     t = painleve.default_table()
     r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
-    large = np.zeros_like(r)
-    large[r > 0] = scaling.gap_tail_asymptotic(r[r > 0])
-    return _write_edge_curve(args, t, r, scaling.p_typ(r, t), large)
+    large, rule = _gap_tail(r, "asymptotic_large")
+    return _write_edge_curve(args, t, r, scaling.p_typ(r, t), large,
+                             [f"admissible: {rule}; nan elsewhere"])
 
 
 def cmd_dos_bulk(args) -> int:
@@ -177,17 +190,15 @@ def cmd_asymptotics(args) -> int:
 
     t = painleve.default_table()
     # each form only where a PDF or a CDF can take its value
-    gap_tail = scaling.gap_tail_asymptotic(r)
-    gap_tail[gap_tail < 0.0] = np.nan
+    gap_tail, gap_rule = _gap_tail(r, "gap_tail")
     dos_tail = np.sqrt(r) / math.pi
     f2_tail = painleve.tracy_widom_f2_asymptote(-r)
     f2_tail[f2_tail > 1.0] = np.nan
     _write_csv(args.out,
                _provenance(t) + [
                    "columns: r_tilde, gap_tail, dos_tail, f2_left_tail",
-                   "admissible: gap_tail where 1 - (1405 sqrt 2/1536) "
-                   "r_tilde^(-3/4) > 0, r_tilde > 1.4095; f2_left_tail "
-                   "where it is at most 1, r_tilde > 0.7094; nan elsewhere",
+                   f"admissible: {gap_rule}; f2_left_tail where it is at "
+                   "most 1, r_tilde > 0.7094; nan elsewhere",
                    f"a4 = {scaling.a4_integral(t):.12g}",
                    f"gap_amplitude_A = {scaling.GAP_TAIL_AMPLITUDE:.12g}"],
                [r, gap_tail, dos_tail, f2_tail],

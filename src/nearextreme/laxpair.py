@@ -8,10 +8,9 @@ branch (f oscillates for x < r), negative r the first-gap branch (f decays
 everywhere).  The density-of-states branch is bounded by the seed alone,
 x - r >= airy.X_MIN at the top two nodes: r <= 79.995 on the default table.
 
-:func:`f_blocks` marches f for many r at once and hands it out in row
-blocks from x_max down, as the edge integral consumes it, so that no array
-of the whole grid need exist; :func:`solve_psi_batch` stacks the blocks, and
-:func:`qf_integral` forms I = int_x^inf q f for the columns it is given.
+:func:`psi_blocks` marches f for many r at once and hands it out, with
+I = int_x^inf q f, in row blocks from x_max down, as the edge integral
+consumes them, so that no array of the whole grid need exist.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import X_MIN, ai_pair
-from .numerics import (AiryProductTail, derivative, hermite,
+from .numerics import (AiryProductTail, RightIntegral, derivative, hermite,
                        integral_from_right)
 # not called here: perfbench/tracing.py looks up `laxpair.integrate_ode` by
 # name at start-up, so the name stays importable from this module
@@ -124,16 +123,28 @@ def check_range(r: np.ndarray, table: PainleveTable) -> None:
             "f underflows double precision; use gap_tail_asymptotic instead")
 
 
-def f_blocks(r_values, table: PainleveTable):
-    """f on the table grid at every spectral parameter in ``r_values``, one
-    column per r: a generator of (rows, block) from x_max down, ``block``
-    holding f at the table nodes ``rows`` (a slice, ascending).
+def psi_blocks(r_values, table: PainleveTable):
+    """f and I = int_x^inf q f on the table grid at every spectral parameter
+    in ``r_values``, one column per r: a generator of (rows, f, I) from x_max
+    down, f and I at the table nodes ``rows`` (a slice, ascending).  Each
+    yielded f and I is a fresh array that the caller may overwrite.
 
-    The half-grid and table-grid marches run in lockstep, a block of
-    2 _BLOCK half-grid nodes with one of _BLOCK table nodes, so that each
-    pair folds at once into the Richardson combination
-    (16 f_h/2 - f_h) / 15, as f_h/2 *= 16/15, then -= f_h / 15.  No array
-    of the whole grid is held; ``r_values`` is range checked first.
+    f is marched downward from x_max, the stable direction: the Bi-type
+    admixture of the Airy seed decays relative to the Ai-type branch as x
+    decreases.  The seed 2^(-1/6) sqrt(pi) Ai(x - r) is exact at the top
+    nodes to 2q(x_max)^2 (~1e-52 on the canonical table).  Numerov is run on
+    the table grid (step h) and on its halving, in lockstep, a block of
+    2 _BLOCK half-grid nodes with one of _BLOCK table nodes, and each pair
+    folds at once into the Richardson combination (16 f_h/2 - f_h) / 15:
+    plain Numerov at h = 0.005 misses f(r = 0) = 2^(-1/6) sqrt(pi) q by
+    4.5e-8, the combination by ~4e-9.  q at the half-grid midpoints is the
+    cubic Hermite interpolant of the table's q and q'.
+
+    I is the right-anchored rule of one :class:`RightIntegral` on q f plus
+    the Airy-product tails beyond x_max, all of them from one Airy
+    evaluation.  Its end correction needs the rows below a block, so each
+    block comes out one march block late.  No array of the whole grid is
+    held; ``r_values`` is range checked first.
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     check_range(r, table)
@@ -142,57 +153,36 @@ def f_blocks(r_values, table: PainleveTable):
     q_half = hermite(grid, q, table.q_prime, x_half)
     half = _numerov_down(x_half, q_half * q_half, r, 2 * _BLOCK, stride=2)
     whole = _numerov_down(grid.nodes(), q * q, r, _BLOCK)
+    big_i, held = RightIntegral(grid.nodes()), None
     for (rows, f), (_, f_h) in zip(half, whole, strict=True):
         f *= 16.0 / 15.0
         f -= f_h / 15.0
-        yield rows, f
-
-
-def solve_psi_batch(r_values, table: PainleveTable) -> np.ndarray:
-    """f on the table grid at every spectral parameter in ``r_values``, an
-    (n_points, len(r_values)) array with one column per r: the blocks of
-    :func:`f_blocks` stacked.
-
-    f is marched downward from x_max, the stable direction: the Bi-type
-    admixture of the Airy seed decays relative to the Ai-type branch as x
-    decreases.  The seed 2^(-1/6) sqrt(pi) Ai(x - r) is exact at the top
-    nodes to 2q(x_max)^2 (~1e-52 on the canonical table).  Numerov is run on
-    the table grid (step h) and on its halving, and the two are
-    Richardson-combined: plain Numerov at h = 0.005 misses
-    f(r = 0) = 2^(-1/6) sqrt(pi) q by 4.5e-8, the combination by ~4e-9.
-    q at the half-grid midpoints is the cubic Hermite interpolant of the
-    table's q and q'.
-    """
-    r = np.atleast_1d(np.asarray(r_values, dtype=float))
-    f = np.empty((table.grid.n_points, r.size))
-    for rows, block in f_blocks(r, table):
-        f[rows] = block
-    return f
-
-
-def qf_integral(f: np.ndarray, r: np.ndarray,
-                table: PainleveTable) -> np.ndarray:
-    """I(x) = int_x^inf q f for the columns of f, one per r in ``r``: the
-    right-anchored quadrature on the table grid plus the Airy-product tails
-    beyond x_max, all of them from one Airy evaluation."""
-    grid = table.grid
-    qf = table.q[:, None] * f
-    tail = AiryProductTail(np.asarray(r, dtype=float)).remainder(grid.x_max,
-                                                                 qf[-1])
-    return integral_from_right(grid.nodes(), qf) + tail
+        qf = q[rows, None] * f
+        grid_part = big_i.feed(qf)
+        if held is None:
+            tail = AiryProductTail(r).remainder(grid.x_max, qf[-1])
+        else:
+            grid_part += tail
+            yield *held, grid_part
+        held = rows, f
+    grid_part = big_i.close()
+    grid_part += tail
+    yield *held, grid_part
 
 
 def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
-    """The pair (f, g) at one spectral parameter: f from
-    :func:`solve_psi_batch`, g from the integral relation, and
+    """The pair (f, g) at one spectral parameter: f and I from
+    :func:`psi_blocks`, g = -r I / q from the integral relation, and
     f' = f'(x_max) - int_x^{x_max} (u + 2q^2 - r) f du."""
-    f = solve_psi_batch([r_tilde], table)
     grid = table.grid
     x, q = grid.nodes(), table.q
-    g_vals = -r_tilde * qf_integral(f, [r_tilde], table)[:, 0] / q
+    f, big_i = np.empty(grid.n_points), np.empty(grid.n_points)
+    for rows, f_block, i_block in psi_blocks([r_tilde], table):
+        f[rows], big_i[rows] = f_block[:, 0], i_block[:, 0]
+    # + 0.0 turns the -0.0 of r_tilde = 0 into 0.0
+    g_vals = -r_tilde * big_i / q + 0.0
     # zero-tail convention: g vanishes at the right end of the table
     g_vals[-1] = 0.0
-    f = f[:, 0]
     fp = (SEED_AMPLITUDE * ai_pair(grid.x_max - r_tilde)[1]
           - integral_from_right(x, (x + 2.0 * q * q - r_tilde) * f))
 

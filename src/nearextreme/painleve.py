@@ -134,7 +134,7 @@ def solve_hastings_mcleod(domain: Grid = DEFAULT_DOMAIN) -> PainleveTable:
     held at the left asymptote at x_min and at Ai(x_max) at x_max, and the
     whole grid is solved at once from the guess max(Ai(x), sqrt(-x/2)): on
     the table grid (step h), then on its halving, Richardson-combined as in
-    :func:`laxpair.solve_psi_batch`.  A Numerov residual above 1e-12 raises
+    :func:`laxpair.psi_blocks`.  A Numerov residual above 1e-12 raises
     RuntimeError.  q' = Ai'(x_max) - int_x^{x_max} (2q^3 + u q) du.
     """
     x_min, x_max = domain.x_min, domain.x_max

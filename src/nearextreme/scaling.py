@@ -14,11 +14,11 @@ import math
 
 import numpy as np
 
-from .numerics import (ZETA_PRIME_MINUS_ONE, AiryProductTail, RightIntegral,
+from .numerics import (ZETA_PRIME_MINUS_ONE, RightIntegral,
                        _airy_tail_moments, gauss_legendre,
                        integral_from_right)
 # solve_psi is not called here: perfbench/tracing.py wraps `scaling.solve_psi`
-from .laxpair import check_range, f_blocks, solve_psi  # noqa: F401
+from .laxpair import check_range, psi_blocks, solve_psi  # noqa: F401
 from .painleve import PainleveTable
 
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -39,37 +39,26 @@ R_CHUNK = 64
 
 def edge_integral(r_signed, table: PainleveTable) -> np.ndarray:
     """(2^(1/3)/pi) int (f^2 - I^2) F2 dx at every signed spectral parameter
-    in ``r_signed``, I(x) = int_x^inf q f: on the table grid, streamed from
-    the row blocks of :func:`laxpair.f_blocks`, R_CHUNK columns at a time.
-    One :class:`RightIntegral` turns q f into I a block behind the march,
-    and a second sums the integrand from the blocks whose I is done, so
-    that no array of the whole grid is formed.  Beyond x_max, where f is
-    its Airy seed and I^2 and 1 - F2 are O(q(x_max)^2), the integral is
-    int_b^inf Ai^2, b = x_max - r (as (2^(1/3)/pi) SEED_AMPLITUDE^2 = 1).
-    The whole of ``r_signed`` is range checked before the first march."""
+    in ``r_signed``, I(x) = int_x^inf q f: on the table grid, one
+    :class:`RightIntegral` summing the integrand over the row blocks of
+    :func:`laxpair.psi_blocks`, R_CHUNK columns at a time, so that no array
+    of the whole grid is formed.  Beyond x_max, where f is its Airy seed and
+    I^2 and 1 - F2 are O(q(x_max)^2), the integral is int_b^inf Ai^2,
+    b = x_max - r (as (2^(1/3)/pi) SEED_AMPLITUDE^2 = 1).  The whole of
+    ``r_signed`` is range checked before the first march."""
     r = np.atleast_1d(np.asarray(r_signed, dtype=float))
     check_range(r, table)
-    grid = table.grid
-    x, q, f2 = grid.nodes(), table.q[:, None], table.f2[:, None]
+    x, f2 = table.grid.nodes(), table.f2[:, None]
     total = np.empty(r.size)
-
-    def integrand(rows, f, grid_part):
-        # I is the grid's part of int_x^inf q f plus the chunk's q f tail
-        return (f**2 - (grid_part + tail)**2) * f2[rows]
-
     for start in range(0, r.size, R_CHUNK):
-        rc = r[start:start + R_CHUNK]
-        big_i, integral = RightIntegral(x), RightIntegral(x)
-        held = None  # (rows, f) of the block whose I the next feed finishes
-        for rows, f in f_blocks(rc, table):
-            qf = q[rows] * f
-            grid_part = big_i.feed(qf)
-            if held is None:
-                tail = AiryProductTail(rc).remainder(grid.x_max, qf[-1])
-            else:
-                integral.feed(integrand(*held, grid_part))
-            held = rows, f
-        integral.feed(integrand(*held, big_i.close()))
+        integral = RightIntegral(x)
+        for rows, f, big_i in psi_blocks(r[start:start + R_CHUNK], table):
+            # the integrand (f^2 - I^2) F2, formed in the yielded f
+            f *= f
+            big_i *= big_i
+            f -= big_i
+            f *= f2[rows]
+            integral.feed(f)
         total[start:start + R_CHUNK] = integral.close()[0]
     return (_CBRT2 / math.pi * total
             + _airy_tail_moments(table.grid.x_max - r)[0])

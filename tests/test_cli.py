@@ -501,6 +501,41 @@ def test_asymptotics_writes_nan_outside_each_form(tmp_path):
         painleve.tracy_widom_f2_asymptote(-r[kept]), rel=1e-9)
 
 
+def test_gap_pdf_writes_nan_outside_the_tail_form(tmp_path):
+    # the large-r form diverges at r_tilde = 0 and is negative below 1.4095;
+    # those cells are nan, under the same admissible rule as asymptotics,
+    # and every other cell is the library's form
+    from nearextreme import scaling
+
+    out = tmp_path / "gap.csv"
+    assert run(["gap-pdf", "--out", str(out)]) == 0
+    header, names, rows = read_csv(out)
+    assert names[-1] == "asymptotic_large"
+    assert header.count(
+        "# admissible: asymptotic_large where 1 - (1405 sqrt 2/1536) "
+        "r_tilde^(-3/4) > 0, r_tilde > 1.4095; nan elsewhere") == 1
+    r, large = rows[:, 0], rows[:, 3]
+    assert not np.any(large < 0.0)
+    assert np.array_equal(np.isnan(large), r < 1.4095)
+    assert np.count_nonzero(np.isnan(large)) == 29
+    # (r_tilde as written has 12 digits, so the form agrees to about 1e-10)
+    kept = ~np.isnan(large)
+    assert large[kept] == pytest.approx(
+        scaling.gap_tail_asymptotic(r[kept]), rel=1e-9)
+
+
+def test_tabulate_psi_writes_no_negative_zero(tmp_path):
+    # at r_tilde = 0, g = -r I / q is zero at every node; no cell is -0
+    out = tmp_path / "psi.csv"
+    assert run(["tabulate-psi", "--r-tilde", "0", "--out", str(out)]) == 0
+    with open(out) as fh:
+        cells = [c for line in fh if not line.startswith("#")
+                 for c in line.strip().split(",")]
+    assert "-0" not in cells
+    _, _, rows = read_csv(out)
+    assert np.all(rows[:, 2] == 0.0)
+
+
 def test_check_suite_passes(tmp_path, capsys):
     assert run(["check"]) == 0
     outp = capsys.readouterr().out

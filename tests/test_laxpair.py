@@ -116,7 +116,8 @@ def rk45_reference(r, table):
 
 
 def test_batched_solver_matches_rk45(table):
-    f = laxpair.solve_psi_batch(REFERENCE_PARAMS, table)
+    f, _ = stacked(laxpair.psi_blocks(REFERENCE_PARAMS, table),
+                   table.grid.n_points, len(REFERENCE_PARAMS))
     edge = scaling.edge_integral(REFERENCE_PARAMS, table)
     for k, r in enumerate(REFERENCE_PARAMS):
         f_ref, edge_ref = rk45_reference(r, table)
@@ -138,7 +139,7 @@ def whole_array_march(x, q2, r):
 
 
 def half_grid(table):
-    """The table grid's halving and q^2 on it, as f_blocks builds them."""
+    """The table grid's halving and q^2 on it, as psi_blocks builds them."""
     grid = table.grid
     x = np.linspace(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
     q = hermite(grid, table.q, table.q_prime, x)
@@ -146,13 +147,15 @@ def half_grid(table):
 
 
 def stacked(blocks, n_rows, n_cols):
-    """The (rows, block) pairs of a march stacked into one array; each row
-    is written once, and the blocks run from the top down."""
-    out = np.full((n_rows, n_cols), np.nan)
-    top = n_rows
-    for rows, block in blocks:
-        assert rows.stop == top and np.all(np.isnan(out[rows]))
-        out[rows] = block
+    """The (rows, *arrays) items of a march stacked into one array per
+    position, (n_arrays, n_rows, n_cols); each row is written once, and the
+    blocks run from the top down."""
+    out, top = None, n_rows
+    for rows, *parts in blocks:
+        if out is None:
+            out = np.full((len(parts), n_rows, n_cols), np.nan)
+        assert rows.stop == top and np.all(np.isnan(out[:, rows]))
+        out[:, rows] = parts
         top = rows.start
     assert top == 0
     return out
@@ -167,26 +170,48 @@ def test_strided_march_keeps_even_rows_exactly(table, sign):
     r = sign * np.array([0.0, 0.5, 3.0, 7.5, 12.0])
     whole = whole_array_march(x, q2, r)
     for rows in (2 * laxpair._BLOCK, 999):
-        full = stacked(laxpair._numerov_down(x, q2, r, rows), x.size, r.size)
+        (full,) = stacked(laxpair._numerov_down(x, q2, r, rows), x.size,
+                          r.size)
         assert np.array_equal(full, whole)
-        half = stacked(laxpair._numerov_down(x, q2, r, rows, stride=2),
-                       table.grid.n_points, r.size)
+        (half,) = stacked(laxpair._numerov_down(x, q2, r, rows, stride=2),
+                          table.grid.n_points, r.size)
         assert np.array_equal(half, full[::2])
 
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_folded_march_is_the_richardson_combination(table, sign):
     # the two marches run in lockstep and each pair of blocks folds at once;
-    # that must be the same float as Richardson on two whole-grid marches
+    # that must be the same float as Richardson on two whole-grid marches,
+    # and I, summed a block behind the march, the same float as the
+    # whole-array rule plus the Airy-product tail
     x_half, q2_half = half_grid(table)
     x, q = table.grid.nodes(), table.q
     r = sign * np.array([0.0, 0.5, 3.0, 7.5, 12.0])
     f_half = whole_array_march(x_half, q2_half, r)
     f_h = whole_array_march(x, q * q, r)
     want = (16.0 / 15.0) * f_half[::2] - f_h / 15.0
-    assert np.array_equal(stacked(laxpair.f_blocks(r, table), x.size, r.size),
-                          want)
-    assert np.array_equal(laxpair.solve_psi_batch(r, table), want)
+    qf = q[:, None] * want
+    want_i = (integral_from_right(x, qf)
+              + AiryProductTail(r).remainder(table.grid.x_max, qf[-1]))
+    f, big_i = stacked(laxpair.psi_blocks(r, table), x.size, r.size)
+    assert np.array_equal(f, want)
+    assert np.array_equal(big_i, want_i)
+
+
+def test_psi_blocks_hands_over_its_arrays(table):
+    # each yielded f and I is the caller's to overwrite: NaN written over
+    # every block as it arrives must leave the values of a clean run
+    r = np.array([-7.5, -0.5, 0.0, 3.0, 12.0])
+    n = table.grid.n_points
+    clean = stacked(laxpair.psi_blocks(r, table), n, r.size)
+
+    def overwritten():
+        for rows, f, big_i in laxpair.psi_blocks(r, table):
+            yield rows, f.copy(), big_i.copy()
+            f[:] = np.nan
+            big_i[:] = np.nan
+
+    assert np.array_equal(stacked(overwritten(), n, r.size), clean)
 
 
 def test_error_budget_grid_halving(table):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nearextreme import laxpair, painleve, scaling
-from nearextreme.numerics import Grid, _airy_tail_moments, integral_from_right
+from nearextreme.numerics import (AiryProductTail, Grid, _airy_tail_moments,
+                                  integral_from_right)
 
 # Tracy-Widom GUE mean and variance (Bornemann, Math. Comp. 79 (2010)
 # 871-915), literature values held apart from the Painleve table
@@ -103,18 +104,20 @@ def test_edge_integral_chunking_is_invisible(table):
 def test_streamed_edge_integral_is_the_whole_array_formula(table, sign):
     # edge_integral streams f, I and the integrand through row blocks; every
     # value must be the float of the whole-array formula: f for R_CHUNK
-    # columns at once, then I and the integral 4 columns at a time
+    # columns at once, then I and the integral on the whole grid
     r = sign * np.linspace(0.0, 8.0, scaling.R_CHUNK + 9)
-    x, f2 = table.grid.nodes(), table.f2[:, None]
+    grid, q, f2 = table.grid, table.q[:, None], table.f2[:, None]
+    x = grid.nodes()
     want = []
     for start in range(0, r.size, scaling.R_CHUNK):
         rc = r[start:start + scaling.R_CHUNK]
-        f = laxpair.solve_psi_batch(rc, table)
-        for j in range(0, rc.size, 4):
-            cols = slice(j, j + 4)
-            big_i = laxpair.qf_integral(f[:, cols], rc[cols], table)
-            want.extend(integral_from_right(x, (f[:, cols]**2 - big_i**2)
-                                            * f2)[0])
+        f = np.empty((x.size, rc.size))
+        for rows, block, _ in laxpair.psi_blocks(rc, table):
+            f[rows] = block
+        qf = q * f
+        big_i = (integral_from_right(x, qf)
+                 + AiryProductTail(rc).remainder(grid.x_max, qf[-1]))
+        want.extend(integral_from_right(x, (f**2 - big_i**2) * f2)[0])
     want = (2.0 ** (1.0 / 3.0) / math.pi * np.array(want)
             + _airy_tail_moments(table.grid.x_max - r)[0])
     assert np.array_equal(scaling.edge_integral(r, table), want)
@@ -131,10 +134,11 @@ def traced_peak_mib(fn) -> float:
 
 
 def test_edge_curve_memory(table):
-    # f, I and the integrand stream through blocks of 128 table rows: 1.4
-    # MiB at the 33 gap points of `gap-pdf --rmax 8 --step 0.25` (3.1 MiB
-    # with f held whole, 4.7 MiB with f on h and on h/2, 13.2 MiB for a
-    # whole half-grid march and integrand)
+    # f, I and the integrand stream through blocks of 128 table rows, the
+    # integrand formed in the yielded f: 1.33 MiB at the 33 gap points of
+    # `gap-pdf --rmax 8 --step 0.25` (1.39 MiB with the integrand formed
+    # out of place, 3.1 MiB with f held whole, 4.7 MiB with f on h and on
+    # h/2, 13.2 MiB for a whole half-grid march and integrand)
     r = np.arange(0.0, 8.125, 0.25)
     scaling.p_typ(r, table)
     assert traced_peak_mib(lambda: scaling.p_typ(r, table)) < 2.0
@@ -142,7 +146,7 @@ def test_edge_curve_memory(table):
 
 def test_edge_curve_memory_default_step(table):
     # at the default step of 0.05 a march takes a full R_CHUNK of columns:
-    # 2.2 MiB for the 161 gap points (4.7 MiB with f held whole, 7.7 MiB
+    # 2.07 MiB for the 161 gap points (4.7 MiB with f held whole, 7.7 MiB
     # with f on h and on h/2)
     r = np.arange(0.0, 8.025, 0.05)
     assert r.size > 2 * scaling.R_CHUNK
