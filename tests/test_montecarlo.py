@@ -275,7 +275,7 @@ def test_count_kernel_matches_a_scalar_loop(m):
     # Gershgorin bound, so that counts above 255 test the flush of the
     # byte counter at m >= 256
     d, e = mc.TridiagonalSpectrumSampler(n=m, seed=m).draw(3)
-    top = mc._gershgorin_top(d, e)
+    top = d.max(axis=1) + 2.0 * e.max(axis=1)
     x = np.linspace(-top, top, 7)
     d, e2 = d.T.copy(), (e * e).T.copy()
     got = mc._count_at_or_below(d, e2, x)
@@ -312,8 +312,7 @@ def test_lambda_max_bisection_meets_lapack():
     from scipy.linalg import eigvalsh_tridiagonal
 
     d, e = mc.TridiagonalSpectrumSampler(n=200, seed=3).draw(20)
-    top = mc._lambda_max(d.T.copy(), (e * e).T.copy(),
-                         mc._gershgorin_top(d, e))
+    top = mc._lambda_max(d.T.copy(), (e * e).T.copy())
     want = [eigvalsh_tridiagonal(a, b)[-1] for a, b in zip(d, e)]
     assert np.max(np.abs(top - want)) < 1e-12
 
@@ -331,17 +330,47 @@ def _bisected_lambda_max(d, e2, hi):
         lo = np.where(full, lo, mid)
 
 
+def _gershgorin(d, e):
+    """Each draw's Gershgorin upper bound max_i (d_i + e_(i-1) + e_i): d
+    (m, B) the diagonals, e (m - 1, B) the sub-diagonals, one draw per
+    column."""
+    radius = np.zeros_like(d)
+    radius[:-1] += e
+    radius[1:] += e
+    return (d + radius).max(axis=0)
+
+
 @pytest.mark.parametrize("n", (2, 3, 12, 32, 200, 1000))
 def test_lambda_max_is_the_bisection_bit_for_bit(n):
-    # at n = 1000 on the block the edge DOS and the gap count on
+    # the three stages end on the float that the plain bisection of the
+    # same bracket [max d, max d + 2 max e] ends on; at n = 1000 on the
+    # block the edge DOS and the gap count on
     m = mc.block_size(n, 2)
     for seed in (1, 2, 3):
         d, e = mc.TridiagonalSpectrumSampler(n=n, seed=seed).draw(600)
         d, e = d[:, :m], e[:, :m - 1]
-        hi = mc._gershgorin_top(d, e)
         d, e2 = d.T.copy(), (e * e).T.copy()
-        assert np.array_equal(mc._lambda_max(d, e2, hi),
+        hi = d.max(axis=0) + 2.0 * np.sqrt(e2.max(axis=0))
+        assert np.array_equal(mc._lambda_max(d, e2),
                               _bisected_lambda_max(d, e2, hi)), (n, seed)
+
+
+@pytest.mark.parametrize("n", (2, 3, 12, 32, 200, 1000))
+def test_lambda_max_does_not_depend_on_its_bracket(n):
+    # on slabs as count_histogram draws and squares them, lambda_max is
+    # the float that the plain bisection ends on from the Gershgorin bound
+    # and from that bound with its width doubled: the smallest float whose
+    # count is m, whatever valid bracket the search starts from
+    sampler = mc.TridiagonalSpectrumSampler(n=n, seed=53)
+    m = mc.block_size(n, mc.EDGE_TOP_K)
+    for d, e in sampler.slabs(700, m, 256):
+        hi = _gershgorin(d, e)
+        lo = d.max(axis=0)
+        e2 = np.square(e, out=e)
+        top = mc._lambda_max(d, e2)
+        assert np.array_equal(top, _bisected_lambda_max(d, e2, hi)), n
+        assert np.array_equal(
+            top, _bisected_lambda_max(d, e2, lo + 2.0 * (hi - lo))), n
 
 
 def _stages(c, between=False):
@@ -350,7 +379,8 @@ def _stages(c, between=False):
     Gershgorin bound, or with `between` the midpoint of lambda_2 and
     lambda_1.  Returns lambda_1 - lambda_2, whether the draw was isolated,
     the bracket widths after isolation and after the Newton stage, the ulp
-    of hi after isolation, and lambda_max - hi."""
+    of hi after isolation, and lambda_max - hi.  It runs the three stages
+    of _lambda_max itself, from this hi."""
     # the n = 8 block these cases were built on: the first draw of stream 0
     # of 64 spawned from seed 4, as the sampler once drew it
     child = np.random.SeedSequence(4).spawn(64)[0]
@@ -361,14 +391,16 @@ def _stages(c, between=False):
     e = np.concatenate([eb[::-1], [c], eb])
     low, high = np.linalg.eigvalsh(
         np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[-2:]
-    hi = mc._gershgorin_top(d[None], e[None])
+    hi = _gershgorin(d[:, None], e[:, None])
     if between:
         hi[0] = 0.5 * (low + high)
     d, e2 = d[:, None].copy(), (e * e)[:, None].copy()
     lo0, hi0, isolated = mc._bisect(d, e2, d.max(axis=0), hi, isolate=True)
     lo1, hi1 = mc._newton_bracket(d, e2, lo0, hi0, isolated)
-    top = mc._lambda_max(d, e2, hi)
+    top = mc._bisect(d, e2, lo1, hi1)[1]
     assert np.array_equal(top, _bisected_lambda_max(d, e2, hi))
+    if not between:
+        assert np.array_equal(top, mc._lambda_max(d, e2))
     return (high - low, bool(isolated[0]), float(hi0[0] - lo0[0]),
             float(hi1[0] - lo1[0]), float(np.spacing(hi0[0])),
             float(top[0] - hi[0]))
@@ -384,9 +416,9 @@ def test_lambda_max_paths_on_a_close_top_pair():
     # a pair that never splits in floats: the adjacency exit
     split, isolated, before, after, ulp, _ = _stages(1e-30)
     assert split < 1e-15 and not isolated and before == after == ulp
-    # a bound hi below lambda_max, which a Gershgorin bound rounded down
-    # could give: the confirming count fails, the draw keeps its bracket
-    # and ends on hi
+    # the stages from a bound hi below lambda_max, which _lambda_max no
+    # longer takes from its caller: the confirming count fails, the draw
+    # keeps its bracket and ends on hi
     _, isolated, before, after, ulp, past_hi = _stages(0.5, between=True)
     assert isolated and before == after > 8 * ulp and past_hi == 0.0
 
@@ -435,9 +467,9 @@ def _slab_widths(monkeypatch):
     finds lambda_max on from now on."""
     seen, solve = [], mc._lambda_max
 
-    def recording(d, e2, hi):
+    def recording(d, e2):
         seen.append((d.shape[1], d.nbytes + e2.nbytes))
-        return solve(d, e2, hi)
+        return solve(d, e2)
 
     monkeypatch.setattr(mc, "_lambda_max", recording)
     return seen
