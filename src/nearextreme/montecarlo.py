@@ -185,36 +185,42 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     and the block size, and the first c are the same for any count >= c:
     every `top_k` up to EDGE_TOP_K solves the same draws, and so do None
     and every larger `top_k`, but the two groups solve different matrices
-    where the block is smaller than n.  Up to n = 32 a slab is solved as
-    one batch of dense matrices; above, row by row by scipy's tridiagonal
-    solver (scipy is needed there), for the k largest eigenvalues of the
-    block.
+    where the block is smaller than n.  Up to n = 32 the draws are solved
+    as batches of dense matrices of at most _PIECE entries in all (16 draws
+    at n = 32); above, row by row by scipy's tridiagonal solver (scipy is
+    needed there), for the k largest eigenvalues of the block.  The result
+    is filled slab by slab.
     """
     n = sampler.n
     k = n if top_k is None else min(top_k, n)
     m = block_size(n, top_k)
-
-    def solve_slab(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-        size = d.shape[1]
-        if n <= _DENSE_MAX_N:  # m = n
-            a = np.zeros((size, n, n))
-            idx = np.arange(n)
-            a[:, idx, idx] = d.T
-            a[:, idx[:-1], idx[1:]] = e.T
-            a[:, idx[1:], idx[:-1]] = e.T
-            return np.linalg.eigvalsh(a)[:, ::-1][:, :k]
+    dense = n <= _DENSE_MAX_N  # m = n
+    if dense:
+        step = max(1, _PIECE // (n * n))
+        a = np.zeros((step, n, n))
+        idx = np.arange(n)
+    else:
+        step = 1
         # looked up on the module, so that a wrapper set there is called;
         # __getattr__ imports it on first use
         solve = sys.modules[__name__].eigvalsh_tridiagonal
         select = "a" if k == m else "i"
-        out = np.empty((size, k))
-        for i in range(size):
-            out[i] = solve(d[:, i], e[:, i], select=select,
-                           select_range=(m - k, m - 1))[::-1]
-        return out
-
-    return np.vstack([solve_slab(d, e)
-                      for d, e in sampler.slabs(count, m, _slab_size(m))])
+    out = np.empty((count, k))
+    at = 0
+    for d, e in sampler.slabs(count, m, _slab_size(m)):
+        for j in range(0, d.shape[1], step):
+            rows = min(step, d.shape[1] - j)
+            if dense:
+                batch = a[:rows]
+                batch[:, idx, idx] = d[:, j:j + rows].T
+                batch[:, idx[:-1], idx[1:]] = e[:, j:j + rows].T
+                batch[:, idx[1:], idx[:-1]] = e[:, j:j + rows].T
+                out[at:at + rows] = np.linalg.eigvalsh(batch)[:, ::-1][:, :k]
+            else:
+                out[at] = solve(d[:, j], e[:, j], select=select,
+                                select_range=(m - k, m - 1))[::-1]
+            at += rows
+    return out
 
 
 def _count_at_or_below(d: np.ndarray, e2: np.ndarray,
