@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gauss_rule
+from .numerics import gauss_legendre, gauss_rule
 
 # conditioning cap: matrix size N <= 12, and as many polynomials
 MAX_MATRIX_SIZE = 12
@@ -160,13 +160,18 @@ def _dos_nodes(n: int, left_extension: int = 0):
     `left_extension` widens the window downward; the kernel factor
     K_N(y - r, y - r) at negative r pushes integrand mass below the
     lambda_max support by about |r|."""
-    # bisection for F = 1e-13 and 1 - F = 1e-13, both ends at once
-    target = np.array([1e-13, 1.0 - 1e-13])
+    # bisection, both ends at once, for F = 1e-13 and for a tail of 1e-13:
+    # E[#eigenvalues > y] = int_y^13 K_N(lam, lam) on the untruncated
+    # system, which bounds 1 - F from above and, formed as a tail, is not
+    # lost in the rounding of F
+    full = build_ortho_system(13.0, n)
     a, b = np.full(2, -9.0), np.full(2, 9.0)
     for _ in range(60):
         m = 0.5 * (a + b)
-        below = cdf_lambda_max(m, n) < target
-        a, b = np.where(below, m, a), np.where(below, b, m)
+        tail = gauss_legendre(lambda lam: kernel(full, lam, lam),
+                              [m[1], 13.0], 64)
+        up = [cdf_lambda_max(m[0], n) < 1e-13, tail > 1e-13]
+        a, b = np.where(up, m, a), np.where(up, b, m)
     y_lo, y_hi = 0.5 * (a + b)
     y_lo -= left_extension
     x, w = gauss_rule(_GL_NODES)

@@ -244,11 +244,12 @@ def test_finite_n_gap_roundtrip(tmp_path):
         expect = math.sqrt(2.0 / math.pi) * r * r * math.exp(-r * r / 2.0)
         assert v == pytest.approx(expect, abs=1e-6)
     # provenance: the Gauss rule, its node count and the node-set window.
-    # F_2 reaches 1e-13 and 1 - 1e-13 at -3.289 and 5.577; gap distances
-    # up to 3 widen the lower end by ceil(3 + 1) = 4
+    # F_2 reaches 1e-13 at -3.289, and the expected number of eigenvalues
+    # above y falls to 1e-13 at 5.5777; gap distances up to 3 widen the
+    # lower end by ceil(3 + 1) = 4
     assert header[2] == ("# rule: Gauss-Legendre, 160 nodes, inner products "
                          "on [min(-13, y - 2), min(y, 13)]; y integral on "
-                         "[-7.28904, 5.57699]")
+                         "[-7.28904, 5.57774]")
 
 
 def test_sample_n1_exits_1(capsys):

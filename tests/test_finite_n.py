@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from nearextreme import finite_n as fn
+from nearextreme.numerics import gauss_legendre
 
 
 def monic(sys, k, lam):
@@ -423,6 +424,21 @@ def test_dos_normalization_n4():
 def test_gap_normalization_n4():
     val, _ = quad(lambda r: fn.gap_pdf_exact(r, 4), 0.0, 8.0, limit=200)
     assert val == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", (2, 6, 12))
+def test_window_upper_end_is_a_tail_of_1e13(n):
+    # the node-set window ends where E[#eigenvalues > y] = int_y^13
+    # K_N(lam, lam), on the untruncated system, is 1e-13 (checked here on
+    # twice the nodes of the bisection), a bound on 1 - F_N that the
+    # rounding of F_N does not reach: bisected on 1 - F_N = 1e-13, the
+    # N = 12 end read 1 - F_N as 1.066e-13
+    y_hi = fn._dos_nodes(n)[1]
+    full = fn.build_ortho_system(13.0, n)
+    tail = gauss_legendre(lambda lam: fn.kernel(full, lam, lam),
+                          [y_hi, 13.0], 128)
+    assert tail == pytest.approx(1e-13, rel=1e-6)
+    assert 1.0 - fn.cdf_lambda_max(y_hi, n) <= 1.01e-13
 
 
 def test_node_set_is_built_in_blocks():
