@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gauss_legendre, gauss_rule
+from .numerics import gauss_rule
 
 # conditioning cap: matrix size N <= 12, and as many polynomials
 MAX_MATRIX_SIZE = 12
@@ -163,13 +163,17 @@ def _dos_nodes(n: int, left_extension: int = 0):
     # bisection, both ends at once, for F = 1e-13 and for a tail of 1e-13:
     # E[#eigenvalues > y] = int_y^13 K_N(lam, lam) on the untruncated
     # system, which bounds 1 - F from above and, formed as a tail, is not
-    # lost in the rounding of F
+    # lost in the rounding of F.  Its 64-point Gauss-Legendre sum is taken
+    # element-wise: the matrix products of numerics.gauss_legendre would
+    # load BLAS, 160 kB of peak RSS that no other finite-N step needs
     full = build_ortho_system(13.0, n)
+    x, w = gauss_rule(64)
     a, b = np.full(2, -9.0), np.full(2, 9.0)
     for _ in range(60):
         m = 0.5 * (a + b)
-        tail = gauss_legendre(lambda lam: kernel(full, lam, lam),
-                              [m[1], 13.0], 64)
+        half = 0.5 * (13.0 - m[1])
+        lam = half * x + (13.0 - half)
+        tail = half * np.sum(w * kernel(full, lam, lam))
         up = [cdf_lambda_max(m[0], n) < 1e-13, tail > 1e-13]
         a, b = np.where(up, m, a), np.where(up, b, m)
     y_lo, y_hi = 0.5 * (a + b)

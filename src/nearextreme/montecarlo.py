@@ -185,41 +185,37 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     and the block size, and the first c are the same for any count >= c:
     every `top_k` up to EDGE_TOP_K solves the same draws, and so do None
     and every larger `top_k`, but the two groups solve different matrices
-    where the block is smaller than n.  Up to n = 32 the draws are solved
-    as batches of dense matrices of at most _PIECE entries in all (16 draws
-    at n = 32); above, row by row by scipy's tridiagonal solver (scipy is
-    needed there), for the k largest eigenvalues of the block.  The result
-    is filled slab by slab.
+    where the block is smaller than n.  Up to n = 32 a slab is solved as
+    one batch of dense matrices, and holds at most _PIECE matrix entries
+    (16 draws at n = 32); above, row by row by scipy's tridiagonal solver
+    (scipy is needed there), for the k largest eigenvalues of the block.
+    The slabs fill one (count, k) result.
     """
     n = sampler.n
     k = n if top_k is None else min(top_k, n)
     m = block_size(n, top_k)
     dense = n <= _DENSE_MAX_N  # m = n
-    if dense:
-        step = max(1, _PIECE // (n * n))
-        a = np.zeros((step, n, n))
-        idx = np.arange(n)
-    else:
-        step = 1
-        # looked up on the module, so that a wrapper set there is called;
-        # __getattr__ imports it on first use
-        solve = sys.modules[__name__].eigvalsh_tridiagonal
-        select = "a" if k == m else "i"
+    idx = np.arange(n)
     out = np.empty((count, k))
     at = 0
-    for d, e in sampler.slabs(count, m, _slab_size(m)):
-        for j in range(0, d.shape[1], step):
-            rows = min(step, d.shape[1] - j)
-            if dense:
-                batch = a[:rows]
-                batch[:, idx, idx] = d[:, j:j + rows].T
-                batch[:, idx[:-1], idx[1:]] = e[:, j:j + rows].T
-                batch[:, idx[1:], idx[:-1]] = e[:, j:j + rows].T
-                out[at:at + rows] = np.linalg.eigvalsh(batch)[:, ::-1][:, :k]
-            else:
-                out[at] = solve(d[:, j], e[:, j], select=select,
-                                select_range=(m - k, m - 1))[::-1]
-            at += rows
+    size = max(1, _PIECE // (n * n)) if dense else _slab_size(m)
+    for d, e in sampler.slabs(count, m, size):
+        size = d.shape[1]
+        if dense:
+            a = np.zeros((size, n, n))
+            a[:, idx, idx] = d.T
+            a[:, idx[:-1], idx[1:]] = e.T
+            a[:, idx[1:], idx[:-1]] = e.T
+            out[at:at + size] = np.linalg.eigvalsh(a)[:, ::-1][:, :k]
+        else:
+            # looked up on the module, so that a wrapper set there is
+            # called; __getattr__ imports it on first use
+            solve = sys.modules[__name__].eigvalsh_tridiagonal
+            select = "a" if k == m else "i"
+            for i in range(size):
+                out[at + i] = solve(d[:, i], e[:, i], select=select,
+                                    select_range=(m - k, m - 1))[::-1]
+        at += size
     return out
 
 

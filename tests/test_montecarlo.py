@@ -550,13 +550,13 @@ def test_count_memory_is_bounded_by_the_block():
 
 
 def test_reference_sampler_memory_stays_within_its_slabs():
-    # the dense solve runs 16 draws at a time at n = 32 into one (count, k)
-    # result: 20,000 draws peak at 7.2 MiB, of which the result is 4.9 MiB
+    # at n = 32 the dense slabs hold 16 draws and fill one (count, k)
+    # result: 20,000 draws peak at 5.2 MiB, of which the result is 4.9 MiB
     # (38.1 MiB when each slab of 4,000 draws was one dense batch and the
     # slab results were stacked); the bound leaves 0.8 MiB of margin
     sampler = mc.TridiagonalSpectrumSampler(n=32, seed=43)
     mc.sample_spectrum(sampler, 10)
-    assert traced_peak_mib(lambda: mc.sample_spectrum(sampler, 20_000)) < 8.0
+    assert traced_peak_mib(lambda: mc.sample_spectrum(sampler, 20_000)) < 6.0
 
 
 def test_edge_dos_refuses_where_the_top_16_did():
