@@ -195,7 +195,6 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
     k = n if top_k is None else min(top_k, n)
     m = block_size(n, top_k)
     dense = n <= _DENSE_MAX_N  # m = n
-    idx = np.arange(n)
     out = np.empty((count, k))
     at = 0
     size = max(1, _PIECE // (n * n)) if dense else _slab_size(m)
@@ -203,6 +202,7 @@ def sample_spectrum(sampler: TridiagonalSpectrumSampler, count: int,
         size = d.shape[1]
         if dense:
             a = np.zeros((size, n, n))
+            idx = np.arange(n)
             a[:, idx, idx] = d.T
             a[:, idx[:-1], idx[1:]] = e.T
             a[:, idx[1:], idx[:-1]] = e.T
