@@ -31,24 +31,3 @@ def test_cli_outputs_match_the_manifest():
                     f"{recorded['environment']}")
     assert not changed, changed
 
-
-def test_check_names_what_differs_and_writes_nothing(tmp_path, monkeypatch,
-                                                     capsys):
-    # on one cheap entry, recorded with its own digest and with a wrong
-    # one: --check prints the argv and both sha256 of what differs, exits
-    # 1 if anything does, and leaves the manifest byte for byte as it was
-    argv = ["dos-bulk"]
-    sha = manifest.digest(argv)
-    path = tmp_path / "cli_manifest.json"
-    monkeypatch.setattr(manifest, "INVOCATIONS", [argv])
-    monkeypatch.setattr(manifest, "MANIFEST", path)
-    for recorded, rc, printed in (
-            (sha, 0, ""),
-            ("0" * 64, 1, f"dos-bulk\n  old {'0' * 64}\n  new {sha}\n")):
-        path.write_text(json.dumps({
-            "environment": manifest.environment(),
-            "entries": [{"argv": argv, "sha256": recorded}]}))
-        before = path.read_bytes()
-        assert manifest.main(["--check"]) == rc
-        assert path.read_bytes() == before
-        assert capsys.readouterr().out == printed

@@ -342,35 +342,22 @@ def _gershgorin(d, e):
 
 @pytest.mark.parametrize("n", (2, 3, 12, 32, 200, 1000))
 def test_lambda_max_is_the_bisection_bit_for_bit(n):
-    # the three stages end on the float that the plain bisection of the
-    # same bracket [max d, max d + 2 max e] ends on; at n = 1000 on the
-    # block the edge DOS and the gap count on
+    # the three stages end on the float that the plain bisection ends on
+    # from the bracket [max d, max d + 2 max e], from the Gershgorin bound
+    # and from that bound with its width doubled: the smallest float whose
+    # count is m, whatever valid bracket the search starts from; at
+    # n = 1000 on the block the edge DOS and the gap count on
     m = mc.block_size(n, 2)
     for seed in (1, 2, 3):
         d, e = mc.TridiagonalSpectrumSampler(n=n, seed=seed).draw(600)
-        d, e = d[:, :m], e[:, :m - 1]
-        d, e2 = d.T.copy(), (e * e).T.copy()
-        hi = d.max(axis=0) + 2.0 * np.sqrt(e2.max(axis=0))
-        assert np.array_equal(mc._lambda_max(d, e2),
-                              _bisected_lambda_max(d, e2, hi)), (n, seed)
-
-
-@pytest.mark.parametrize("n", (2, 3, 12, 32, 200, 1000))
-def test_lambda_max_does_not_depend_on_its_bracket(n):
-    # on slabs as count_histogram draws and squares them, lambda_max is
-    # the float that the plain bisection ends on from the Gershgorin bound
-    # and from that bound with its width doubled: the smallest float whose
-    # count is m, whatever valid bracket the search starts from
-    sampler = mc.TridiagonalSpectrumSampler(n=n, seed=53)
-    m = mc.block_size(n, mc.EDGE_TOP_K)
-    for d, e in sampler.slabs(700, m, 256):
-        hi = _gershgorin(d, e)
-        lo = d.max(axis=0)
-        e2 = np.square(e, out=e)
+        d, e = d[:, :m].T.copy(), e[:, :m - 1].T.copy()
+        lo, gershgorin = d.max(axis=0), _gershgorin(d, e)
+        e2 = e * e
         top = mc._lambda_max(d, e2)
-        assert np.array_equal(top, _bisected_lambda_max(d, e2, hi)), n
-        assert np.array_equal(
-            top, _bisected_lambda_max(d, e2, lo + 2.0 * (hi - lo))), n
+        for hi in (lo + 2.0 * np.sqrt(e2.max(axis=0)), gershgorin,
+                   lo + 2.0 * (gershgorin - lo)):
+            assert np.array_equal(top, _bisected_lambda_max(d, e2, hi)), \
+                (n, seed)
 
 
 def _stages(c, between=False):

@@ -1,6 +1,6 @@
 """Rewrite tests/cli_manifest.json: the sha256 of every listed CLI output.
 
-    PYTHONPATH=src python tests/write_cli_manifest.py [--check]
+    PYTHONPATH=src python tests/write_cli_manifest.py
 
 Each command runs in process through ``cli.run`` with ``--out`` in a
 temporary directory.  Its digest covers the whole output but the
@@ -10,18 +10,14 @@ digests were made on; ``tests/test_cli_manifest.py`` compares against it.
 Run this script after changing an output on purpose, and name in the
 change's notes which digests changed and why: it prints the argv and the
 old and new sha256 of every entry whose digest it rewrites, and of every
-entry it adds.  With ``--check`` it prints the same lines and writes
-nothing, and it exits 1 if any entry differs, 0 if none does, so that a
-change can name the digests it moves before it rewrites them.
+entry it adds.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -93,30 +89,22 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(kept).hexdigest()
 
 
-def main(args: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Rewrite tests/cli_manifest.json.")
-    parser.add_argument("--check", action="store_true",
-                        help="print the entries that differ and write "
-                             "nothing; exit 1 if any differs")
-    check = parser.parse_args(args).check
+def main() -> None:
     old = {}
     if MANIFEST.exists():
         old = {tuple(e["argv"]): e["sha256"]
                for e in json.loads(MANIFEST.read_text())["entries"]}
     new = [(argv, digest(argv)) for argv in INVOCATIONS]
-    differ = [(argv, sha) for argv, sha in new if old.get(tuple(argv)) != sha]
-    for argv, sha in differ:
-        print(f"{' '.join(argv)}\n  old {old.get(tuple(argv))}\n  new {sha}")
-    if check:
-        return 1 if differ else 0
+    for argv, sha in new:
+        was = old.get(tuple(argv))
+        if was != sha:
+            print(f"{' '.join(argv)}\n  old {was}\n  new {sha}")
     # one entry per line
     entries = ",\n  ".join(json.dumps({"argv": argv, "sha256": sha})
                            for argv, sha in new)
     MANIFEST.write_text(f'{{"environment": {json.dumps(environment())},\n'
                         f' "entries": [\n  {entries}\n ]}}\n')
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
