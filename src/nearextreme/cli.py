@@ -43,6 +43,13 @@ def _write_csv(path, header_lines, columns, names):
             fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """np.arange's points from start by step up to ``stop``, and a last one
+    that rounding alone puts past stop, by less than 1e-9 step."""
+    points = np.arange(start, stop + 0.5 * step, step)
+    return points[points <= stop + 1e-9 * step]
+
+
 def _provenance(table) -> list[str]:
     """Header lines saying how the ``painleve.PainleveTable`` and the psi
     functions were computed, and by which rule they were integrated."""
@@ -112,7 +119,7 @@ def cmd_dos_edge(args) -> int:
     from . import painleve, scaling
 
     t = painleve.default_table()
-    r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
+    r = _grid(0.0, args.rmax, args.step)
     return _write_edge_curve(args, t, r, scaling.rho_edge_scaling(r, t),
                              np.sqrt(r) / math.pi)
 
@@ -121,7 +128,7 @@ def cmd_gap_pdf(args) -> int:
     from . import painleve, scaling
 
     t = painleve.default_table()
-    r = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
+    r = _grid(0.0, args.rmax, args.step)
     large, rule = _gap_tail(r, "asymptotic_large")
     return _write_edge_curve(args, t, r, scaling.p_typ(r, t), large,
                              [f"admissible: {rule}; nan elsewhere"])
@@ -131,7 +138,7 @@ def cmd_dos_bulk(args) -> int:
     from . import scaling
 
     top = 2.0 * math.sqrt(2.0)
-    x = np.arange(0.0, top + 0.5 * args.step, args.step)
+    x = _grid(0.0, top, args.step)
     _write_csv(args.out, [f"step = {args.step}", "columns: x_hat, value"],
                [x, scaling.rho_bulk_shifted(x)], ["x_hat", "value"])
     return 0
@@ -145,14 +152,14 @@ def cmd_finite_n(args) -> int:
 
     n, quantity = args.n, args.quantity
     if quantity == "cdf":
-        x = np.arange(-4.0, 6.0 + 0.5 * args.step, args.step)
+        x = _grid(-4.0, 6.0, args.step)
         vals = fn.cdf_lambda_max(x, n)
         header = [f"n = {n}", fn.rule_header(n, quantity),
                   "columns: y, cdf_lambda_max"]
         names = ["y", "F_N"]
     else:
         rmax = 4.0 if args.rmax is None else args.rmax
-        x = np.arange(0.0, rmax + 0.5 * args.step, args.step)
+        x = _grid(0.0, rmax, args.step)
         vals = (fn.gap_pdf_exact if quantity == "gap" else fn.dos_exact)(x, n)
         header = [f"n = {n}, rmax = {rmax}, step = {args.step}",
                   fn.rule_header(n, quantity, x)]
@@ -183,7 +190,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    r = np.arange(max(args.step, 0.5), args.rmax + 0.5 * args.step, args.step)
+    r = _grid(max(args.step, 0.5), args.rmax, args.step)
     if r.size == 0:
         raise ValueError(f"no r_tilde in [max(step, 0.5), rmax = {args.rmax}]")
     from . import painleve, scaling
@@ -232,6 +239,8 @@ def cmd_check(args) -> int:
         check("F2 monotone in (0,1], F2(x_max) = 1", tr["f2_monotone"])
         rf2 = tr["r_log_derivative"]
         check("R = F2'/F2 < 1e-6", rf2 < 1e-6, f"({rf2:.2e})")
+        app = tr["appendix_a"]
+        check("appendix A identities < 1e-5", app < 1e-5, f"({app:.2e})")
 
         a2 = painleve.a2_integral(t)
         check("a2 = 1/2 within 1e-4", abs(a2 - 0.5) < 1e-4, f"({a2:.8f})")
@@ -239,8 +248,11 @@ def cmd_check(args) -> int:
         for r in (2.0, 5.0, -2.0, -5.0):
             res = laxpair.lax_residuals(laxpair.solve_psi(r, t))
             check(f"Lax residuals at r = {r}",
-                  res["b_residual"] < 1e-5 and res["a_residual"] < 1e-3,
-                  f"(B {res['b_residual']:.2e}, A {res['a_residual']:.2e})")
+                  res["b_residual"] < 1e-5 and res["a_residual"] < 1e-3
+                  and res["schrod"] < 1e-5 and res["conserved"] < 1e-4,
+                  f"(B {res['b_residual']:.2e}, A {res['a_residual']:.2e}, "
+                  f"f'' {res['schrod']:.2e}, "
+                  f"conserved {res['conserved']:.2e})")
 
         for y in (-1.0, 0.0, 2.0):
             sys_ = fn.build_ortho_system(y, 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gauss_rule
+from .numerics import gauss_legendre, gauss_rule
 
 # conditioning cap: matrix size N <= 12, and as many polynomials
 MAX_MATRIX_SIZE = 12
@@ -125,10 +125,15 @@ def psi(sys: OrthoSystem, lam) -> np.ndarray:
 
 def kernel(sys: OrthoSystem, lam1, lam2):
     """Kernel K_N(lam1, lam2) = sum_{k<N} psi_k(lam1) psi_k(lam2) with
-    N = sys.n.  For an array system the last axis of lam1, lam2 runs over
-    its systems."""
-    lam1, lam2 = np.broadcast_arrays(lam1, lam2)
-    return np.sum(psi(sys, lam1) * psi(sys, lam2), axis=0)[()]
+    N = sys.n, summed one k at a time as the recurrence gives the terms.
+    For an array system the last axis of lam1, lam2 runs over its
+    systems."""
+    terms = zip(_psi_terms(sys, lam1), _psi_terms(sys, lam2))
+    psi1, psi2 = next(terms)
+    total = psi1 * psi2
+    for psi1, psi2 in terms:
+        total += psi1 * psi2
+    return total[()]
 
 
 def _cdf_from_norms(h: np.ndarray) -> np.ndarray:
@@ -154,8 +159,8 @@ def cdf_lambda_max(y: float | np.ndarray, n: int) -> float | np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _dos_nodes(n: int, left_extension: int = 0):
     """Window [y_lo, y_hi] over the support of the lambda_max density, and
-    on its Gauss-Legendre nodes the weights, the OrthoSystem of n
-    polynomials (its y are the nodes), the CDF and psi(y).
+    on its Gauss-Legendre nodes the OrthoSystem of n polynomials (its y are
+    the nodes), the weights times the CDF, and K_N(y, y).
 
     `left_extension` widens the window downward; the kernel factor
     K_N(y - r, y - r) at negative r pushes integrand mass below the
@@ -163,17 +168,13 @@ def _dos_nodes(n: int, left_extension: int = 0):
     # bisection, both ends at once, for F = 1e-13 and for a tail of 1e-13:
     # E[#eigenvalues > y] = int_y^13 K_N(lam, lam) on the untruncated
     # system, which bounds 1 - F from above and, formed as a tail, is not
-    # lost in the rounding of F.  Its 64-point Gauss-Legendre sum is taken
-    # element-wise: the matrix products of numerics.gauss_legendre would
-    # load BLAS, 160 kB of peak RSS that no other finite-N step needs
+    # lost in the rounding of F
     full = build_ortho_system(13.0, n)
-    x, w = gauss_rule(64)
     a, b = np.full(2, -9.0), np.full(2, 9.0)
     for _ in range(60):
         m = 0.5 * (a + b)
-        half = 0.5 * (13.0 - m[1])
-        lam = half * x + (13.0 - half)
-        tail = half * np.sum(w * kernel(full, lam, lam))
+        tail = gauss_legendre(lambda lam: kernel(full, lam, lam),
+                              (m[1], 13.0), 64)
         up = [cdf_lambda_max(m[0], n) < 1e-13, tail > 1e-13]
         a, b = np.where(up, m, a), np.where(up, b, m)
     y_lo, y_hi = 0.5 * (a + b)
@@ -182,8 +183,8 @@ def _dos_nodes(n: int, left_extension: int = 0):
     y_nodes = 0.5 * (y_hi - y_lo) * x + 0.5 * (y_hi + y_lo)
     weights = 0.5 * (y_hi - y_lo) * w
     sys = build_ortho_system(y_nodes, n)
-    return (y_lo, y_hi, weights, sys, _cdf_from_norms(sys.h),
-            psi(sys, y_nodes))
+    return (y_lo, y_hi, sys, weights * _cdf_from_norms(sys.h),
+            kernel(sys, y_nodes, y_nodes))
 
 
 def _node_set(r: np.ndarray, n: int):
@@ -203,22 +204,15 @@ def dos_exact(r: float | np.ndarray, n: int) -> float | np.ndarray:
     if not 2 <= n <= MAX_MATRIX_SIZE:
         raise ValueError(f"dos_exact needs n in [2, {MAX_MATRIX_SIZE}]")
     r_arr = np.asarray(r, dtype=float)
-    _, _, weights, sys, cdf_vals, psi_y = _node_set(r_arr, n)
-    k_yy = np.sum(psi_y * psi_y, axis=0)
+    _, _, sys, weighted_cdf, k_yy = _node_set(r_arr, n)
     flat = r_arr.reshape(-1, 1)
     total = np.empty(flat.size)
     for i in range(0, flat.size, _R_BLOCK):
-        # one recurrence at y - r for a block of r (rows) and every node
-        # (columns), its terms summed into the kernels as they come, in the
-        # order of np.sum
-        terms = _psi_terms(sys, sys.y - flat[i:i + _R_BLOCK])
-        psi_r = next(terms)
-        k_rr, k_yr = psi_r * psi_r, psi_y[0] * psi_r
-        for psi_k, psi_r in zip(psi_y[1:], terms):
-            k_rr += psi_r * psi_r
-            k_yr += psi_k * psi_r
+        # x = y - r for a block of r (rows) at every node y (columns)
+        x = sys.y - flat[i:i + _R_BLOCK]
+        k_xx, k_yx = kernel(sys, x, x), kernel(sys, sys.y, x)
         total[i:i + _R_BLOCK] = np.sum(
-            weights * cdf_vals * (k_yy * k_rr - k_yr * k_yr), axis=-1)
+            weighted_cdf * (k_yy * k_xx - k_yx * k_yx), axis=-1)
     total = total.reshape(r_arr.shape) / (n - 1)
     return float(total) if r_arr.ndim == 0 else total
 

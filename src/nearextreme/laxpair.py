@@ -39,8 +39,8 @@ PSI_SCHEME = ("Numerov downward from x_max on h and h/2, "
               "Richardson-extrapolated (16 f_h/2 - f_h)/15; "
               "q at the h/2 midpoints by cubic Hermite from q, q'")
 
-# nodes where q has decayed below this are excluded from ratio-type
-# residual diagnostics (q'/q, R/q^2 are roundoff-dominated there)
+# lax_residuals leaves out the nodes where q is below _Q_FLOOR max q: its
+# ratio-type terms q'/q and R/q^2 are roundoff-dominated there
 _Q_FLOOR = 1e-4
 
 #: spectral-parameter step of the centred r-difference in lax_residuals
@@ -189,45 +189,6 @@ def solve_psi(r_tilde: float, table: PainleveTable) -> PsiPair:
     return PsiPair(r_tilde=r_tilde, f=f, g=g_vals, table=table, f_prime=fp)
 
 
-def _diagnostic_window(table: PainleveTable) -> np.ndarray:
-    q = table.q
-    ok = q > _Q_FLOOR * np.max(q)
-    ok[0] = ok[-1] = False
-    return ok
-
-
-def psi_residuals(psi: PsiPair) -> dict:
-    """Per-node residual diagnostics for one PsiPair:
-
-    - ``schrod``: f'' - (x + 2q^2 - r) f  (second-difference form)
-    - ``conserved``: d/dx [ (r + R/q^2) f^2 - 2 (q'/q) f g
-      + (1 + q^2/r) g^2 ] + f^2  (the conserved combination; r != 0)
-
-    Ratio-type quantities are evaluated only where q is comfortably above
-    underflow; residuals are max-norms over that window.
-    """
-    table = psi.table
-    x, h = table.grid.nodes(), table.grid.h
-    q, qp, R = table.q, table.q_prime, table.R
-    f, gv, r = psi.f, psi.g, psi.r_tilde
-
-    # fourth-order five-point second derivative so the stencil truncation
-    # error stays well below the 1e-5 residual scale
-    fdd = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3]
-           - f[:-4]) / (12.0 * h**2)
-    schrod = fdd - (x[2:-2] + 2.0 * q[2:-2] ** 2 - r) * f[2:-2]
-    scale = max(1.0, float(np.max(np.abs(f))))
-    out = {"schrod": float(np.max(np.abs(schrod))) / scale}
-
-    if r != 0.0:
-        ok = _diagnostic_window(table)
-        combo = ((r + R / q**2) * f**2 - 2.0 * (qp / q) * f * gv
-                 + (1.0 + q**2 / r) * gv**2)
-        res = derivative(x, combo) + f * f
-        out["conserved"] = float(np.max(np.abs(res[ok]))) / scale**2
-    return out
-
-
 def small_r_expansion(table: PainleveTable):
     """Coefficient functions of f(r, x) = f0(x) + r f1(x) + r^2 f2(x) + ...
 
@@ -244,27 +205,37 @@ def small_r_expansion(table: PainleveTable):
 
 
 def lax_residuals(psi: PsiPair) -> dict:
-    """Max-norm residuals of the two linear systems the pair satisfies.
+    """Max-norm residuals of the relations the pair satisfies, each divided
+    by max(1, max|f|), ``conserved`` by its square:
 
-    x-system (checked exactly, node by node):
+    - ``b_residual``, the x-system (checked exactly, node by node):
         df/dx = (q'/q) f - g
         dg/dx = r f - (q'/q) g
-    r-system (d/dr by a centred difference between the pairs solved here
-    at r +- LAX_DELTA):
+    - ``a_residual``, the r-system (d/dr by a centred difference between
+      the pairs solved here at r +- LAX_DELTA):
         df/dr = -(q'/q) f + (1 + q^2/r) g
         dg/dr = (-r - R/q^2) f + (q'/q) g
+    - ``schrod``, the Schrodinger equation f'' = (x + 2q^2 - r) f, f'' by
+      the five-point second difference, on the interior nodes;
+    - ``conserved``, the conserved combination:
+        d/dx [(r + R/q^2) f^2 - 2 (q'/q) f g + (1 + q^2/r) g^2] + f^2 = 0
+
+    All but ``schrod`` are taken where q > _Q_FLOOR max q, end nodes
+    excluded.  The r-system is singular at r = 0, which raises ValueError.
     """
     r = psi.r_tilde
     if r == 0.0:
         raise ValueError("r-system coefficients are singular at r = 0")
 
     table = psi.table
-    ok = _diagnostic_window(table)
+    x, h = table.grid.nodes(), table.grid.h
     q, qp, R = table.q, table.q_prime, table.R
     f, gv, fp = psi.f, psi.g, psi.f_prime
-    gp = derivative(table.grid.nodes(), gv)
+    ok = q > _Q_FLOOR * np.max(q)
+    ok[0] = ok[-1] = False
     scale = max(1.0, float(np.max(np.abs(f))))
 
+    gp = derivative(x, gv)
     res_bf = fp - (qp / q) * f + gv
     res_bg = gp - r * f + (qp / q) * gv
     b_res = max(np.max(np.abs(res_bf[ok])), np.max(np.abs(res_bg[ok])))
@@ -278,5 +249,17 @@ def lax_residuals(psi: PsiPair) -> dict:
     res_ag = dgdr - (-r - R / q**2) * f - (qp / q) * gv
     a_res = max(np.max(np.abs(res_af[ok])), np.max(np.abs(res_ag[ok])))
 
+    # fourth-order five-point second derivative so the stencil truncation
+    # error stays well below the 1e-5 residual scale
+    fdd = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3]
+           - f[:-4]) / (12.0 * h**2)
+    schrod = fdd - (x[2:-2] + 2.0 * q[2:-2] ** 2 - r) * f[2:-2]
+
+    combo = ((r + R / q**2) * f**2 - 2.0 * (qp / q) * f * gv
+             + (1.0 + q**2 / r) * gv**2)
+    conserved = derivative(x, combo) + f * f
+
     return {"b_residual": float(b_res) / scale,
-            "a_residual": float(a_res) / scale}
+            "a_residual": float(a_res) / scale,
+            "schrod": float(np.max(np.abs(schrod))) / scale,
+            "conserved": float(np.max(np.abs(conserved[ok]))) / scale**2}

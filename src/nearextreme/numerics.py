@@ -275,11 +275,16 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre(f: Callable, ends, n_nodes: int) -> float:
     """int f by the n_nodes-point Gauss-Legendre rule on each cell [ends[j],
-    ends[j + 1]] (exact for degree < 2 n_nodes); f takes a 1-D array."""
+    ends[j + 1]] (exact for degree < 2 n_nodes); f takes a 1-D array.  The
+    cell of half-width half_j and right end b_j has the nodes
+    half_j t_i + (b_j - half_j), and the sum is sum_j half_j sum_i w_i f_ij,
+    element-wise, with no matrix product."""
     t, w = gauss_rule(n_nodes)
-    half, lo = 0.5 * np.diff(ends), np.asarray(ends[:-1], dtype=float)
-    u = np.outer(half, t + 1.0) + lo[:, None]
-    return float(half @ (f(u.ravel()).reshape(u.shape) @ w))
+    ends = np.asarray(ends, dtype=float)
+    half = 0.5 * np.diff(ends)
+    u = half[:, None] * t + (ends[1:] - half)[:, None]
+    values = f(u.ravel()).reshape(u.shape)
+    return float(np.sum(half * np.sum(w * values, axis=-1)))
 
 
 def integrate_ode(rhs: Callable, x_start: float, x_end: float,

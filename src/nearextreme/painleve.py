@@ -182,11 +182,20 @@ def table_residuals(table: PainleveTable) -> dict:
     """The table invariants on its nodes: ``q_min`` (q > 0), the max-norm
     residuals ``painleve_ii`` of q'' = 2q^3 + x q (q'' by second
     differences), ``r_identity`` of R = q'^2 - q^4 - x q^2 and
-    ``r_log_derivative`` of R = (log f2)' (five-point, interior nodes), and
-    ``f2_monotone``: f2 non-decreasing in (0, 1] with f2(x_max) = 1."""
+    ``r_log_derivative`` of R = (log f2)' (five-point, interior nodes),
+    ``f2_monotone``: f2 non-decreasing in (0, 1] with f2(x_max) = 1, and
+    ``appendix_a``, the larger max-norm residual of the Appendix A
+    identities q_half^2 + q_half' + s/2 = 2^(1/3) q^2 and -q_half^2 +
+    q_half' - s/2 = -2^(1/3) R/q^2 at x = -2^(-1/3) s, for 241 s in [-6, 6]
+    (x in [-4.77, 4.77], inside every table solve_hastings_mcleod makes)."""
     x, h = table.grid.nodes(), table.grid.h
     q, qp, R, f2 = table.q, table.q_prime, table.R, table.f2
     qdd = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / h**2
+    s = np.linspace(-6.0, 6.0, 241)
+    q_s, _, r_s, _ = table.at(-s / _CBRT2)
+    qh, qhp = q_half(table, s), q_half_prime(table, s)
+    res1 = qh * qh + qhp + s / 2.0 - _CBRT2 * q_s * q_s
+    res2 = -qh * qh + qhp - s / 2.0 + _CBRT2 * r_s / (q_s * q_s)
     return {
         "q_min": float(np.min(q)),
         "painleve_ii": float(np.max(np.abs(
@@ -197,6 +206,8 @@ def table_residuals(table: PainleveTable) -> dict:
                             and np.all(f2 > 0.0) and np.all(f2 <= 1.0)),
         "r_log_derivative": float(np.max(np.abs(
             derivative(x, np.log(f2))[1:-1] - R[1:-1]))),
+        "appendix_a": max(float(np.max(np.abs(res1))),
+                          float(np.max(np.abs(res2)))),
     }
 
 
@@ -245,29 +256,6 @@ def q_half_prime(table: PainleveTable, s: float) -> float:
     x = -s / _CBRT2
     q, qp, _, _ = table.at(x)
     return (2.0 * q * q + x - (qp / q) ** 2) / _CBRT2**2
-
-
-def check_appendix_a_identities(table: PainleveTable,
-                                s_values=None) -> dict:
-    """Residuals of the two quadratic identities tying q_half to q and R:
-
-      q_half^2 + q_half' + s/2 = 2^(1/3) q(x)^2
-     -q_half^2 + q_half' - s/2 = -2^(1/3) R(x)/q(x)^2,    x = -2^(-1/3) s.
-
-    Returns max-norm residuals over the sampled overlap domain.
-    """
-    s = np.asarray(np.linspace(-6.0, 6.0, 241) if s_values is None
-                   else s_values, dtype=float)
-    lo, hi = -_CBRT2 * table.grid.x_max, -_CBRT2 * table.grid.x_min
-    s = s[(s >= lo) & (s <= hi)]
-    if s.size == 0:
-        raise ValueError("no overlap between s range and table domain")
-    q, _, R, _ = table.at(-s / _CBRT2)
-    qh, qhp = q_half(table, s), q_half_prime(table, s)
-    res1 = qh * qh + qhp + s / 2.0 - _CBRT2 * q * q
-    res2 = -qh * qh + qhp - s / 2.0 + _CBRT2 * R / (q * q)
-    return {"max_residual_1": float(np.max(np.abs(res1))),
-            "max_residual_2": float(np.max(np.abs(res2)))}
 
 
 def a2_integral(table: PainleveTable) -> float:

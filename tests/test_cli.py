@@ -408,6 +408,21 @@ def test_edge_curve_csv_matches_the_library(argv, curve, tmp_path):
                                                       for v in want]
 
 
+@pytest.mark.parametrize("argv, end", [
+    (["gap-pdf", "--rmax", "8", "--step", "3"], 8.0),
+    (["gap-pdf", "--rmax", "30", "--step", "0.7"], 30.0),
+    (["dos-bulk", "--step", "0.5"], 2.0 * math.sqrt(2.0)),
+    (["finite-n", "--n", "4", "--rmax", "1", "--step", "0.6"], 1.0),
+    (["asymptotics", "--rmax", "2", "--step", "0.7"], 2.0)])
+def test_grids_end_at_the_requested_end(argv, end, tmp_path):
+    # a step that does not divide the range stops the grid short of the
+    # end, never past it
+    out = tmp_path / "grid.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert rows[-1, 0] <= end < rows[-1, 0] + float(argv[-1])
+
+
 def test_dos_edge_small_range(tmp_path):
     out = tmp_path / "dos.csv"
     assert run(["dos-edge", "--rmax", "0.4", "--step", "0.2",
@@ -537,11 +552,28 @@ def test_tabulate_psi_writes_no_negative_zero(tmp_path):
     assert np.all(rows[:, 2] == 0.0)
 
 
+#: every invariant check reports, in order
+CHECK_NAMES = [
+    "q positive", "Painleve II residual < 1e-6", "R identity < 1e-8",
+    "F2 monotone in (0,1], F2(x_max) = 1", "R = F2'/F2 < 1e-6",
+    "appendix A identities < 1e-5", "a2 = 1/2 within 1e-4",
+    *(f"Lax residuals at r = {r}" for r in (2.0, 5.0, -2.0, -5.0)),
+    *(f"h0, h1, S0 closed forms at y = {y}" for y in (-1.0, 0.0, 2.0)),
+    "kernel normalization int K = N (N = 4)", "int dos_exact = 1 (N = 4)"]
+
+
 def test_check_suite_passes(tmp_path, capsys):
     assert run(["check"]) == 0
     outp = capsys.readouterr().out
     assert "[FAIL]" not in outp
     assert "all checks passed" in outp
+    # no invariant drops out unseen: one [ok] line per name, in order
+    lines = [line for line in outp.splitlines() if line.startswith("[")]
+    assert len(lines) == len(CHECK_NAMES)
+    for line, name in zip(lines, CHECK_NAMES):
+        assert line.startswith(f"[ok] {name} "), (line, name)
+        if name.startswith("Lax"):
+            assert ", f'' " in line and ", conserved " in line, line
     # --out takes the same report, and stdout gets none of it
     out = tmp_path / "check.txt"
     assert run(["check", "--out", str(out)]) == 0
@@ -566,3 +598,22 @@ def test_check_reports_failures(monkeypatch, capsys):
     assert lines[-1] == ("3 check(s) failed: F2 monotone in (0,1], "
                          "F2(x_max) = 1, R = F2'/F2 < 1e-6, "
                          "a2 = 1/2 within 1e-4")
+
+
+def test_check_reports_a_shifted_q(monkeypatch, capsys):
+    # q + 1e-3 breaks the Appendix A identities and every Lax pair, and
+    # check names those lines among its failures and exits 1
+    from dataclasses import replace
+
+    from nearextreme import painleve
+
+    t = painleve.default_table()
+    monkeypatch.setattr(painleve, "default_table",
+                        lambda: replace(t, q=t.q + 1e-3))
+    assert run(["check"]) == 1
+    failed = [line[len("[FAIL] "):] for line in
+              capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL] ")]
+    for name in CHECK_NAMES:
+        if name.startswith(("appendix A", "Lax")):
+            assert any(line.startswith(f"{name} ") for line in failed), name

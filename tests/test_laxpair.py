@@ -29,8 +29,7 @@ RESIDUAL_PARAMS = (0.5, 2.0, 5.0, -0.5, -2.0, -5.0)
 
 @pytest.mark.parametrize("r", RESIDUAL_PARAMS)
 def test_psi_invariants(table, r):
-    psi = laxpair.solve_psi(r, table)
-    res = laxpair.psi_residuals(psi)
+    res = laxpair.lax_residuals(laxpair.solve_psi(r, table))
     assert res["schrod"] < 1e-5
     assert res["conserved"] < 1e-4
 

@@ -364,9 +364,7 @@ def test_q_half_domain_violation(table):
 
 
 def test_appendix_identities_residuals(table):
-    rep = painleve.check_appendix_a_identities(table)
-    assert rep["max_residual_1"] < 1e-5
-    assert rep["max_residual_2"] < 1e-5
+    assert painleve.table_residuals(table)["appendix_a"] < 1e-5
 
 
 def test_appendix_identities_sensitivity(table):
@@ -374,14 +372,7 @@ def test_appendix_identities_sensitivity(table):
     from dataclasses import replace
 
     bad = replace(table, q=table.q + 1e-3)
-    rep = painleve.check_appendix_a_identities(bad)
-    assert max(rep["max_residual_1"], rep["max_residual_2"]) > 1e-4
-
-
-def test_appendix_identities_empty_overlap(table):
-    with pytest.raises(ValueError):
-        painleve.check_appendix_a_identities(table,
-                                             s_values=np.array([500.0]))
+    assert painleve.table_residuals(bad)["appendix_a"] > 1e-4
 
 
 # ---------------------------------------------------------------------------
