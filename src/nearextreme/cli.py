@@ -33,10 +33,13 @@ def _open_out(path):
     return open(path, "w")
 
 
-def _write_csv(path, header_lines, columns, names):
+def _write_csv(path, header_lines, columns, names, notes=()):
+    """The version line, the ``header_lines``, a ``columns:`` line naming
+    ``names`` and the ``notes`` as '#' lines, then the CSV of ``columns``
+    under a row of ``names``."""
     with _open_out(path) as fh:
         fh.write(f"# nearextreme {__version__}\n")
-        for line in header_lines:
+        for line in [*header_lines, f"columns: {', '.join(names)}", *notes]:
             fh.write(f"# {line}\n")
         fh.write(",".join(names) + "\n")
         for row in zip(*columns):
@@ -69,8 +72,7 @@ def cmd_tabulate_painleve(args) -> int:
 
     t = painleve.default_table()
     g = t.grid.nodes()
-    _write_csv(args.out, _provenance(t) + ["columns: x, q, q_prime, R, F2"],
-               [g, t.q, t.q_prime, t.R, t.f2],
+    _write_csv(args.out, _provenance(t), [g, t.q, t.q_prime, t.R, t.f2],
                ["x", "q", "q_prime", "R", "F2"])
     return 0
 
@@ -81,9 +83,7 @@ def cmd_tabulate_psi(args) -> int:
     t = painleve.default_table()
     psi = laxpair.solve_psi(args.r_tilde, t)
     g = t.grid.nodes()
-    _write_csv(args.out,
-               _provenance(t) + [f"r_tilde = {args.r_tilde}",
-                                 "columns: x, f, g"],
+    _write_csv(args.out, _provenance(t) + [f"r_tilde = {args.r_tilde}"],
                [g, psi.f, psi.g], ["x", "f", "g"])
     return 0
 
@@ -93,12 +93,10 @@ def _write_edge_curve(args, t, r, values, large, notes=()) -> int:
 
     small = 0.5 * r**2 + scaling.a4_integral(t) * r**4
     _write_csv(args.out,
-               _provenance(t) + [
-                   f"rmax = {args.rmax}, step = {args.step}",
-                   "columns: r_tilde, value, asymptotic_small, "
-                   "asymptotic_large", *notes],
+               _provenance(t) + [f"rmax = {args.rmax}, step = {args.step}"],
                [r, values, small, large],
-               ["r_tilde", "value", "asymptotic_small", "asymptotic_large"])
+               ["r_tilde", "value", "asymptotic_small", "asymptotic_large"],
+               notes)
     return 0
 
 
@@ -139,7 +137,7 @@ def cmd_dos_bulk(args) -> int:
 
     top = 2.0 * math.sqrt(2.0)
     x = _grid(0.0, top, args.step)
-    _write_csv(args.out, [f"step = {args.step}", "columns: x_hat, value"],
+    _write_csv(args.out, [f"step = {args.step}"],
                [x, scaling.rho_bulk_shifted(x)], ["x_hat", "value"])
     return 0
 
@@ -154,8 +152,8 @@ def cmd_finite_n(args) -> int:
     if quantity == "cdf":
         x = _grid(-4.0, 6.0, args.step)
         vals = fn.cdf_lambda_max(x, n)
-        header = [f"n = {n}", fn.rule_header(n, quantity),
-                  "columns: y, cdf_lambda_max"]
+        header = [f"n = {n}, y in [-4, 6], step = {args.step}",
+                  fn.rule_header(n, quantity)]
         names = ["y", "F_N"]
     else:
         rmax = 4.0 if args.rmax is None else args.rmax
@@ -183,8 +181,7 @@ def cmd_sample(args) -> int:
     if args.quantity == "dos" and args.scaling == "edge":
         # the edge-scaled histogram estimates rho_edge / n
         dens, err = dens * args.n, err * args.n
-    _write_csv(args.out, header + ["columns: bin_center, density, stderr"],
-               [hist.centers(), dens, err],
+    _write_csv(args.out, header, [hist.centers(), dens, err],
                ["bin_center", "density", "stderr"])
     return 0
 
@@ -201,15 +198,12 @@ def cmd_asymptotics(args) -> int:
     dos_tail = np.sqrt(r) / math.pi
     f2_tail = painleve.tracy_widom_f2_asymptote(-r)
     f2_tail[f2_tail > 1.0] = np.nan
-    _write_csv(args.out,
-               _provenance(t) + [
-                   "columns: r_tilde, gap_tail, dos_tail, f2_left_tail",
-                   f"admissible: {gap_rule}; f2_left_tail where it is at "
-                   "most 1, r_tilde > 0.7094; nan elsewhere",
-                   f"a4 = {scaling.a4_integral(t):.12g}",
-                   f"gap_amplitude_A = {scaling.GAP_TAIL_AMPLITUDE:.12g}"],
-               [r, gap_tail, dos_tail, f2_tail],
-               ["r_tilde", "gap_tail", "dos_tail", "f2_left_tail"])
+    _write_csv(args.out, _provenance(t), [r, gap_tail, dos_tail, f2_tail],
+               ["r_tilde", "gap_tail", "dos_tail", "f2_left_tail"],
+               [f"admissible: {gap_rule}; f2_left_tail where it is at "
+                "most 1, r_tilde > 0.7094; nan elsewhere",
+                f"a4 = {scaling.a4_integral(t):.12g}",
+                f"gap_amplitude_A = {scaling.GAP_TAIL_AMPLITUDE:.12g}"])
     return 0
 
 

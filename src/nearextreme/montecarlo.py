@@ -67,16 +67,17 @@ _PIECE = 2**14
 # slabs hold at most _SLAB_DRAWS draws, fewer where their d and e^2 would
 # pass _SLAB_BYTES (past m = 1024, n > 3.9e4), and at least one.  Each sweep
 # over a slab makes a numpy call per row, so larger slabs count faster but
-# hold more: in slabs of 2,048 / 4,096 / 8,192 draws, 1e5 bulk DOS draws
-# at n = 32 count in 1.00 / 0.99 / 0.93 s and trace 2.2 / 3.1 / 5.0 MiB,
-# and 5,000 gap draws at n = 1000 in 0.27 / 0.25 / 0.22 s and 8.0 / 11.8 /
-# 23.6 MiB
+# hold more: in slabs of 2,048 / 3,072 / 4,096 / 8,192 draws, 1e5 bulk DOS
+# draws at n = 32 count in 1.17 / 1.12 / 1.09 / 1.04 s and trace 1.6 / 2.1
+# / 2.6 / 4.8 MiB, and 5,000 gap draws at n = 1000 trace 7.9 / 11.8 / 11.8
+# / 23.6 MiB (one thread of a 2-vCPU x86-64 VM)
 _SLAB_DRAWS = 4096
 _SLAB_BYTES = 64 * 2**20
 # (draw, bin edge) pairs per tile of a Sturm count, few enough that its
-# work arrays stay in cache (1.8 times as fast as a whole slab at n = 32;
-# 2**14 and 2**16 are 10-25 % slower there)
-_TILE = 2**15
+# work arrays (30 bytes a pair, 0.47 MiB) stay in cache: the DOS counts of
+# 1e5 draws at n = 32 take 0.6 s in tiles of 2**14 or 2**15 pairs, within
+# 5 %, and 0.95 s in whole slabs
+_TILE = 2**14
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,10 @@ class TridiagonalSpectrumSampler:
         float in any slab, piece or count.  With m = n this is the whole
         draw; with m < n a draw of the block's law, not the whole draw's
         first rows.  Every slab is drawn into one buffer, so it holds its
-        draws only until the next slab is drawn."""
+        draws only until the next slab is drawn.  Each piece is drawn and
+        scaled in place in one piece buffer and then transposed into the
+        slab; the buffer is made per slab and released before the slab is
+        yielded, so that the caller's count of the slab holds none of it."""
         if count < 1:
             raise ValueError("count must be >= 1")
         d_rng, e_rng = (np.random.Generator(np.random.Philox(child)) for child
@@ -111,14 +115,21 @@ class TridiagonalSpectrumSampler:
         d_buf, e_buf = np.empty((m, size)), np.empty((m - 1, size))
         for at in range(0, count, size):
             d, e = d_buf[:, :count - at], e_buf[:, :count - at]
+            piece = np.empty(min(step, d.shape[1]) * m)
             for j in range(0, d.shape[1], step):
                 rows = min(step, d.shape[1] - j)
                 # Normal(0, 1/2) as Generator.normal forms it, sigma z + 0
                 # (the 0 turns a -0.0 into 0.0)
-                d[:, j:j + rows] = (d_rng.standard_normal((rows, m)).T
-                                    * math.sqrt(0.5) + 0.0)
-                e[:, j:j + rows] = np.sqrt(e_rng.standard_gamma(
-                    shape, size=(rows, m - 1)).T / 2.0)
+                z = piece[:rows * m].reshape(rows, m)
+                d_rng.standard_normal(out=z)
+                z *= math.sqrt(0.5)
+                z += 0.0
+                d[:, j:j + rows] = z.T
+                g = piece[:rows * (m - 1)].reshape(rows, m - 1)
+                e_rng.standard_gamma(shape, out=g)
+                g /= 2.0
+                e[:, j:j + rows] = np.sqrt(g, out=g).T
+            del piece, z, g
             yield d, e
 
     def draw(self, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +429,6 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("bin edges must increase strictly")
     r = edges * r_per_x
-    tile = max(1, _TILE // edges.size)
 
     def run_slab(d, e):
         """The tally of a slab of d and e as :meth:`slabs` yields them and,
@@ -432,6 +442,9 @@ def count_histogram(sampler: TridiagonalSpectrumSampler, count: int,
             return np.bincount(j + 1, minlength=edges.size + 1), 0
         below = np.zeros(edges.size, np.int64)
         most_above = 0
+        # the fewest tiles of at most _TILE pairs (or one draw), evened
+        tiles = -(-size // max(1, _TILE // edges.size))
+        tile = -(-size // tiles)
         for s in range(0, size, tile):
             cols = slice(s, s + tile)
             k = _count_at_or_below(d[:, cols], e2[:, cols],

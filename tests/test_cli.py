@@ -276,8 +276,41 @@ def test_finite_n_cdf_roundtrip(tmp_path):
     header, names, rows = read_csv(out)
     for y, v in rows:
         assert v == pytest.approx((1.0 + math.erf(y)) / 2.0, abs=1e-10)
+    # the y range and the step, as the dos and gap record rmax and step
+    assert header[1] == "# n = 1, y in [-4, 6], step = 1.0"
     assert header[2] == ("# rule: Gauss-Legendre, 160 nodes, inner products "
                          "on [min(-13, y - 2), min(y, 13)]")
+
+
+#: one small run of every command that writes a CSV, and of each finite-n
+#: quantity
+CSV_COMMANDS = (
+    ["tabulate-painleve"], ["tabulate-psi", "--r-tilde", "2"],
+    ["dos-edge", "--rmax", "0.4", "--step", "0.2"],
+    ["gap-pdf", "--rmax", "0.4", "--step", "0.2"],
+    ["dos-bulk", "--step", "0.5"],
+    ["finite-n", "--n", "2", "--rmax", "1", "--step", "0.5"],
+    ["finite-n", "--n", "2", "--quantity", "gap", "--rmax", "1",
+     "--step", "0.5"],
+    ["finite-n", "--n", "2", "--quantity", "cdf", "--step", "5"],
+    ["sample", "--n", "8", "--samples", "10"],
+    ["asymptotics", "--rmax", "2", "--step", "0.5"])
+
+
+def test_every_csv_command_is_listed():
+    sub = next(a for a in cli.build_parser()._actions
+               if a.dest == "command")
+    assert {argv[0] for argv in CSV_COMMANDS} == set(sub.choices) - {"check"}
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=" ".join)
+def test_columns_line_names_the_csv_columns(argv, tmp_path):
+    # the one '# columns:' line lists the header row's names, in order
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    header, names, _ = read_csv(out)
+    columns = [line for line in header if line.startswith("# columns: ")]
+    assert columns == [f"# columns: {', '.join(names)}"]
 
 
 def test_sample_csv_determinism(tmp_path):
